@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -27,7 +26,7 @@ from . import __version__, mc
 from .estimate import EstimatorConfig, stream
 from .hulls import DegeneracyError, build_hull
 from .integrals import integral_Za_bound, integral_Za_quadrature
-from .paths import PathSample, TimeGrid, sample_brownian
+from .paths import TimeGrid, sample_brownian
 from .rain import generate_rain, level
 from .verify import SUITES, run_suite
 
@@ -36,18 +35,15 @@ _TAG_SIMULATE = 100
 _DEFAULTS = {
     "seed": 0,
     "alpha": 10.0,
-    "kappa": math.pi / 2.0,
     "dim": 2,
-    "n": 2,
     "replicas": 10_000,
     "grid": 1024,
     "confidence": 0.99,
     "format": "csv",
 }
 
-_CASTS = {"seed": int, "alpha": float, "kappa": float, "dim": int, "n": int,
-          "replicas": int, "grid": int, "confidence": float, "format": str,
-          "out": str}
+_CASTS = {"seed": int, "alpha": float, "dim": int, "replicas": int, "grid": int,
+          "confidence": float, "format": str, "out": str}
 
 
 @dataclass(frozen=True)
@@ -55,9 +51,7 @@ class RunConfig:
     command: str
     seed: int
     alpha: float
-    kappa: float
     dim: int
-    n: int
     replicas: int
     grid: int
     confidence: float
@@ -100,8 +94,7 @@ def _resolve(command, flags, config_file):
     merged.update({k: v for k, v in flags.items() if v is not None})
     out_dir = merged.get("out") or os.environ.get("BMHULL_OUT") or "."
     return RunConfig(command=command, seed=merged["seed"], alpha=merged["alpha"],
-                     kappa=merged["kappa"], dim=merged["dim"], n=merged["n"],
-                     replicas=merged["replicas"], grid=merged["grid"],
+                     dim=merged["dim"], replicas=merged["replicas"], grid=merged["grid"],
                      confidence=merged["confidence"], out_format=merged["format"],
                      out_path=out_dir)
 
@@ -126,9 +119,7 @@ def _common(f):
     opts = [
         click.option("--seed", type=int, default=None, help="master RNG seed"),
         click.option("--alpha", type=float, default=None, help="rain intensity"),
-        click.option("--kappa", type=float, default=None, help="wedge angle parameter"),
         click.option("--dim", type=int, default=None, help="ambient dimension"),
-        click.option("--n", type=int, default=None, help="facet tuple length"),
         click.option("--replicas", type=int, default=None, help="MC replica budget"),
         click.option("--grid", type=int, default=None, help="grid points per unit time"),
         click.option("--confidence", type=float, default=None, help="CI level"),
@@ -152,14 +143,14 @@ def main():
 @_common
 @click.option("--alphas", type=str, default=None,
               help="comma-separated rain levels (default: the single --alpha)")
-def cmd_simulate(seed, alpha, kappa, dim, n, replicas, grid, confidence, out,
-                 fmt, config_file, alphas):
+def cmd_simulate(seed, alpha, dim, replicas, grid, confidence, out, fmt,
+                 config_file, alphas):
     """One coupled realization: path CSV, rain CSV and a hull JSON per level."""
     t0 = time.monotonic()
-    cfg = _resolve("simulate", {"seed": seed, "alpha": alpha, "kappa": kappa,
-                                "dim": dim, "n": n, "replicas": replicas,
-                                "grid": grid, "confidence": confidence,
-                                "out": out, "format": fmt}, config_file)
+    cfg = _resolve("simulate", {"seed": seed, "alpha": alpha, "dim": dim,
+                                "replicas": replicas, "grid": grid,
+                                "confidence": confidence, "out": out,
+                                "format": fmt}, config_file)
     levels = sorted(float(x) for x in alphas.split(",")) if alphas else [cfg.alpha]
     if any(a < 0 for a in levels):
         raise click.ClickException("alpha levels must be >= 0")
@@ -194,14 +185,14 @@ def cmd_simulate(seed, alpha, kappa, dim, n, replicas, grid, confidence, out,
 @main.command("verify")
 @click.argument("suite", type=click.Choice(sorted(SUITES)))
 @_common
-def cmd_verify(suite, seed, alpha, kappa, dim, n, replicas, grid, confidence,
+def cmd_verify(suite, seed, alpha, dim, replicas, grid, confidence,
                out, fmt, config_file):
     """Run one named suite; nonzero exit when any check fails."""
     t0 = time.monotonic()
-    cfg = _resolve("verify", {"seed": seed, "alpha": alpha, "kappa": kappa,
-                              "dim": dim, "n": n, "replicas": replicas,
-                              "grid": grid, "confidence": confidence,
-                              "out": out, "format": fmt}, config_file)
+    cfg = _resolve("verify", {"seed": seed, "alpha": alpha, "dim": dim,
+                              "replicas": replicas, "grid": grid,
+                              "confidence": confidence, "out": out,
+                              "format": fmt}, config_file)
     checks = run_suite(suite, cfg.estimator())
     report = {"suite": suite, "config": cfg.provenance(), "checks": checks,
               "all_passed": all(c["passed"] for c in checks)}
@@ -219,7 +210,7 @@ def cmd_verify(suite, seed, alpha, kappa, dim, n, replicas, grid, confidence,
 
 
 def _inner_r_complement(cfg: RunConfig, value: float) -> dict:
-    est = mc.prob_R_complement(value, cfg.n, cfg.estimator())
+    est = mc.prob_R_complement(value, cfg.dim, cfg.estimator())
     row = {"alpha": value, "mean": est.mean, "std_error": est.std_error,
            "ci_low": est.ci_low, "ci_high": est.ci_high,
            "lemma_bound": est.extra["lemma_bound"]}
@@ -247,15 +238,15 @@ _INNER = {"r-complement": (_inner_r_complement,
 @_common
 @click.option("--values", type=str, default="",
               help="comma-separated parameter values (may be empty)")
-def cmd_sweep(inner, seed, alpha, kappa, dim, n, replicas, grid, confidence,
+def cmd_sweep(inner, seed, alpha, dim, replicas, grid, confidence,
               out, fmt, config_file, values):
     """Sweep the inner computation over parameter values; CSV/JSON rows with
     full provenance columns."""
     t0 = time.monotonic()
-    cfg = _resolve("sweep", {"seed": seed, "alpha": alpha, "kappa": kappa,
-                             "dim": dim, "n": n, "replicas": replicas,
-                             "grid": grid, "confidence": confidence,
-                             "out": out, "format": fmt}, config_file)
+    cfg = _resolve("sweep", {"seed": seed, "alpha": alpha, "dim": dim,
+                             "replicas": replicas, "grid": grid,
+                             "confidence": confidence, "out": out,
+                             "format": fmt}, config_file)
     fn, cols = _INNER[inner]
     vals = [float(x) for x in values.split(",") if x.strip() != ""]
     prov = cfg.provenance()

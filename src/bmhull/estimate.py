@@ -78,6 +78,17 @@ def chunk_sizes(replicas: int):
     return out
 
 
+def run_chunks(config: EstimatorConfig, tag: int, kernel,
+               replicas: int | None = None) -> np.ndarray:
+    """Per-replica values of kernel(rng, size) over the chunk layout of the
+    replica budget (config.replicas unless given), one stream per chunk,
+    concatenated in chunk order."""
+    n = config.replicas if replicas is None else replicas
+    return np.concatenate([np.asarray(kernel(stream(config.master_seed, tag, ci), sz),
+                                      dtype=float)
+                           for ci, sz in enumerate(chunk_sizes(n))])
+
+
 def from_weights(weights: np.ndarray, config: EstimatorConfig, extra: dict | None = None,
                  clamp01: bool = True) -> Estimate:
     """Estimate from per-replica weights in [0,1] (indicator or survival weights).
@@ -99,7 +110,7 @@ def from_weights(weights: np.ndarray, config: EstimatorConfig, extra: dict | Non
         lo, hi = mean - z * se, mean + z * se
         if clamp01:
             lo, hi = max(lo, 0.0), min(hi, 1.0)
-    return Estimate(mean=mean, std_error=se, ci_low=lo, ci_high=hi, replicas=n,
+    return Estimate(mean=mean, std_error=se, ci_low=float(lo), ci_high=float(hi), replicas=n,
                     config_echo=asdict(config), extra=extra or {})
 
 

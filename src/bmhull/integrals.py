@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import Estimate, EstimatorConfig, chunk_sizes, from_weights, stream
+from .estimate import Estimate, EstimatorConfig, from_weights, run_chunks
 
 _STREAM_ZA = 71
 
@@ -90,16 +90,15 @@ def measure_Za_complement(a: float, n: int, config: EstimatorConfig) -> Estimate
     ZaRegion(a, n)
     if n != 2:
         raise ValueError("n = 2 only (cost)")
-    outside = []
-    for ci, sz in enumerate(chunk_sizes(config.replicas)):
-        rng = stream(config.master_seed, _STREAM_ZA, ci)
+
+    def kernel(rng, sz):
         r = np.sort(rng.random((sz, n)), axis=1)
         s = np.sort(rng.random((sz, n)), axis=1)
         t = np.sort(np.concatenate([r, s], axis=1), axis=1)
         gaps_ok = np.all(np.diff(t, axis=1) >= a, axis=1)
-        inside = (t[:, 0] >= a) & (1.0 - t[:, -1] >= a) & gaps_ok
-        outside.append(~inside)
-    w = np.concatenate(outside).astype(float)
+        return ~((t[:, 0] >= a) & (1.0 - t[:, -1] >= a) & gaps_ok)
+
+    w = run_chunks(config, _STREAM_ZA, kernel)
     union_bound = (2 * n + 1) * a
     return from_weights(w, config, extra={"a": a, "n": n, "union_bound": union_bound})
 

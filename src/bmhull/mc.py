@@ -17,12 +17,13 @@ import math
 
 import numpy as np
 
-from .estimate import CHUNK, Estimate, EstimatorConfig, chunk_sizes, from_weights, scaled, stream
-from .hulls import SimplexTimes, build_hull, oriented_normal
-from .integrals import enlargement, phi, rhs_bound
-from .wedges import Wedge2D, angle as normal_angle, pair_geometry, ridge_distance
-from . import rain as rain_mod
-from scipy.spatial import QhullError
+from .estimate import Estimate, EstimatorConfig, from_weights, run_chunks, scaled
+from .hulls import SimplexTimes, count_q, event_E, oriented_normal
+from .integrals import enlargement, gamma_ak, phi, rhs_bound
+from .paths import bridge, brownian, modulus_ok, time_steps
+from .rain import covered, level_times
+from .wedges import (Wedge2D, angle as normal_angle, check_events_H, pair_geometry,
+                     ridge_distance)
 
 _TAG_STAY = 1
 _TAG_BRIDGE = 2
@@ -32,8 +33,6 @@ _TAG_CAMPBELL_LHS = 5
 _TAG_CAMPBELL_RHS = 6
 _TAG_DISCORDANT = 7
 _TAG_FIT_BASE = 800
-
-_BLOCK_ELEMS = 20_000_000  # soft cap on one path-array allocation
 
 
 def _halfplane_weights(dists: np.ndarray, dt: float) -> np.ndarray:
@@ -68,55 +67,10 @@ def _wedge_weights(paths: np.ndarray, wedge: Wedge2D, dt: float,
     return np.all(ok, axis=1).astype(float)
 
 
-def _bm_paths(rng: np.random.Generator, n_rep: int, n_steps: int, dt: float,
-              start: np.ndarray) -> np.ndarray:
-    """Brownian paths from a fixed start; generated in row blocks so the draw
-    sequence (and hence the result) does not depend on the block size."""
-    out = np.empty((n_rep, n_steps + 1, 2))
-    out[:, 0] = start
-    block = max(1, _BLOCK_ELEMS // max(n_steps * 2, 1))
-    lo = 0
-    while lo < n_rep:
-        hi = min(lo + block, n_rep)
-        inc = rng.standard_normal((hi - lo, n_steps, 2)) * math.sqrt(dt)
-        out[lo:hi, 1:] = start + np.cumsum(inc, axis=1)
-        lo = hi
-    return out
-
-
-def _bridge_paths(rng: np.random.Generator, n_rep: int, times: np.ndarray,
-                  a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact planar Brownian bridges between pinned endpoints, vectorised over
-    replicas by sequential conditioning."""
-    n = times.size
-    out = np.empty((n_rep, n, 2))
-    out[:, 0] = a
-    out[:, -1] = b
-    s2 = times[-1]
-    for k in range(1, n - 1):
-        left = times[k - 1]
-        frac = (times[k] - left) / (s2 - left)
-        var = (times[k] - left) * (s2 - times[k]) / (s2 - left)
-        mean = out[:, k - 1] + frac * (b - out[:, k - 1])
-        out[:, k] = mean + math.sqrt(var) * rng.standard_normal((n_rep, 2))
-    return out
-
-
-def _y_ok(paths: np.ndarray, times: np.ndarray, alpha: float, n_dim: int) -> np.ndarray:
-    """Batch modulus-event check; paths (replicas, m, dim)."""
-    slack = alpha ** (-2 * n_dim - 1)
-    ph = phi(alpha)
-    m = times.size
-    ok = np.ones(paths.shape[0], dtype=bool)
-    for lag in range(1, m):
-        gaps = times[lag:] - times[:-lag]
-        d = paths[:, lag:] - paths[:, :-lag]
-        disp2 = (d * d).sum(axis=2)
-        lim = (np.sqrt(gaps) * ph + slack) ** 2
-        ok &= np.all(disp2 <= lim, axis=1)
-        if not ok.any():
-            break
-    return ok
+def _bm_stay(wedge: Wedge2D, start: np.ndarray, n_steps: int, dt: float):
+    """Chunk kernel: stay weights of Brownian paths from start on a uniform grid."""
+    dts = np.full(n_steps, dt)
+    return lambda rng, sz: _wedge_weights(brownian(rng, sz, dts, 2, start), wedge, dt)
 
 
 # ---------------------------------------------------------------- estimators
@@ -129,14 +83,9 @@ def stay_prob_wedge(wedge: Wedge2D, start, horizon: float,
     if not bool(wedge.membership(start[None, :], tol=1e-12)[0]):
         raise ValueError("start must lie in the wedge")
     n_steps = max(2, int(round(config.grid_points_per_unit_time * horizon)))
-    dt = horizon / n_steps
-    weights = []
-    for ci, sz in enumerate(chunk_sizes(config.replicas)):
-        rng = stream(config.master_seed, _TAG_STAY, ci)
-        paths = _bm_paths(rng, sz, n_steps, dt, start)
-        weights.append(_wedge_weights(paths, wedge, dt))
+    w = run_chunks(config, _TAG_STAY, _bm_stay(wedge, start, n_steps, horizon / n_steps))
     r0 = float(np.linalg.norm(start - wedge.tip))
-    return from_weights(np.concatenate(weights), config,
+    return from_weights(w, config,
                         extra={"horizon": horizon, "r": r0,
                                "half_angle": wedge.half_angle,
                                "grid_steps": n_steps})
@@ -155,19 +104,13 @@ def fit_exit_exponent(beta: float, config: EstimatorConfig,
     xs = np.geomspace(0.03, 0.3, 8) if ratios is None else np.asarray(ratios, dtype=float)
     if xs.size < 4:
         raise ValueError("need at least 4 support points for the fit")
-    means = []
-    for k, x in enumerate(xs):
-        wedge = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=beta)
-        start = np.array([x, 0.0])  # along the bisector, horizon 1
-        n_steps = max(2, config.grid_points_per_unit_time)
-        dt = 1.0 / n_steps
-        ws = []
-        for ci, sz in enumerate(chunk_sizes(config.replicas)):
-            rng = stream(config.master_seed, _TAG_FIT_BASE + k, ci)
-            paths = _bm_paths(rng, sz, n_steps, dt, start)
-            ws.append(_wedge_weights(paths, wedge, dt))
-        means.append(float(np.concatenate(ws).mean()))
-    means = np.asarray(means)
+    wedge = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=beta)
+    n_steps = max(2, config.grid_points_per_unit_time)
+    dt = 1.0 / n_steps
+    # starts along the bisector, horizon 1
+    means = np.array([run_chunks(config, _TAG_FIT_BASE + k,
+                                 _bm_stay(wedge, np.array([x, 0.0]), n_steps, dt)).mean()
+                      for k, x in enumerate(xs)])
     if np.sum(means > 0.0) < 4:
         raise ValueError("fewer than 4 support points with positive estimates")
     m = means > 0.0
@@ -192,17 +135,14 @@ def bridge_stay_prob(wedge: Wedge2D, a, b, config: EstimatorConfig,
     n_steps = max(2, config.grid_points_per_unit_time)
     times = np.linspace(0.0, 1.0, n_steps + 1)
     dt = times[1] - times[0]
-    weights = []
-    for ci, sz in enumerate(chunk_sizes(config.replicas)):
-        rng = stream(config.master_seed, _TAG_BRIDGE, ci)
-        paths = _bridge_paths(rng, sz, times, a, b)
-        weights.append(_wedge_weights(paths, wedge, dt))
+    w = run_chunks(config, _TAG_BRIDGE,
+                   lambda rng, sz: _wedge_weights(bridge(rng, sz, times, a, b), wedge, dt))
     r0 = float(np.linalg.norm(a - wedge.tip))
     extra = {"r": r0, "half_angle": wedge.half_angle}
     if bound_params is not None:
         al, eps, th = bound_params
         extra["lemma6_bound"] = lemma6_bound(al, eps, th, r0)
-    return from_weights(np.concatenate(weights), config, extra=extra)
+    return from_weights(w, config, extra=extra)
 
 
 _CASES = ("interior", "edge", "interior-special", "edge-special")
@@ -267,47 +207,25 @@ def conditional_H_prob(case: str, wedge: Wedge2D, s1: float, s2: float,
     dt = times[1] - times[0]
     simulate_r = include_R == "always" or (include_R == "auto" and alpha * gap <= 1e5)
     w_off = enlargement(alpha)
-    weights = []
-    for ci, sz in enumerate(chunk_sizes(config.replicas)):
-        rng = stream(config.master_seed, _TAG_CONDH, ci)
-        paths = _bridge_paths(rng, sz, times, d1, d2)
+    radius = phi(alpha) / alpha
+    lo, hi = max(0.0, s1 - radius), min(1.0, s2 + radius)
+
+    def kernel(rng, sz):
+        paths = bridge(rng, sz, times, d1, d2)
         w = _wedge_weights(paths, wedge, dt, extra_offset=w_off)
         if simulate_r:
-            ok = _y_ok(paths, times, alpha, n_dim)
-            radius = phi(alpha) / alpha
-            for i in range(sz):
-                if not ok[i]:
-                    continue
-                lv = _interval_level(rng, alpha, s1, s2, radius)
-                ok[i] = _covered(lv, s1, s2, radius)
+            ok = modulus_ok(paths, times, alpha, n_dim)
+            for i in np.flatnonzero(ok):
+                ok[i] = covered(level_times(rng, alpha, lo, hi), s1, s2, radius)
             w *= ok
-        weights.append(w)
+        return w
+
     rhs = prop6_rhs(case, gap, alpha, eps, theta, n_dim)
-    est = from_weights(np.concatenate(weights), config,
+    est = from_weights(run_chunks(config, _TAG_CONDH, kernel), config,
                        extra={"case": case, "alpha": alpha, "eps": eps,
                               "theta": theta, "gap": gap, "prop6_rhs": rhs,
                               "r_conjunct": "simulated" if simulate_r else "assumed"})
     return est
-
-
-def _interval_level(rng, alpha, s1, s2, radius):
-    lo, hi = max(0.0, s1 - radius), min(1.0, s2 + radius)
-    m = rng.poisson(alpha * (hi - lo))
-    pts = lo + (hi - lo) * rng.random(m)
-    ends = [x for x in (0.0, 1.0) if lo <= x <= hi]
-    return np.sort(np.concatenate([pts, ends]))
-
-
-def _covered(level_times, a, b, radius):
-    t = level_times
-    t = t[(t >= a - radius) & (t <= b + radius)]
-    if t.size == 0 or t[0] - a > radius or b - t[-1] > radius:
-        return False
-    if t.size == 1:
-        return True
-    lo, hi = t[:-1] + radius, t[1:] - radius
-    bad = (hi - lo > 0.0) & (np.maximum(lo, a) < np.minimum(hi, b))
-    return not bool(bad.any())
 
 
 def prob_R_complement(alpha: float, n_dim: int, config: EstimatorConfig) -> Estimate:
@@ -317,30 +235,23 @@ def prob_R_complement(alpha: float, n_dim: int, config: EstimatorConfig) -> Esti
         raise ValueError("alpha must be > 1")
     n_steps = config.grid_points_per_unit_time
     times = np.linspace(0.0, 1.0, n_steps + 1)
-    dt = times[1] - times[0]
+    dts = np.full(n_steps, times[1] - times[0])
     radius = phi(alpha) / alpha
-    fails = []
-    for ci, sz in enumerate(chunk_sizes(config.replicas)):
-        rng = stream(config.master_seed, _TAG_RCOMP, ci)
-        paths = np.empty((sz, n_steps + 1, n_dim))
-        paths[:, 0] = 0.0
-        inc = rng.standard_normal((sz, n_steps, n_dim)) * math.sqrt(dt)
-        paths[:, 1:] = np.cumsum(inc, axis=1)
-        y_ok = _y_ok(paths, times, alpha, n_dim)
-        n_ok = np.empty(sz, dtype=bool)
-        for i in range(sz):
-            m = rng.poisson(alpha)
-            lv = np.sort(np.concatenate([[0.0, 1.0], rng.random(m)]))
-            n_ok[i] = _covered(lv, 0.0, 1.0, radius)
-        fails.append(~(y_ok & n_ok))
-    w = np.concatenate(fails).astype(float)
+
+    def kernel(rng, sz):
+        y_ok = modulus_ok(brownian(rng, sz, dts, n_dim), times, alpha, n_dim)
+        n_ok = [covered(level_times(rng, alpha), 0.0, 1.0, radius) for _ in range(sz)]
+        return ~(y_ok & np.array(n_ok))
+
+    w = run_chunks(config, _TAG_RCOMP, kernel)
     return from_weights(w, config, extra={"alpha": alpha, "n_dim": n_dim,
                                           "lemma_bound": alpha ** (-2 * n_dim - 1)})
 
 
-def _path_at(rng, times, dim):
-    dts = np.diff(np.concatenate([[0.0], times]))
-    return np.cumsum(np.sqrt(dts)[:, None] * rng.standard_normal((times.size, dim)), axis=0)
+def _rain_tuple(u) -> bool:
+    """Only tuples of rain times count: the pinned endpoint times 0 and 1 are
+    not process points, so facets touching them lie outside the open simplex."""
+    return u[0] > 0.0 and u[-1] < 1.0
 
 
 def campbell_check(alpha: float, n_dim: int, config: EstimatorConfig):
@@ -355,52 +266,40 @@ def campbell_check(alpha: float, n_dim: int, config: EstimatorConfig):
         raise ValueError("n_dim = 2 only (cost)")
     if not 1.0 < alpha <= 50.0:
         raise ValueError("alpha must be in (1, 50]")
-    lhs_counts = []
-    for ci, sz in enumerate(chunk_sizes(config.replicas)):
-        rng = stream(config.master_seed, _TAG_CAMPBELL_LHS, ci)
-        for _ in range(sz):
-            m = rng.poisson(alpha)
-            times = np.sort(np.concatenate([[0.0, 1.0], rng.random(m)]))
-            pts = _path_at(rng, times, n_dim)
-            try:
-                poly = build_hull(pts)
-            except (QhullError, ValueError):
-                lhs_counts.append(0.0)  # degenerate (too few rain points)
-                continue
-            # only tuples of rain times count: the pinned endpoint times 0 and
-            # 1 are not process points, so facets touching them lie outside
-            # the open simplex
-            cnt = sum(1 for f in poly.facets
-                      if all(0.0 < times[i] < 1.0 for i in f.vertex_indices))
-            lhs_counts.append(float(cnt))
-    lhs = from_weights(np.array(lhs_counts), config, clamp01=False,
-                       extra={"alpha": alpha, "estimand": "mean_facet_count"})
 
-    rhs_hits = []
-    rhs_reps = config.replicas * 4  # the indicator side is cheaper and noisier
-    for ci, sz in enumerate(chunk_sizes(rhs_reps)):
-        rng = stream(config.master_seed, _TAG_CAMPBELL_RHS, ci)
-        for _ in range(sz):
+    def lhs_kernel(rng, sz):
+        counts = np.zeros(sz)
+        for i in range(sz):
+            times = level_times(rng, alpha)
+            pts = brownian(rng, 1, time_steps(times), n_dim)[0, 1:]
+            try:
+                counts[i] = count_q(times, pts, region=_rain_tuple)
+            except ValueError:
+                pass  # degenerate (too few rain points): zero facets
+        return counts
+
+    def rhs_kernel(rng, sz):
+        hits = np.zeros(sz)
+        for i in range(sz):
             r = np.sort(rng.random(n_dim))
-            m = rng.poisson(alpha)
-            lam = np.sort(np.concatenate([[0.0, 1.0], rng.random(m)]))
-            all_t = np.concatenate([r, lam])
+            all_t = np.concatenate([r, level_times(rng, alpha)])
             order = np.argsort(all_t, kind="stable")
             pts = np.empty((all_t.size, n_dim))
-            pts[order] = _path_at(rng, all_t[order], n_dim)
-            r_pts, lam_pts = pts[:n_dim], pts[n_dim:]
+            pts[order] = brownian(rng, 1, time_steps(all_t[order]), n_dim)[0, 1:]
             try:
-                n_vec = oriented_normal(r_pts, r_pts[0])
+                hits[i] = event_E(pts[:n_dim], pts[n_dim:],
+                                  eps_geom=1e-12 * max(1.0, float(np.abs(pts).max())))
             except ValueError:
-                rhs_hits.append(0.0)
-                continue
-            side = lam_pts @ n_vec - float(n_vec @ r_pts[0])
-            eps = 1e-12 * max(1.0, float(np.abs(pts).max()))
-            hit = bool(np.all(side <= eps) or np.all(side >= -eps))
-            rhs_hits.append(float(hit))
-    vol_simplex = 1.0 / math.factorial(n_dim)
-    raw = from_weights(np.array(rhs_hits), config,
+                pass  # affinely dependent simplex points: no facet
+        return hits
+
+    lhs = from_weights(run_chunks(config, _TAG_CAMPBELL_LHS, lhs_kernel), config,
+                       clamp01=False, extra={"alpha": alpha, "estimand": "mean_facet_count"})
+    # the indicator side is cheaper and noisier
+    raw = from_weights(run_chunks(config, _TAG_CAMPBELL_RHS, rhs_kernel,
+                                  replicas=config.replicas * 4), config,
                        extra={"alpha": alpha, "estimand": "facet_event_rate"})
+    vol_simplex = 1.0 / math.factorial(n_dim)
     rhs = scaled(raw, alpha ** n_dim * vol_simplex)
     return lhs, rhs
 
@@ -412,27 +311,24 @@ def discordant_prob(r: SimplexTimes, s: SimplexTimes, alpha: float, kappa: float
     if r.n != s.n:
         raise ValueError("r and s must have the same length")
     n = r.n
-    from .integrals import gamma_ak
     base = np.linspace(0.0, 1.0, config.grid_points_per_unit_time + 1)
     times = np.unique(np.concatenate([base, r.r, s.r]))
+    dts = time_steps(times)
     idx_r = np.searchsorted(times, r.r)
     idx_s = np.searchsorted(times, s.r)
-    slack = enlargement(alpha)
     gamma = gamma_ak(alpha, kappa)
-    hits = []
-    for ci, sz in enumerate(chunk_sizes(config.replicas)):
-        rng = stream(config.master_seed, _TAG_DISCORDANT, ci)
-        for _ in range(sz):
-            pts = _path_at(rng, times, n)
+
+    def kernel(rng, sz):
+        hits = np.zeros(sz)
+        for i in range(sz):
+            pts = brownian(rng, 1, dts, n)[0, 1:]
             pr, ps = pts[idx_r], pts[idx_s]
             try:
                 n_r = oriented_normal(pr, pr[0])
                 n_s = oriented_normal(ps, ps[0])
             except ValueError:
-                hits.append(0.0)
                 continue
-            ok = (np.all(pts @ n_r <= float(n_r @ pr[0]) + slack)
-                  and np.all(pts @ n_s <= float(n_s @ ps[0]) + slack))
+            ok = check_events_H(pts, n_r, n_s, pr[0], ps[0], alpha)
             if ok:
                 th = normal_angle(n_r, n_s)
                 ok = th >= kappa / 16.0
@@ -440,9 +336,12 @@ def discordant_prob(r: SimplexTimes, s: SimplexTimes, alpha: float, kappa: float
                     pair = pair_geometry(n_r, float(n_r @ pr[0]),
                                          n_s, float(n_s @ ps[0]), alpha)
                     ok = ridge_distance(pr, ps, pair) <= gamma
-            hits.append(float(ok))
+            hits[i] = ok
+        return hits
+
+    hits = run_chunks(config, _TAG_DISCORDANT, kernel)
     t_merged = np.sort(np.concatenate([r.r, s.r]))
     extra = {"alpha": alpha, "kappa": kappa}
     if t_merged[0] > 0.0 and t_merged[-1] < 1.0 and np.all(np.diff(t_merged) > 0):
         extra["prop5_rhs"] = rhs_bound(t_merged, alpha, kappa, n)
-    return from_weights(np.array(hits), config, extra=extra)
+    return from_weights(hits, config, extra=extra)

@@ -3,7 +3,9 @@
 Paths are realised at sorted time grids in [0,1]; increments are exact
 Gaussians, so there is no discretisation error at the grid times themselves.
 Also houses the grid modulus of continuity M_delta and the modulus event
-check used by the regularity event R.
+check used by the regularity event R.  The batched kernels brownian, bridge
+and modulus_ok are what the estimators run; the single-path samplers and
+check_Y wrap them.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,14 +96,71 @@ class BridgeSpec:
         object.__setattr__(self, "b", b)
 
 
+# soft cap on the normals drawn in one block of brownian()
+_BLOCK_ELEMS = 20_000_000
+
+
+def brownian(rng: np.random.Generator, n_rep: int, dts: np.ndarray, dim: int,
+             start=0.0) -> np.ndarray:
+    """Brownian paths of shape (n_rep, len(dts) + 1, dim): row 0 is `start` and
+    row k adds the first k independent increments, of variances dts[:k].
+
+    Normals are drawn replica by replica in row blocks, so the draw sequence
+    (and hence the result) does not depend on the block size.
+    """
+    n = dts.size
+    # per-coordinate scales of one flattened path, so that scaling and the
+    # start offset below run as one contiguous loop per path
+    sd = np.sqrt(dts).repeat(dim)
+    out = np.empty((n_rep, n + 1, dim))
+    out[:, 0] = start
+    block = max(1, _BLOCK_ELEMS // max(sd.size, 1))
+    for lo in range(0, n_rep, block):
+        hi = min(lo + block, n_rep)
+        inc = rng.standard_normal((hi - lo, sd.size))
+        inc *= sd
+        np.cumsum(inc.reshape(hi - lo, n, dim), axis=1, out=out[lo:hi, 1:])
+    # a zero start adds nothing, and skipping it keeps -0.0 entries as drawn
+    if n_rep and np.count_nonzero(start):
+        out.reshape(n_rep, (n + 1) * dim)[:, dim:] += np.tile(out[0, 0], n)
+    return out
+
+
+def time_steps(times: np.ndarray) -> np.ndarray:
+    """Steps from time 0 through the sorted times, t_0 - 0, t_1 - t_0, ...: the
+    dts of brownian for a path from B(0) realised at the times."""
+    dts = times.copy()
+    dts[1:] -= times[:-1]
+    return dts
+
+
+def bridge(rng: np.random.Generator, n_rep: int, times: np.ndarray, a, b) -> np.ndarray:
+    """Brownian bridges of shape (n_rep, len(times), dim) from a at times[0] to b
+    at times[-1], by sequential conditioning: each interior point is Gaussian
+    given the previous point and the pinned right endpoint, and the endpoints
+    are exact."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = times.size
+    out = np.empty((n_rep, n, a.size))
+    out[:, 0] = a
+    out[:, -1] = b
+    s2 = times[-1]
+    for k in range(1, n - 1):
+        left = times[k - 1]
+        frac = (times[k] - left) / (s2 - left)
+        var = (times[k] - left) * (s2 - times[k]) / (s2 - left)
+        mean = out[:, k - 1] + frac * (b - out[:, k - 1])
+        out[:, k] = mean + math.sqrt(var) * rng.standard_normal((n_rep, a.size))
+    return out
+
+
 def sample_brownian(dim: int, grid: TimeGrid, rng: np.random.Generator) -> PathSample:
     """Standard Brownian motion pinned at B(0)=0, realised at the grid times."""
     if dim < 1:
         raise ValueError("dim must be a positive integer")
     t = grid.times
-    dts = np.diff(np.concatenate([[0.0], t]))  # first increment from time 0
-    z = rng.standard_normal((t.size, dim))
-    pts = np.cumsum(np.sqrt(dts)[:, None] * z, axis=0)
+    pts = brownian(rng, 1, time_steps(t), dim)[0, 1:]
     if t[0] == 0.0:
         pts[0] = 0.0  # sqrt(0)*z already, keep exact zero
     return PathSample(grid, pts, dim)
@@ -108,11 +168,7 @@ def sample_brownian(dim: int, grid: TimeGrid, rng: np.random.Generator) -> PathS
 
 def sample_bridge(spec: BridgeSpec, dim: int, grid: TimeGrid,
                   rng: np.random.Generator) -> PathSample:
-    """Brownian bridge from (s1, a) to (s2, b) by sequential conditioning.
-
-    Each interior point is Gaussian given the previous point and the pinned
-    right endpoint; the endpoints are exact to machine precision.
-    """
+    """Brownian bridge from (s1, a) to (s2, b) on the grid (see bridge)."""
     if dim < 1:
         raise ValueError("dim must be a positive integer")
     t = grid.times
@@ -120,18 +176,7 @@ def sample_bridge(spec: BridgeSpec, dim: int, grid: TimeGrid,
         raise ValueError("grid must start at s1 and end at s2")
     if spec.a.size != dim:
         raise ValueError("endpoint dimension mismatch")
-    n = t.size
-    pts = np.empty((n, dim))
-    pts[0] = spec.a
-    pts[-1] = spec.b
-    z = rng.standard_normal((max(n - 2, 0), dim))
-    for k in range(1, n - 1):
-        left, right = t[k - 1], spec.s2
-        frac = (t[k] - left) / (right - left)
-        mean = pts[k - 1] + frac * (spec.b - pts[k - 1])
-        var = (t[k] - left) * (right - t[k]) / (right - left)
-        pts[k] = mean + np.sqrt(var) * z[k - 1]
-    return PathSample(grid, pts, dim)
+    return PathSample(grid, bridge(rng, 1, t, spec.a, spec.b)[0], dim)
 
 
 def modulus(path: PathSample, delta: float) -> float:
@@ -154,20 +199,28 @@ def modulus(path: PathSample, delta: float) -> float:
     return best
 
 
+def modulus_ok(points: np.ndarray, times: np.ndarray, alpha: float, n_dim: int) -> np.ndarray:
+    """Modulus event per replica, points (replicas, m, dim) at the m times: for
+    every grid pair, |B(t2)-B(t1)| <= sqrt(t2-t1)*phi(alpha) + alpha^{-2n-1}."""
+    slack = alpha ** (-2 * n_dim - 1)
+    ph = phi(alpha)
+    m = times.size
+    ok = np.ones(points.shape[0], dtype=bool)
+    for lag in range(1, m):
+        gaps = times[lag:] - times[:-lag]
+        d = points[:, lag:] - points[:, :-lag]
+        disp2 = (d * d).sum(axis=2)
+        lim = (np.sqrt(gaps) * ph + slack) ** 2
+        ok &= np.all(disp2 <= lim, axis=1)
+        if not ok.any():
+            break
+    return ok
+
+
 def check_Y(path: PathSample, alpha: float, interval=(0.0, 1.0), n_dim: int = 2) -> bool:
-    """Modulus event on [a,b]: for every realised grid gap d,
-    |B(t2)-B(t1)| <= sqrt(d)*phi(alpha) + alpha^{-2n-1}."""
+    """Modulus event on [a,b] of one path (see modulus_ok)."""
     if alpha <= 1.0:
         raise ValueError("alpha must be > 1 (phi undefined below)")
     a, b = interval
     sub = path.restrict(a, b)
-    t, p = sub.grid.times, sub.points
-    slack = alpha ** (-2 * n_dim - 1)
-    ph = phi(alpha)
-    for lag in range(1, t.size):
-        gaps = t[lag:] - t[:-lag]
-        d = p[lag:] - p[:-lag]
-        disp = np.sqrt((d * d).sum(axis=1))
-        if np.any(disp > np.sqrt(gaps) * ph + slack):
-            return False
-    return True
+    return bool(modulus_ok(sub.points[None], sub.grid.times, alpha, n_dim)[0])

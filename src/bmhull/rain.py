@@ -77,40 +77,50 @@ def level(rain: Rain, alpha: float) -> RainLevel:
     return RainLevel(alpha, times)
 
 
+def level_times(rng: np.random.Generator, alpha: float, lo: float = 0.0,
+                hi: float = 1.0) -> np.ndarray:
+    """Sorted level times of a direct Poisson(alpha) level set on [lo, hi]
+    within [0,1]: Poisson(alpha (hi - lo)) uniform times plus whichever of the
+    pinned times 0 and 1 lie in [lo, hi]."""
+    m = rng.poisson(alpha * (hi - lo))
+    pts = lo + (hi - lo) * rng.random(m)
+    ends = [x for x in (0.0, 1.0) if lo <= x <= hi]
+    return np.sort(np.concatenate([pts, ends]))
+
+
 def level_from_count(alpha: float, rng: np.random.Generator) -> RainLevel:
     """Direct Poisson(alpha) level set (no coupled family); cheaper for MC."""
     if alpha <= 0.0:
         raise ValueError("alpha must be > 0")
-    m = rng.poisson(alpha)
-    times = np.unique(np.concatenate([[0.0, 1.0], rng.random(m)]))
-    return RainLevel(alpha, times)
+    return RainLevel(alpha, np.unique(level_times(rng, alpha)))
+
+
+def covered(times: np.ndarray, a: float, b: float, radius: float) -> bool:
+    """Covering event: every t in [a,b] has one of the sorted times within radius.
+
+    Exact via consecutive gaps: every point of [a,b] is covered iff the
+    first/last times near [a,b] are within the radius of a/b and no gap
+    leaves an uncovered stretch inside [a,b].
+    """
+    t = times[(times >= a - radius) & (times <= b + radius)]
+    if t.size == 0 or t[0] - a > radius or b - t[-1] > radius:
+        return False
+    if t.size == 1:
+        return True
+    # a gap only hurts if its uncovered stretch intersects [a,b]
+    lo, hi = t[:-1] + radius, t[1:] - radius
+    bad = (hi - lo > 0.0) & (np.maximum(lo, a) < np.minimum(hi, b))
+    return not bool(bad.any())
 
 
 def check_N(levelset: RainLevel, alpha: float, interval=(0.0, 1.0)) -> bool:
-    """Covering event: every t in [a,b] has a level time within phi(alpha)/alpha.
-
-    Exact via consecutive gaps: augmenting with the interval endpoints, every
-    point of [a,b] is covered iff the first/last level times are within the
-    radius of a/b and consecutive level gaps are at most twice the radius.
-    """
+    """Covering event on [a,b] at radius phi(alpha)/alpha (see covered)."""
     if alpha <= 1.0:
         raise ValueError("alpha must be > 1")
     a, b = interval
     if not a <= b:
         raise ValueError("invalid interval")
-    radius = phi(alpha) / alpha
-    t = levelset.times
-    inside = t[(t >= a - radius) & (t <= b + radius)]
-    if inside.size == 0:
-        return False
-    if inside[0] - a > radius or b - inside[-1] > radius:
-        return False
-    if inside.size == 1:
-        return True
-    # a gap only hurts if its uncovered stretch intersects [a,b]
-    lo, hi = inside[:-1] + radius, inside[1:] - radius
-    bad = (hi - lo > 0.0) & (np.maximum(lo, a) < np.minimum(hi, b))
-    return not bool(bad.any())
+    return covered(levelset.times, a, b, phi(alpha) / alpha)
 
 
 def check_R(levelset: RainLevel, path: PathSample, alpha: float,

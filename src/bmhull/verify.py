@@ -13,10 +13,11 @@ import math
 import numpy as np
 
 from . import mc
-from .estimate import EstimatorConfig, chunk_sizes, from_weights, stream
+from .estimate import EstimatorConfig, from_weights, run_chunks, stream
 from .hulls import build_hull, DegeneracyError
 from .integrals import (integral_Za_bound, integral_Za_quadrature,
                         measure_Za_complement, log_final_assembly)
+from .paths import brownian, time_steps
 from .wedges import (AmbientWedge, LemmaViolationError, angle, find_discordant,
                      lemma3_constant, special_index)
 
@@ -59,8 +60,7 @@ def random_special_instance(rng: np.random.Generator, alpha: float = 1e6,
     and a wedge tip placed within tip_offset of one skeleton point, so both
     stated hypotheses hold with very high probability."""
     t = np.sort(np.concatenate([[0.0, 1.0], rng.random(2 * n)]))
-    dts = np.diff(np.concatenate([[0.0], t]))
-    pb = np.cumsum(np.sqrt(dts)[:, None] * rng.standard_normal((t.size, 2)), axis=0)
+    pb = brownian(rng, 1, time_steps(t), 2)[0, 1:]
     k = int(rng.integers(t.size))
     w0 = pb[k] + rng.uniform(-tip_offset, tip_offset, size=2)
     return t, pb, w0
@@ -116,11 +116,8 @@ def suite_lemma8(config: EstimatorConfig):
                                  quadrature=quad, closed_form=closed, rel_error=rel))
     # a single constraint {y_1 <= a} on the unit cube has measure exactly a
     a = 0.05
-    hits = []
-    for ci, sz in enumerate(chunk_sizes(config.replicas)):
-        rng = stream(config.master_seed, _TAG_SINGLE, ci)
-        hits.append((rng.random(sz) <= a).astype(float))
-    est = from_weights(np.concatenate(hits), config)
+    est = from_weights(run_chunks(config, _TAG_SINGLE, lambda rng, sz: rng.random(sz) <= a),
+                       config)
     checks.append(_check("single_constraint_measure", abs(est.mean - a) <= 3 * est.std_error,
                          estimate=est.mean, target=a, std_error=est.std_error))
     # complement measure trend: roughly linear in a, generous constant

@@ -6,7 +6,7 @@ polytope confined to a wedge, and the special-interval finder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,10 +105,6 @@ class WedgePair:
     def project(self, points) -> np.ndarray:
         p = np.atleast_2d(np.asarray(points, dtype=float))
         return p @ self.plane_basis.T
-
-    def plane_normals_2d(self) -> np.ndarray:
-        """The two facet normals expressed in plane_basis coordinates (rows)."""
-        return np.vstack([self.plane_basis @ self.n_r, self.plane_basis @ self.n_s])
 
     def in_wedge(self, points, enlarged: bool = False, tol: float = 0.0) -> np.ndarray:
         p = np.atleast_2d(np.asarray(points, dtype=float))

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -94,6 +96,35 @@ def test_sweep_r_complement(tmp_path):
     assert "cfg_seed" in header and "cfg_version" in header
     means = [float(l.split(",")[1]) for l in lines[1:]]
     assert all(m <= 0.5 for m in means)
+
+
+def test_sweep_cells_parse_as_numbers():
+    """At alpha = 3 regularity failures occur, so the normal interval is used;
+    every cell but the text provenance columns must parse as a number."""
+    r = run(["sweep", "r-complement", "--values", "3", "--replicas", "500", "--grid", "64"])
+    assert r.exit_code == 0
+    rows = list(csv.DictReader(io.StringIO(r.stdout)))
+    assert len(rows) == 1 and float(rows[0]["mean"]) > 0.0
+    text = {"cfg_command", "cfg_out_format", "cfg_version"}
+    for row in rows:
+        for key, cell in row.items():
+            if key not in text:
+                float(cell)
+
+
+def test_sweep_r_complement_reads_dim():
+    r = run(["sweep", "r-complement", "--values", "20", "--dim", "3", "--replicas", "200",
+             "--grid", "32"])
+    assert r.exit_code == 0
+    row = next(csv.DictReader(io.StringIO(r.stdout)))
+    assert float(row["lemma_bound"]) == 20.0 ** -7
+    assert row["cfg_dim"] == "3"
+
+
+def test_removed_flags_are_usage_errors():
+    for flag in ("--kappa", "--n"):
+        r = CliRunner().invoke(main, ["sweep", "r-complement", flag, "1"])
+        assert r.exit_code == 2 and "No such option" in r.output
 
 
 def test_sweep_za_matches_closed_forms():

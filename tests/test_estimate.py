@@ -81,3 +81,13 @@ def test_overlap_predicate():
     a = from_weights(np.repeat([0.4, 0.6], 50), cfg)
     b = from_weights(np.repeat([0.45, 0.65], 50), cfg)
     assert a.overlaps(b) and b.overlaps(a)
+
+
+def test_interval_bounds_are_python_floats():
+    """ci_low and ci_high are plain floats in every branch, so CSV writers
+    that repr floats print numbers, not np.float64(...)."""
+    cfg = EstimatorConfig(replicas=100)
+    for est in (from_weights(np.zeros(200), cfg),
+                from_weights(np.repeat([0.0, 1.0], 100), cfg),
+                from_weights(np.repeat([0.0, 3.0], 100), cfg, clamp01=False)):
+        assert type(est.ci_low) is float and type(est.ci_high) is float
