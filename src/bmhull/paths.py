@@ -98,6 +98,9 @@ class BridgeSpec:
 
 # soft cap on the normals drawn in one block of brownian()
 _BLOCK_ELEMS = 20_000_000
+# soft cap on the points of one row block of modulus_ok(), small enough that
+# the block's lag temporaries stay in cache
+_SCAN_ELEMS = _BLOCK_ELEMS // 64
 
 
 def brownian(rng: np.random.Generator, n_rep: int, dts: np.ndarray, dim: int,
@@ -200,27 +203,71 @@ def modulus(path: PathSample, delta: float) -> float:
 
 
 def modulus_ok(points: np.ndarray, times: np.ndarray, alpha: float, n_dim: int) -> np.ndarray:
-    """Modulus event per replica, points (replicas, m, dim) at the m times: for
-    every grid pair, |B(t2)-B(t1)| <= sqrt(t2-t1)*phi(alpha) + alpha^{-2n-1}."""
+    """Modulus event per replica, points (replicas, m, dim) at the m sorted
+    times: for every grid pair, |B(t2)-B(t1)| <= sqrt(t2-t1)*phi(alpha) + alpha^{-2n-1}.
+
+    The scan runs lag by lag over row blocks of at most _SCAN_ELEMS points,
+    each copied coordinate-major.  At lag l it compares each pair's squared
+    displacement disp2, the sum of d*d over the coordinates in order, with
+    lim_l = (sqrt(gap)*phi + slack)**2.  A replica leaves the scan once it
+    fails, or once diag2 <= lim_l.min(), where diag2, the squared diagonal of
+    its bounding box, sums ext*ext with ext = max - min in the same order.
+    This prune is exact in floating point, so the booleans are those of the
+    full scan:
+
+    - rounding is monotone, so |fl(p_j - p_i)| <= fl(max - min) in each
+      coordinate, and so are the squares and their sums: disp2 <= diag2 for
+      every pair of the replica;
+    - for sorted times fl(t[i+l+1] - t[i]) >= fl(t[i+l] - t[i]), so the
+      smallest gap, and with it lim_l.min(), never decreases as l grows.
+
+    Hence diag2 <= lim_l.min() means every pair at lag l and beyond passes.
+    conditional_H_prob draws rain only for the replicas that pass, so a
+    single flipped boolean would shift its stream.
+    """
     slack = alpha ** (-2 * n_dim - 1)
     ph = phi(alpha)
-    m = times.size
-    ok = np.ones(points.shape[0], dtype=bool)
-    for lag in range(1, m):
-        gaps = times[lag:] - times[:-lag]
-        d = points[:, lag:] - points[:, :-lag]
-        disp2 = (d * d).sum(axis=2)
-        lim = (np.sqrt(gaps) * ph + slack) ** 2
-        ok &= np.all(disp2 <= lim, axis=1)
-        if not ok.any():
-            break
+    n_rep, m, dim = points.shape
+    ok = np.ones(n_rep, dtype=bool)
+    rows = max(1, _SCAN_ELEMS // max(m * dim, 1))
+    for lo in range(0, n_rep, rows):
+        # (dim, rows, m): each lag difference runs over contiguous rows
+        cols = np.ascontiguousarray(points[lo:lo + rows].transpose(2, 0, 1))
+        diag2 = _sum_squares(c.max(axis=1) - c.min(axis=1) for c in cols)
+        live = np.arange(lo, lo + cols.shape[1])  # undecided replicas of the block
+        for lag in range(1, m):
+            lim = (np.sqrt(times[lag:] - times[:-lag]) * ph + slack) ** 2
+            disp2 = _sum_squares(c[:, lag:] - c[:, :-lag] for c in cols)
+            fail = ~np.all(disp2 <= lim, axis=1)
+            ok[live[fail]] = False
+            stay = ~(fail | (diag2 <= lim.min()))
+            if not stay.any():
+                break
+            if not stay.all():
+                live, cols, diag2 = live[stay], cols[:, stay], diag2[stay]
     return ok
 
 
+def _sum_squares(parts):
+    """Sum of x*x over the arrays in parts, added left to right."""
+    it = iter(parts)
+    x = next(it)
+    acc = x * x
+    for x in it:
+        acc += x * x
+    return acc
+
+
 def check_Y(path: PathSample, alpha: float, interval=(0.0, 1.0), n_dim: int = 2) -> bool:
-    """Modulus event on [a,b] of one path (see modulus_ok)."""
+    """Modulus event on [a,b] of one path (see modulus_ok); it holds vacuously
+    when [a,b] contains fewer than two grid times."""
     if alpha <= 1.0:
         raise ValueError("alpha must be > 1 (phi undefined below)")
     a, b = interval
-    sub = path.restrict(a, b)
-    return bool(modulus_ok(sub.points[None], sub.grid.times, alpha, n_dim)[0])
+    if not a <= b:
+        raise ValueError("invalid interval")
+    t = path.grid.times
+    sel = (t >= a) & (t <= b)
+    if np.count_nonzero(sel) < 2:
+        return True
+    return bool(modulus_ok(path.points[sel][None], t[sel], alpha, n_dim)[0])

@@ -4,8 +4,10 @@ Each case runs one public estimator (or sampler, suite or CLI artifact) at a
 tiny budget and hashes its serialised output.  The digests were recorded
 before the private batch copies in `mc` were folded into the kernels of
 `paths`, `rain`, `hulls` and `wedges`, so any change to the draw order or to
-the arithmetic of a kernel shows up here.  A deliberate change to the stream
-layout must re-record the digests and say so.
+the arithmetic of a kernel shows up here.  The two high-alpha cases, where
+most replicas pass the modulus event and go on to the covering draws, were
+recorded before `paths.modulus_ok` learned to prune.  A deliberate change
+to the stream layout must re-record the digests and say so.
 
 To print the current digests: `python tests/test_layout.py`.
 """
@@ -47,9 +49,9 @@ def _campbell():
     return lhs.to_json() + "\n" + rhs.to_json()
 
 
-def _conditional_h():
+def _conditional_h(alpha=3.0):
     d1, d2 = _edge_points(0.5)
-    return mc.conditional_H_prob("interior", QUADRANT, 0.375, 0.625, d1, d2, 3.0, CFG,
+    return mc.conditional_H_prob("interior", QUADRANT, 0.375, 0.625, d1, d2, alpha, CFG,
                                  eps=0.93, include_R="always").to_json()
 
 
@@ -100,6 +102,9 @@ CASES = {
     "conditional_H_prob(always)": _conditional_h,
     "prob_R_complement(n=2)": lambda: mc.prob_R_complement(3.0, 2, CFG).to_json(),
     "prob_R_complement(n=3)": lambda: mc.prob_R_complement(5.0, 3, CFG).to_json(),
+    # most replicas pass the modulus event here and go on to the covering draws
+    "prob_R_complement(alpha=100)": lambda: mc.prob_R_complement(100.0, 2, CFG).to_json(),
+    "conditional_H_prob(always, alpha=1e5)": lambda: _conditional_h(1e5),
     "campbell_check": _campbell,
     "discordant_prob": _discordant,
     "measure_Za_complement": lambda: measure_Za_complement(0.01, 2, CFG).to_json(),
@@ -122,6 +127,8 @@ EXPECTED = {
         'db52581e07d3477d77ff488f46d4e1672e58f704d920e707a3b06b90a051bce4',
     'conditional_H_prob(always)':
         'f33de889221898fc760470446b1d6b64c7540589a3fc2868189af6dc00c44761',
+    'conditional_H_prob(always, alpha=1e5)':
+        'b1e7182d331326477e04cda9d25a3f060a5d2a854ec64445daa5815315fc0258',
     'discordant_prob':
         '890cff4cac14d1f0e66409735228f186696699b32a2e8044318240bdbc536eaf',
     'fit_exit_exponent':
@@ -134,6 +141,8 @@ EXPECTED = {
         'b856fe2bbdf0466e8de50e9f1a29b3e63f84b80cae339de9e2a14389bca65ed4',
     'prob_R_complement(n=3)':
         'e399b5dee08276fc458dbaba1fc9f0ba34dbe6b9bfc1cb7f4b3d282b968da230',
+    'prob_R_complement(alpha=100)':
+        '0c29e96fb4c92571ce67a829df598a7dbee4a8f24ddd41aa097429470ea57abc',
     'samplers':
         'fc9a792aa2d9fe833bc6868db17dcd47cb16a3adc4c20b19aad08910355f6379',
     'simulate(dim=2)':

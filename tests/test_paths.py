@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from bmhull import paths
 from bmhull.estimate import stream
-from bmhull.paths import (BridgeSpec, PathSample, TimeGrid, check_Y, modulus,
-                          sample_bridge, sample_brownian)
+from bmhull.integrals import phi
+from bmhull.paths import (BridgeSpec, PathSample, TimeGrid, brownian, check_Y, modulus,
+                          modulus_ok, sample_bridge, sample_brownian, time_steps)
 
 
 def test_timegrid_validation():
@@ -126,6 +128,88 @@ def test_check_Y_domain():
     path = sample_brownian(2, grid, stream(13, 210, 0))
     with pytest.raises(ValueError):
         check_Y(path, 1.0)
+
+
+def test_check_Y_short_and_reversed_interval():
+    grid = TimeGrid.uniform(16)
+    path = sample_brownian(2, grid, stream(13, 212, 0))
+    # no grid pair in [a,b]: the event holds vacuously
+    assert check_Y(path, 10.0, (0.3, 0.31))
+    assert check_Y(path, 10.0, (1.0, 1.0))
+    with pytest.raises(ValueError, match="invalid interval"):
+        check_Y(path, 10.0, (0.7, 0.3))
+
+
+def _modulus_ok_brute(points, times, alpha, n_dim):
+    """All grid pairs, each left time in turn against every later time."""
+    slack = alpha ** (-2 * n_dim - 1)
+    ph = phi(alpha)
+    ok = np.ones(points.shape[0], dtype=bool)
+    for i in range(times.size - 1):
+        d = points[:, i + 1:] - points[:, i:i + 1]
+        lim = (np.sqrt(times[i + 1:] - times[i]) * ph + slack) ** 2
+        ok &= np.all((d * d).sum(axis=2) <= lim, axis=1)
+    return ok
+
+
+def _drift(times, alpha, n_dim, dim, over):
+    """Linear path that breaks the full-span pair and no shorter one
+    (over=True), or that just misses breaking it."""
+    ph, slack = phi(alpha), alpha ** (-2 * n_dim - 1)
+    span = times[-1] - times[0]
+    lo = (math.sqrt(span) * ph + slack) / span
+    # breaking the next-longest pair needs at least this velocity
+    hi = min((math.sqrt(g) * ph + slack) / g
+             for g in (times[-2] - times[0], times[-1] - times[1]))
+    v = (lo + hi) / 2 if over else lo * (1 - 1e-9)
+    u = np.ones(dim) / math.sqrt(dim)
+    return (v * (times - times[0]))[:, None] * u
+
+
+@pytest.mark.parametrize("scan_elems", [None, 2000])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_modulus_ok_matches_all_pairs(dim, scan_elems, monkeypatch):
+    """The pruned lag scan gives the booleans of the brute-force scan of all
+    pairs, on uniform and irregular grids, from all-fail to all-pass alpha;
+    scan_elems=2000 forces row blocks of 5 to 15 replicas."""
+    if scan_elems is not None:
+        monkeypatch.setattr(paths, "_SCAN_ELEMS", scan_elems)
+    rng = stream(21, 213, dim)
+    irregular = np.unique(np.concatenate([[0.0, 1.0], rng.random(126)]))
+    for times in (np.linspace(0.0, 1.0, 129), irregular):
+        pts = brownian(rng, 240, time_steps(times), dim)[:, 1:]
+        # a planted jump into the last time, and drifts whose only failing
+        # pair, if any, is the full span at lag m-1
+        pts[7, -1] += 4.0
+        pts[8] = _drift(times, 20.0, 2, dim, over=True)
+        pts[9] = _drift(times, 20.0, 2, dim, over=False)
+        for alpha in (1.5, 3.0, 5.0, 20.0, 100.0):
+            got = modulus_ok(pts, times, alpha, 2)
+            assert np.array_equal(got, _modulus_ok_brute(pts, times, alpha, 2))
+        frac = {a: modulus_ok(pts, times, a, 2).mean() for a in (1.5, 5.0, 100.0)}
+        assert frac[1.5] < 0.15 and 0.1 < frac[5.0] < 0.9 and frac[100.0] > 0.98
+        ok20 = modulus_ok(pts, times, 20.0, 2)
+        assert not ok20[7] and not ok20[8] and ok20[9]
+        # the drift breaks only the full-span pair
+        assert modulus_ok(pts[8:9, 1:], times[1:], 20.0, 2)[0]
+        assert modulus_ok(pts[8:9, :-1], times[:-1], 20.0, 2)[0]
+
+
+def test_modulus_ok_prune_uses_smallest_gap():
+    """A staircase over two close steps after one wide one: its box is well
+    inside the limit of the widest lag-1 gap, yet it breaks the lag-2 pair."""
+    times = np.array([0.0, 0.4, 0.41, 0.42])
+    alpha = 20.0
+    step = 0.99 * (math.sqrt(0.01) * phi(alpha) + alpha ** -5)
+    pts = np.array([0.0, 0.0, step, 2 * step])[None, :, None]
+    assert not modulus_ok(pts, times, alpha, 2)[0]
+    assert not _modulus_ok_brute(pts, times, alpha, 2)[0]
+
+
+def test_modulus_ok_degenerate_shapes():
+    times = np.array([0.5])
+    assert modulus_ok(np.zeros((3, 1, 2)), times, 10.0, 2).all()
+    assert modulus_ok(np.zeros((0, 5, 2)), np.linspace(0, 1, 5), 10.0, 2).shape == (0,)
 
 
 def test_serialization_roundtrip():

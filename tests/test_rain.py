@@ -106,6 +106,16 @@ def test_check_R_conjunction():
     assert not check_R(lv, PathSample(grid, pts, 2), alpha)
 
 
+def test_check_R_interval_without_grid_pair():
+    """The modulus conjunct holds vacuously on an interval holding no grid
+    pair, so check_R reduces to check_N there."""
+    alpha = 10.0
+    rng = stream(5, 307, 0)
+    lv = level_from_count(alpha, rng)
+    path = sample_brownian(2, TimeGrid.uniform(16), rng)
+    assert check_R(lv, path, alpha, (0.3, 0.31)) == check_N(lv, alpha, (0.3, 0.31))
+
+
 def test_dense_approximation_surrogate():
     """Whenever the regularity event holds, every grid time has a level time
     whose path value is within phi^2/sqrt(alpha)."""
