@@ -9,9 +9,9 @@ __version__ = "0.1.0"
 
 from .estimate import (CHUNK, Estimate, EstimatorConfig, chunk_sizes, from_weights,
                        run_chunks, scaled, stream)
-from .integrals import (ZaRegion, enlargement, final_assembly, gamma_ak,
-                        integral_Za_bound, integral_Za_quadrature,
-                        log_final_assembly, measure_Za_complement, phi, rhs_bound)
+from .integrals import (ZaRegion, enlargement, final_assembly, integral_Za_bound,
+                        integral_Za_quadrature, log_final_assembly,
+                        measure_Za_complement, phi, rhs_bound)
 from .paths import (BridgeSpec, PathSample, TimeGrid, bridge, brownian, check_Y, modulus,
                     modulus_ok, sample_bridge, sample_brownian, time_steps)
 from .rain import (Rain, RainLevel, check_N, check_R, covered, generate_rain, level,
@@ -21,7 +21,7 @@ from .hulls import (DegeneracyError, Facet, Polytope, SimplexTimes, build_hull,
                     facet_time_tuples, merged_times, oriented_normal)
 from .wedges import (AmbientWedge, DiscordantWitness, HypothesisError,
                      LemmaViolationError, Wedge2D, WedgePair, angle,
-                     check_discordant, check_events_H, find_discordant,
+                     check_discordant, check_events_H, find_discordant, gamma_ak,
                      lemma3_constant, pair_geometry, projected_tip_distance,
                      ridge_distance, special_index)
 from .mc import (bridge_stay_prob, campbell_check, conditional_H_prob,

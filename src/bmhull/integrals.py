@@ -1,10 +1,10 @@
 """Deterministic scalar helpers and the simplex integrals with the gap restriction.
 
-Covers the slowly-varying scale function phi, the discordance radius
-gamma(alpha, kappa), the product bound for the restricted log-singular
-integral over [0,1]^{2n}, its quadrature cross-check, the Monte Carlo measure
-of the complement of the gap region on the double simplex, the pair-bound
-right-hand side, and the final closed-form assembly of the decay bound.
+Covers the slowly-varying scale function phi, the enlarged-wedge offset, the
+product bound for the restricted log-singular integral over [0,1]^{2n}, its
+quadrature cross-check, the Monte Carlo measure of the complement of the gap
+region on the double simplex, the pair-bound right-hand side, and the final
+closed-form assembly of the decay bound.
 """
 
 from __future__ import annotations
@@ -49,12 +49,6 @@ def phi(alpha: float) -> float:
 def enlargement(alpha: float) -> float:
     """Edge offset phi(alpha)^2 / sqrt(alpha) of the enlarged wedge."""
     return phi(alpha) ** 2 / math.sqrt(alpha)
-
-
-def gamma_ak(alpha: float, kappa: float) -> float:
-    """Discordance radius M_kappa * phi(alpha)^2 / sqrt(alpha)."""
-    from .wedges import lemma3_constant  # local import to avoid a cycle
-    return lemma3_constant(kappa) * enlargement(alpha)
 
 
 def integral_Za_bound(a: float, n: int) -> float:

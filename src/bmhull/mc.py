@@ -18,12 +18,11 @@ import math
 import numpy as np
 
 from .estimate import Estimate, EstimatorConfig, from_weights, run_chunks, scaled
-from .hulls import SimplexTimes, count_q, event_E, oriented_normal
-from .integrals import enlargement, gamma_ak, phi, rhs_bound
+from .hulls import SimplexTimes, count_q, event_E, merged_times, oriented_normal
+from .integrals import enlargement, phi, rhs_bound
 from .paths import bridge, brownian, modulus_ok, time_steps
 from .rain import covered, level_times
-from .wedges import (Wedge2D, angle as normal_angle, check_events_H, pair_geometry,
-                     ridge_distance)
+from .wedges import Wedge2D, check_discordant, check_events_H, gamma_ak
 
 _TAG_STAY = 1
 _TAG_BRIDGE = 2
@@ -328,19 +327,14 @@ def discordant_prob(r: SimplexTimes, s: SimplexTimes, alpha: float, kappa: float
                 n_s = oriented_normal(ps, ps[0])
             except ValueError:
                 continue
-            ok = check_events_H(pts, n_r, n_s, pr[0], ps[0], alpha)
-            if ok:
-                th = normal_angle(n_r, n_s)
-                ok = th >= kappa / 16.0
-                if ok and th < math.pi - 1e-9 and th > 1e-9:
-                    pair = pair_geometry(n_r, float(n_r @ pr[0]),
-                                         n_s, float(n_s @ ps[0]), alpha)
-                    ok = ridge_distance(pr, ps, pair) <= gamma
-            hits[i] = ok
+            hits[i] = (check_events_H(pts, n_r, n_s, pr[0], ps[0], alpha)
+                       and check_discordant(n_r, float(n_r @ pr[0]), pr,
+                                            n_s, float(n_s @ ps[0]), ps,
+                                            gamma, kappa / 16.0))
         return hits
 
     hits = run_chunks(config, _TAG_DISCORDANT, kernel)
-    t_merged = np.sort(np.concatenate([r.r, s.r]))
+    t_merged = merged_times(r, s)
     extra = {"alpha": alpha, "kappa": kappa}
     if t_merged[0] > 0.0 and t_merged[-1] < 1.0 and np.all(np.diff(t_merged) > 0):
         extra["prop5_rhs"] = rhs_bound(t_merged, alpha, kappa, n)

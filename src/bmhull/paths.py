@@ -71,10 +71,6 @@ class PathSample:
                            "times": self.grid.times.tolist(),
                            "points": self.points.tolist()})
 
-    def restrict(self, a: float, b: float) -> "PathSample":
-        m = (self.grid.times >= a) & (self.grid.times <= b)
-        return PathSample(TimeGrid(self.grid.times[m]), self.points[m], self.dim)
-
 
 @dataclass(frozen=True)
 class BridgeSpec:

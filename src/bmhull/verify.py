@@ -18,8 +18,8 @@ from .hulls import build_hull, DegeneracyError
 from .integrals import (integral_Za_bound, integral_Za_quadrature,
                         measure_Za_complement, log_final_assembly)
 from .paths import brownian, time_steps
-from .wedges import (AmbientWedge, LemmaViolationError, angle, find_discordant,
-                     lemma3_constant, special_index)
+from .wedges import (AmbientWedge, LemmaViolationError, Wedge2D, angle,
+                     find_discordant, lemma3_constant, special_index)
 
 _TAG_SINGLE = 90
 _TAG_LEMMA3 = 91
@@ -54,8 +54,8 @@ def random_wedge_polytope(rng: np.random.Generator, kappa: float, s: float = 1.0
     return build_hull(pts), wedge
 
 
-def random_special_instance(rng: np.random.Generator, alpha: float = 1e6,
-                            n: int = 2, tip_offset: float = 0.01):
+def random_special_instance(rng: np.random.Generator, n: int = 2,
+                            tip_offset: float = 0.01):
     """Times 0 = t_0 < ... < t_{2n+1} = 1, a Brownian skeleton at those times
     and a wedge tip placed within tip_offset of one skeleton point, so both
     stated hypotheses hold with very high probability."""
@@ -169,7 +169,7 @@ def suite_lemma4(config: EstimatorConfig, instances: int = 10_000,
     none_count = mismatch = invalid = 0
     scale = alpha ** (1.0 / (10.0 * n))
     for _ in range(instances):
-        t, pb, w0 = random_special_instance(rng, alpha, n)
+        t, pb, w0 = random_special_instance(rng, n)
         j = special_index(t, pb, w0, alpha, M, n)
         if j != brute_force_special(t, pb, w0, alpha, n):
             mismatch += 1
@@ -199,7 +199,6 @@ PROP6_GRID = (
 
 def prop6_monitor_case(spec: dict, config: EstimatorConfig,
                        alpha: float = math.e ** 20):
-    from .wedges import Wedge2D
     wedge = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=math.pi / 4.0)
     rho = spec["rho"]
     c, sn = math.cos(math.pi / 4.0), math.sin(math.pi / 4.0)

@@ -1,6 +1,7 @@
-"""Wedge geometry: planar wedges, facet-pair geometry (ridge, angle, enlarged
-wedge), discordant-facet checks, the constructive discordant-pair search on a
-polytope confined to a wedge, and the special-interval finder.
+"""Wedge geometry: planar wedges, facet-pair geometry (angle, ridge), the
+discordance predicate and its radius gamma(alpha, kappa), the constructive
+discordant-pair search on a polytope confined to a wedge, and the
+special-interval finder.
 """
 
 from __future__ import annotations
@@ -12,6 +13,10 @@ import numpy as np
 
 from .hulls import DegeneracyError, Polytope
 from .integrals import enlargement, phi
+
+
+# normal angles within this of 0 or pi: the facet hyperplanes have no ridge
+_PARALLEL_TOL = 1e-9
 
 
 class LemmaViolationError(RuntimeError):
@@ -91,26 +96,14 @@ class AmbientWedge:
 @dataclass(frozen=True)
 class WedgePair:
     """Geometry attached to two non-parallel facet hyperplanes."""
-    n_r: np.ndarray
-    n_s: np.ndarray
-    off_r: float
-    off_s: float
     theta: float
     ridge_point: np.ndarray       # min-norm point of L(r,s)
-    ridge_basis: np.ndarray       # (d-2, d) orthonormal directions of L
     plane_basis: np.ndarray       # (2, d) orthonormal basis of span{n_r, n_s}
     projected_tip: np.ndarray     # ridge seen in plane_basis coordinates
-    enlargement: float
 
     def project(self, points) -> np.ndarray:
         p = np.atleast_2d(np.asarray(points, dtype=float))
         return p @ self.plane_basis.T
-
-    def in_wedge(self, points, enlarged: bool = False, tol: float = 0.0) -> np.ndarray:
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        extra = self.enlargement if enlarged else 0.0
-        return ((p @ self.n_r <= self.off_r + extra + tol)
-                & (p @ self.n_s <= self.off_s + extra + tol))
 
 
 @dataclass(frozen=True)
@@ -134,30 +127,23 @@ def angle(n_r, n_s, tol: float = 1e-9) -> float:
     return float(np.arccos(np.clip(n_r @ n_s, -1.0, 1.0)))
 
 
-def pair_geometry(n_r, off_r, n_s, off_s, alpha: float, kappa: float = 0.0,
-                  eps_angle: float = 1e-9) -> WedgePair:
-    """Ridge, wedge and enlarged-wedge geometry of two facet hyperplanes."""
+def _no_ridge(theta: float) -> bool:
+    return theta <= _PARALLEL_TOL or theta >= math.pi - _PARALLEL_TOL
+
+
+def pair_geometry(n_r, off_r, n_s, off_s) -> WedgePair:
+    """Angle, ridge and normal-plane geometry of two facet hyperplanes."""
     n_r = np.asarray(n_r, dtype=float)
     n_s = np.asarray(n_s, dtype=float)
     theta = angle(n_r, n_s)
-    if theta <= eps_angle or theta >= math.pi - eps_angle:
+    if _no_ridge(theta):
         raise DegeneracyError("facet hyperplanes are (near-)parallel")
-    d = n_r.size
-    a_mat = np.vstack([n_r, n_s])
     b = np.array([off_r, off_s], dtype=float)
-    ridge_point, *_ = np.linalg.lstsq(a_mat, b, rcond=None)
-    e1 = n_r
+    ridge_point, *_ = np.linalg.lstsq(np.vstack([n_r, n_s]), b, rcond=None)
     e2 = n_s - (n_s @ n_r) * n_r
-    e2 = e2 / np.linalg.norm(e2)
-    plane_basis = np.vstack([e1, e2])
-    # ridge directions = null space of the normal matrix
-    _, _, vt = np.linalg.svd(a_mat)
-    ridge_basis = vt[2:] if d > 2 else np.empty((0, d))
-    projected_tip = plane_basis @ ridge_point
-    return WedgePair(n_r=n_r, n_s=n_s, off_r=float(off_r), off_s=float(off_s),
-                     theta=theta, ridge_point=ridge_point, ridge_basis=ridge_basis,
-                     plane_basis=plane_basis, projected_tip=projected_tip,
-                     enlargement=enlargement(alpha))
+    plane_basis = np.vstack([n_r, e2 / np.linalg.norm(e2)])
+    return WedgePair(theta=theta, ridge_point=ridge_point, plane_basis=plane_basis,
+                     projected_tip=plane_basis @ ridge_point)
 
 
 def ridge_distance(verts_r, verts_s, pair: WedgePair) -> float:
@@ -169,13 +155,19 @@ def ridge_distance(verts_r, verts_s, pair: WedgePair) -> float:
 
 
 def check_discordant(n_r, off_r, verts_r, n_s, off_s, verts_s,
-                     alpha: float, gamma: float, theta_min: float) -> bool:
+                     gamma: float, theta_min: float) -> bool:
     """Discordance: normal angle >= theta_min and both facets within gamma of
-    the common ridge (inclusive comparisons)."""
+    the common ridge (inclusive comparisons).
+
+    A pair past the angle threshold whose normals are (near-)parallel or
+    antiparallel has no ridge and counts as discordant; that can only
+    overstate a probability that is checked against an upper bound."""
     th = angle(n_r, n_s)
     if th < theta_min:
         return False
-    pair = pair_geometry(n_r, off_r, n_s, off_s, alpha)
+    if _no_ridge(th):
+        return True
+    pair = pair_geometry(n_r, off_r, n_s, off_s)
     return ridge_distance(verts_r, verts_s, pair) <= gamma
 
 
@@ -185,6 +177,11 @@ def lemma3_constant(kappa: float) -> float:
     if not 0.0 < kappa < math.pi:
         raise ValueError("kappa must be in (0, pi)")
     return 4.0 / (math.sin(kappa / 2.0) * math.sin(kappa / 4.0) * math.sin(kappa / 8.0))
+
+
+def gamma_ak(alpha: float, kappa: float) -> float:
+    """Discordance radius M_kappa * phi(alpha)^2 / sqrt(alpha)."""
+    return lemma3_constant(kappa) * enlargement(alpha)
 
 
 def _point_polygon_distance_2d(p, poly_pts) -> float:
@@ -223,8 +220,8 @@ def projected_tip_distance(pair: WedgePair, verts_first) -> float:
     return _point_polygon_distance_2d(pair.projected_tip, pair.project(verts_first))
 
 
-def find_discordant(poly: Polytope, wedge: AmbientWedge, kappa: float, s: float,
-                    alpha: float = math.e ** 2) -> DiscordantWitness:
+def find_discordant(poly: Polytope, wedge: AmbientWedge, kappa: float,
+                    s: float) -> DiscordantWitness:
     """Exhaustive facet-pair search for a discordant witness on a polytope
     confined to a wedge of opening pi - kappa whose tip is within distance s.
 
@@ -245,35 +242,33 @@ def find_discordant(poly: Polytope, wedge: AmbientWedge, kappa: float, s: float,
     nf = len(facets)
     normals = np.array([f.normal for f in facets])
     cosines = np.clip(normals @ normals.T, -1.0, 1.0)
-    pairs = [(i, j) for i in range(nf) for j in range(i + 1, nf)]
-    angles = {p: float(np.arccos(cosines[p])) for p in pairs}
-    pairs.sort(key=lambda p: -angles[p])
+    # pairs i < j in row-major order, stably ranked by decreasing angle
+    iu, ju = np.triu_indices(nf, k=1)
+    angles = np.arccos(cosines[iu, ju])
+    rank = np.argsort(-angles, kind="stable")
+    iu, ju, angles = iu[rank].tolist(), ju[rank].tolist(), angles[rank].tolist()
 
     def tip_dist(i, j):
         f_i, f_j = facets[i], facets[j]
-        pair = pair_geometry(f_i.normal, f_i.offset, f_j.normal, f_j.offset, alpha)
+        pair = pair_geometry(f_i.normal, f_i.offset, f_j.normal, f_j.offset)
         return projected_tip_distance(pair, poly.vertices[list(f_i.vertex_indices)])
 
     k = 0
-    while k < len(pairs):
-        th = angles[pairs[k]]
+    while k < len(angles):
+        th = angles[k]
         if th < kappa / 16.0:
             break  # sorted: nothing later can qualify
         # ties in angle are broken by smaller tip distance
-        group = [pairs[k]]
-        while k + 1 < len(pairs) and abs(angles[pairs[k + 1]] - th) <= 1e-12:
+        start = k
+        while k + 1 < len(angles) and abs(angles[k + 1] - th) <= 1e-12:
             k += 1
-            group.append(pairs[k])
         k += 1
-        cands = []
-        for i, j in group:
-            if angles[(i, j)] >= math.pi - 1e-9:
-                continue
-            cands.append((tip_dist(i, j), i, j))
-        for td, i, j in sorted(cands):
+        cands = sorted((tip_dist(iu[g], ju[g]), iu[g], ju[g], angles[g])
+                       for g in range(start, k) if not _no_ridge(angles[g]))
+        for td, i, j, th_ij in cands:
             if td <= m_bound:
                 return DiscordantWitness(facet_i=i, facet_j=j,
-                                         angle=angles[(i, j)], tip_distance=td)
+                                         angle=th_ij, tip_distance=td)
     raise LemmaViolationError(
         f"no facet pair with angle >= kappa/16 = {kappa/16.0:.4g} and "
         f"tip distance <= {m_bound:.4g}")

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bmhull.estimate import EstimatorConfig
-from bmhull.integrals import (ZaRegion, enlargement, final_assembly, gamma_ak,
+from bmhull.integrals import (ZaRegion, enlargement, final_assembly,
                               integral_Za_bound, integral_Za_quadrature,
                               log_final_assembly, measure_Za_complement, phi,
                               rhs_bound)
-from bmhull.wedges import lemma3_constant
+from bmhull.wedges import gamma_ak, lemma3_constant
 
 
 def test_phi_values():

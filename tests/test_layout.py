@@ -6,8 +6,12 @@ before the private batch copies in `mc` were folded into the kernels of
 `paths`, `rain`, `hulls` and `wedges`, so any change to the draw order or to
 the arithmetic of a kernel shows up here.  The two high-alpha cases, where
 most replicas pass the modulus event and go on to the covering draws, were
-recorded before `paths.modulus_ok` learned to prune.  A deliberate change
-to the stream layout must re-record the digests and say so.
+recorded before `paths.modulus_ok` learned to prune.  The second
+`discordant_prob` case and the `find_discordant` witnesses were recorded
+before `discordant_prob` gave up its inline copy of the discordance
+predicate and before `find_discordant` ranked its pairs with arrays.  A
+deliberate change to the stream layout must re-record the digests and say
+so.
 
 To print the current digests: `python tests/test_layout.py`.
 """
@@ -29,7 +33,7 @@ from bmhull.hulls import SimplexTimes
 from bmhull.integrals import measure_Za_complement
 from bmhull.paths import BridgeSpec, TimeGrid, sample_bridge, sample_brownian
 from bmhull.rain import level_from_count
-from bmhull.wedges import Wedge2D
+from bmhull.wedges import Wedge2D, find_discordant
 
 CFG = EstimatorConfig(replicas=300, master_seed=0, grid_points_per_unit_time=64)
 # two chunks, so the chunk order of the reduction is pinned too
@@ -55,10 +59,22 @@ def _conditional_h(alpha=3.0):
                                  eps=0.93, include_R="always").to_json()
 
 
-def _discordant():
+def _discordant(alpha=1e3, kappa=math.pi / 2):
     return mc.discordant_prob(SimplexTimes(np.array([0.2, 0.4])),
-                              SimplexTimes(np.array([0.6, 0.8])), 1e3, math.pi / 2,
+                              SimplexTimes(np.array([0.6, 0.8])), alpha, kappa,
                               CFG).to_json()
+
+
+def _lemma3_witnesses():
+    """find_discordant's witness (facet pair, angle, tip distance) on random
+    polytopes: pins the pair ranking, its tie groups and the tip distances."""
+    rng = stream(0, 306, 0)
+    out = []
+    for kappa in (0.3, 0.8, 1.5):
+        for _ in range(40):
+            poly, wedge = verify.random_wedge_polytope(rng, kappa)
+            out.append(find_discordant(poly, wedge, kappa, 1.0).to_json_dict())
+    return json.dumps(out)
 
 
 def _samplers():
@@ -107,6 +123,10 @@ CASES = {
     "conditional_H_prob(always, alpha=1e5)": lambda: _conditional_h(1e5),
     "campbell_check": _campbell,
     "discordant_prob": _discordant,
+    # every branch of the discordance decision fires: facet-event failures,
+    # angles below kappa/16, ridge hits and ridge misses
+    "discordant_prob(alpha=1e8, kappa=3)": lambda: _discordant(1e8, 3.0),
+    "find_discordant witnesses": _lemma3_witnesses,
     "measure_Za_complement": lambda: measure_Za_complement(0.01, 2, CFG).to_json(),
     "stay_prob_wedge(two chunks)":
         lambda: mc.stay_prob_wedge(HALF_PLANE, [0.5, 0.0], 1.0, CFG_2CHUNK).to_json(),
@@ -131,6 +151,10 @@ EXPECTED = {
         'b1e7182d331326477e04cda9d25a3f060a5d2a854ec64445daa5815315fc0258',
     'discordant_prob':
         '890cff4cac14d1f0e66409735228f186696699b32a2e8044318240bdbc536eaf',
+    'discordant_prob(alpha=1e8, kappa=3)':
+        '6bfadf661cecaa58b850a44c9fe89ff61937e15fe9644de0b9c91878878b0e68',
+    'find_discordant witnesses':
+        '28542e52d84fd344b730d730ce168cfd360162726cba642110c01e38dc632153',
     'fit_exit_exponent':
         'c350b1a1b78149f8ff6d4fa1d1b27ff283286e0d8ade3bb368ab18bd757fce27',
     'measure_Za_complement':

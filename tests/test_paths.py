@@ -222,5 +222,3 @@ def test_serialization_roundtrip():
     import json
     doc = json.loads(path.to_json())
     assert doc["dim"] == 3 and len(doc["points"]) == 3
-    sub = path.restrict(0.2, 1.0)
-    assert len(sub.grid) == 2

@@ -66,33 +66,26 @@ def test_angle_basic():
 
 
 def test_pair_geometry_hand_instance():
-    alpha = math.e ** 4
-    pair = pair_geometry([1.0, 0.0], 1.0, [0.0, 1.0], 1.0, alpha)
+    pair = pair_geometry([1.0, 0.0], 1.0, [0.0, 1.0], 1.0)
     assert pair.theta == pytest.approx(math.pi / 2)
     assert pair.ridge_point == pytest.approx([1.0, 1.0])
-    assert pair.enlargement == pytest.approx(math.e ** 2)  # phi(e^4)^2/e^2
-    assert pair.ridge_basis.shape == (0, 2)
-    assert pair.in_wedge([[0.5, 0.5]])[0]
-    assert not pair.in_wedge([[1.5, 0.5]])[0]
-    assert pair.in_wedge([[1.5, 0.5]], enlarged=True)[0]
     # projected tip in plane coordinates maps back to the ridge point
     assert pair.projected_tip @ pair.plane_basis == pytest.approx([1.0, 1.0])
 
 
 def test_pair_geometry_parallel_raises():
     with pytest.raises(DegeneracyError):
-        pair_geometry([1.0, 0.0], 0.0, [1.0, 0.0], 1.0, math.e)
+        pair_geometry([1.0, 0.0], 0.0, [1.0, 0.0], 1.0)
     with pytest.raises(DegeneracyError):
-        pair_geometry([1.0, 0.0], 0.0, [-1.0, 0.0], 1.0, math.e)
+        pair_geometry([1.0, 0.0], 0.0, [-1.0, 0.0], 1.0)
 
 
 def test_ridge_distance_hand_and_invariance():
-    alpha = math.e ** 4
-    pair = pair_geometry([1.0, 0.0], 1.0, [0.0, 1.0], 1.0, alpha)
+    pair = pair_geometry([1.0, 0.0], 1.0, [0.0, 1.0], 1.0)
     # (1,0) is at distance 1 from the ridge point (1,1) in the normal plane
     assert ridge_distance([[1.0, 0.0]], [[1.0, 1.0]], pair) == pytest.approx(1.0)
     # 3D: distance ignores the ridge direction component
-    pair3 = pair_geometry([1.0, 0.0, 0.0], 1.0, [0.0, 1.0, 0.0], 1.0, alpha)
+    pair3 = pair_geometry([1.0, 0.0, 0.0], 1.0, [0.0, 1.0, 0.0], 1.0)
     d = ridge_distance([[1.0, 0.0, 57.0]], [[1.0, 1.0, -3.0]], pair3)
     assert d == pytest.approx(1.0)
     # rotation invariance of theta and ridge distance
@@ -100,23 +93,28 @@ def test_ridge_distance_hand_and_invariance():
     th = rng.random() * 2 * math.pi
     rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
     n_r, n_s = rot @ [1.0, 0.0], rot @ [0.0, 1.0]
-    pr = pair_geometry(n_r, 1.0, n_s, 1.0, alpha)
+    pr = pair_geometry(n_r, 1.0, n_s, 1.0)
     assert pr.theta == pytest.approx(pair.theta)
     v = rot @ [1.0, 0.0]
     assert ridge_distance([v], [v], pr) == pytest.approx(1.0)
 
 
 def test_check_discordant():
-    alpha = math.e ** 4
     ok = check_discordant([1.0, 0.0], 1.0, [[1.0, 0.5]], [0.0, 1.0], 1.0,
-                          [[0.5, 1.0]], alpha, gamma=1.0, theta_min=1.0)
+                          [[0.5, 1.0]], gamma=1.0, theta_min=1.0)
     assert ok
     # angle below threshold
     assert not check_discordant([1.0, 0.0], 1.0, [[1.0, 0.5]], [0.0, 1.0], 1.0,
-                                [[0.5, 1.0]], alpha, gamma=1.0, theta_min=2.0)
+                                [[0.5, 1.0]], gamma=1.0, theta_min=2.0)
     # facets too far from the ridge
     assert not check_discordant([1.0, 0.0], 1.0, [[1.0, -5.0]], [0.0, 1.0], 1.0,
-                                [[0.5, 1.0]], alpha, gamma=1.0, theta_min=1.0)
+                                [[0.5, 1.0]], gamma=1.0, theta_min=1.0)
+    # antiparallel normals past the threshold have no ridge: discordant
+    assert check_discordant([1.0, 0.0], 1.0, [[1.0, 0.5]], [-1.0, 0.0], 1.0,
+                            [[-1.0, 0.5]], gamma=1e-3, theta_min=1.0)
+    # equal normals stay below any positive threshold
+    assert not check_discordant([1.0, 0.0], 1.0, [[1.0, 0.5]], [1.0, 0.0], 2.0,
+                                [[2.0, 0.5]], gamma=1e3, theta_min=1e-3)
 
 
 def test_lemma3_constant_values():
@@ -133,8 +131,7 @@ def test_lemma3_constant_values():
 
 
 def test_projected_tip_distance_cases():
-    alpha = math.e ** 4
-    pair = pair_geometry([1.0, 0.0], 0.0, [0.0, 1.0], 0.0, alpha)
+    pair = pair_geometry([1.0, 0.0], 0.0, [0.0, 1.0], 0.0)
     # facet touching the ridge point has distance 0
     assert projected_tip_distance(pair, [[0.0, 0.0], [0.0, -1.0]]) == pytest.approx(0.0)
     assert projected_tip_distance(pair, [[0.0, -2.0], [0.0, -1.0]]) == pytest.approx(1.0)
