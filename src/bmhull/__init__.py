@@ -7,13 +7,13 @@ connect them.
 
 __version__ = "0.1.0"
 
-from .estimate import (CHUNK, Estimate, EstimatorConfig, chunk_sizes, from_weights,
-                       run_chunks, scaled, stream)
+from .estimate import (CHUNK, STREAM_LAYOUT, Estimate, EstimatorConfig, chunk_sizes,
+                       from_weights, run_chunks, scaled, stream)
 from .integrals import (ZaRegion, enlargement, final_assembly, integral_Za_bound,
                         integral_Za_quadrature, log_final_assembly,
                         measure_Za_complement, phi, rhs_bound)
 from .paths import (BridgeSpec, PathSample, TimeGrid, bridge, brownian, check_Y, modulus,
-                    modulus_ok, sample_bridge, sample_brownian, time_steps)
+                    modulus_ok, sample_bridge, sample_brownian, step, time_steps)
 from .rain import (Rain, RainLevel, check_N, check_R, covered, generate_rain, level,
                    level_from_count, level_times)
 from .hulls import (DegeneracyError, Facet, Polytope, SimplexTimes, build_hull,

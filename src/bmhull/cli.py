@@ -23,7 +23,7 @@ import click
 import numpy as np
 
 from . import __version__, mc
-from .estimate import EstimatorConfig, stream
+from .estimate import STREAM_LAYOUT, EstimatorConfig, stream
 from .hulls import DegeneracyError, build_hull
 from .integrals import integral_Za_bound, integral_Za_quadrature
 from .paths import TimeGrid, sample_brownian
@@ -67,6 +67,7 @@ class RunConfig:
         d = asdict(self)
         d.pop("out_path")  # filesystem location, not part of the experiment
         d["version"] = __version__
+        d["stream_layout"] = STREAM_LAYOUT
         return d
 
 

@@ -49,9 +49,6 @@ class Polytope:
         x = np.asarray(x, dtype=float)
         return all(float(f.normal @ x) <= f.offset + tol for f in self.facets)
 
-    def facet_count(self) -> int:
-        return len(self.facets)
-
     def to_json(self) -> str:
         return json.dumps({
             "dim": self.dim,
@@ -61,17 +58,6 @@ class Polytope:
                         "normal": f.normal.tolist(),
                         "offset": f.offset} for f in self.facets],
         })
-
-    def to_off(self) -> str:
-        """OFF-style text (3D viewers); for d != 3 vertices are zero-padded/truncated."""
-        verts = self.vertices
-        lines = ["OFF", f"{len(verts)} {len(self.facets)} 0"]
-        for v in verts:
-            coords = list(v[:3]) + [0.0] * max(0, 3 - len(v))
-            lines.append(" ".join(repr(float(c)) for c in coords))
-        for f in self.facets:
-            lines.append(f"{len(f.vertex_indices)} " + " ".join(str(i) for i in f.vertex_indices))
-        return "\n".join(lines) + "\n"
 
 
 def _affine_rank(points: np.ndarray, eps: float) -> int:

@@ -4,11 +4,17 @@ Wedge-stay probabilities for Brownian motion and bridges, the conditional
 interval bounds, the regularity-event failure rate, the two-sided facet-count
 identity check and the discordant-pair probability.
 
-Half-plane constraints use the exact per-step Brownian-bridge boundary
-crossing correction 1 - exp(-2 d_i d_{i+1} / dt), so half-plane estimators are
-unbiased up to floating point.  Convex wedges apply the correction per edge
-independently (documented over-correction near the tip); non-convex (reflex)
-wedges fall back to plain grid indicators, where the correction is invalid.
+The wedge-stay estimators (stay_prob_wedge, fit_exit_exponent,
+bridge_stay_prob, conditional_H_prob) run one time-major stepper,
+_stay_weights: it carries the live replicas forward one grid time at a time
+with paths.step, draws normals for them alone, and drops a replica from the
+state at the first step its weight reaches 0, so its memory is O(replicas)
+rather than O(replicas x steps).  Half-plane constraints use the exact
+per-step Brownian-bridge boundary crossing correction
+1 - exp(-2 d_k d_{k+1} / dt), so half-plane estimators are unbiased up to
+floating point.  Convex wedges apply the correction per edge independently
+(documented over-correction near the tip); non-convex (reflex) wedges fall
+back to plain grid indicators, where the correction is invalid.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 from .estimate import Estimate, EstimatorConfig, from_weights, run_chunks, scaled
 from .hulls import SimplexTimes, count_q, event_E, merged_times, oriented_normal
 from .integrals import enlargement, phi, rhs_bound
-from .paths import bridge, brownian, modulus_ok, time_steps
+from .paths import brownian, modulus_ok, step, time_steps
 from .rain import covered, level_times
 from .wedges import Wedge2D, check_discordant, check_events_H, gamma_ak
 
@@ -34,42 +40,63 @@ _TAG_DISCORDANT = 7
 _TAG_FIT_BASE = 800
 
 
-def _halfplane_weights(dists: np.ndarray, dt: float) -> np.ndarray:
-    """Survival weights for one linear constraint given signed distances at the
-    grid (replicas, steps+1); weight 0 once a grid value is nonpositive."""
-    alive = np.all(dists > 0.0, axis=1)
-    w = np.zeros(dists.shape[0])
-    if alive.any():
-        d = dists[alive]
-        cross = np.exp(-2.0 * d[:, :-1] * d[:, 1:] / dt)
-        w[alive] = np.prod(1.0 - cross, axis=1)
-    return w
+def _stay_weights(rng: np.random.Generator, n_rep: int, wedge: Wedge2D,
+                  times: np.ndarray, start, end=None, offset: float = 0.0,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Stay weights of n_rep planar paths from `start` at times[0], stepped
+    time-major over the grid `times` with paths.step: Brownian paths, or
+    bridges pinned at `end` at times[-1].
 
-
-def _wedge_weights(paths: np.ndarray, wedge: Wedge2D, dt: float,
-                   extra_offset: float = 0.0) -> np.ndarray:
-    """Stay weights for a batch of planar paths (replicas, steps+1, 2).
-
-    extra_offset pushes both edges outward (the enlarged wedge W')."""
+    Only live replicas are carried: each step draws normals for them alone,
+    and a replica leaves the state, with weight 0, at the first grid time
+    whose weight factor is not positive (convex wedges) or at which it lies
+    outside (reflex ones).  A start on or outside the boundary draws
+    nothing.  offset pushes both edges outward (the enlarged wedge W').  out, shape (n_rep, len(times), 2), receives the
+    points of the replicas still live at each time; the rows of replicas
+    with nonzero weight are whole paths.
+    """
+    edges = []
     if wedge.convex:
         normals = wedge.edge_normals()
         if abs(float(normals[0] @ normals[1]) - 1.0) < 1e-12:
             normals = normals[:1]  # half-plane: single constraint
-        w = np.ones(paths.shape[0])
-        rel = paths - wedge.tip
-        for n_e in normals:
-            dists = rel @ n_e + extra_offset
-            w *= _halfplane_weights(dists, dt)
-        return w
-    flat = paths.reshape(-1, 2)
-    ok = wedge.membership(flat, tol=extra_offset).reshape(paths.shape[0], -1)
-    return np.all(ok, axis=1).astype(float)
-
-
-def _bm_stay(wedge: Wedge2D, start: np.ndarray, n_steps: int, dt: float):
-    """Chunk kernel: stay weights of Brownian paths from start on a uniform grid."""
-    dts = np.full(n_steps, dt)
-    return lambda rng, sz: _wedge_weights(brownian(rng, sz, dts, 2, start), wedge, dt)
+        edges = list(zip(normals, offset - normals @ wedge.tip))
+    start = np.asarray(start, dtype=float)
+    # signed distances to the edges, one 1-d array per edge once stepping
+    d = [float(start @ n_e) + c for n_e, c in edges]
+    w = np.zeros(n_rep)
+    inside = min(d) > 0.0 if edges else wedge.membership(start, tol=offset)[0]
+    if not inside:
+        return w  # every replica starts on or outside the boundary
+    pin = None if end is None else (times[-1], end)
+    live = np.arange(n_rep)
+    x = np.tile(start, (n_rep, 1))
+    wl = np.ones(n_rep)
+    if out is not None:
+        out[:, 0] = start
+    for k in range(1, times.size):
+        step(rng, x, times[k - 1], times[k], x, pin)
+        if edges:
+            scale = -2.0 / (times[k] - times[k - 1])
+            keep = np.ones(live.size, dtype=bool)
+            for e, (n_e, c) in enumerate(edges):
+                d_new = x @ n_e + c
+                f = -np.expm1(d[e] * d_new * scale)  # 1 - exp(-2 d_k d_{k+1} / dt)
+                keep &= f > 0.0
+                wl *= f
+                d[e] = d_new
+        else:
+            keep = wedge.membership(x, tol=offset)
+        if not keep.all():
+            i = np.flatnonzero(keep)
+            live, x, wl = live[i], x.take(i, axis=0), wl[i]
+            d = [d_e[i] for d_e in d]
+        if out is not None:
+            out[live, k] = x
+        if not live.size:
+            break
+    w[live] = wl
+    return w
 
 
 # ---------------------------------------------------------------- estimators
@@ -82,7 +109,9 @@ def stay_prob_wedge(wedge: Wedge2D, start, horizon: float,
     if not bool(wedge.membership(start[None, :], tol=1e-12)[0]):
         raise ValueError("start must lie in the wedge")
     n_steps = max(2, int(round(config.grid_points_per_unit_time * horizon)))
-    w = run_chunks(config, _TAG_STAY, _bm_stay(wedge, start, n_steps, horizon / n_steps))
+    times = np.linspace(0.0, horizon, n_steps + 1)
+    w = run_chunks(config, _TAG_STAY,
+                   lambda rng, sz: _stay_weights(rng, sz, wedge, times, start))
     r0 = float(np.linalg.norm(start - wedge.tip))
     return from_weights(w, config,
                         extra={"horizon": horizon, "r": r0,
@@ -104,11 +133,11 @@ def fit_exit_exponent(beta: float, config: EstimatorConfig,
     if xs.size < 4:
         raise ValueError("need at least 4 support points for the fit")
     wedge = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=beta)
-    n_steps = max(2, config.grid_points_per_unit_time)
-    dt = 1.0 / n_steps
+    times = np.linspace(0.0, 1.0, max(2, config.grid_points_per_unit_time) + 1)
     # starts along the bisector, horizon 1
     means = np.array([run_chunks(config, _TAG_FIT_BASE + k,
-                                 _bm_stay(wedge, np.array([x, 0.0]), n_steps, dt)).mean()
+                                 lambda rng, sz, x=x: _stay_weights(rng, sz, wedge, times,
+                                                                    [x, 0.0])).mean()
                       for k, x in enumerate(xs)])
     if np.sum(means > 0.0) < 4:
         raise ValueError("fewer than 4 support points with positive estimates")
@@ -133,9 +162,8 @@ def bridge_stay_prob(wedge: Wedge2D, a, b, config: EstimatorConfig,
     b = np.asarray(b, dtype=float).reshape(2)
     n_steps = max(2, config.grid_points_per_unit_time)
     times = np.linspace(0.0, 1.0, n_steps + 1)
-    dt = times[1] - times[0]
     w = run_chunks(config, _TAG_BRIDGE,
-                   lambda rng, sz: _wedge_weights(bridge(rng, sz, times, a, b), wedge, dt))
+                   lambda rng, sz: _stay_weights(rng, sz, wedge, times, a, b))
     r0 = float(np.linalg.norm(a - wedge.tip))
     extra = {"r": r0, "half_angle": wedge.half_angle}
     if bound_params is not None:
@@ -203,20 +231,20 @@ def conditional_H_prob(case: str, wedge: Wedge2D, s1: float, s2: float,
             raise ValueError(f"special case needs s2-s1 >= {need:.4g}, got {gap:.4g}")
     n_steps = max(2, int(round(config.grid_points_per_unit_time * gap)))
     times = np.linspace(s1, s2, n_steps + 1)
-    dt = times[1] - times[0]
     simulate_r = include_R == "always" or (include_R == "auto" and alpha * gap <= 1e5)
     w_off = enlargement(alpha)
     radius = phi(alpha) / alpha
     lo, hi = max(0.0, s1 - radius), min(1.0, s2 + radius)
 
     def kernel(rng, sz):
-        paths = bridge(rng, sz, times, d1, d2)
-        w = _wedge_weights(paths, wedge, dt, extra_offset=w_off)
+        paths = np.empty((sz, times.size, 2)) if simulate_r else None
+        w = _stay_weights(rng, sz, wedge, times, d1, d2, w_off, out=paths)
         if simulate_r:
-            ok = modulus_ok(paths, times, alpha, n_dim)
-            for i in np.flatnonzero(ok):
-                ok[i] = covered(level_times(rng, alpha, lo, hi), s1, s2, radius)
-            w *= ok
+            held = np.flatnonzero(w)
+            ok = modulus_ok(paths[held], times, alpha, n_dim)
+            for j in np.flatnonzero(ok):
+                ok[j] = covered(level_times(rng, alpha, lo, hi), s1, s2, radius)
+            w[held] *= ok
         return w
 
     rhs = prop6_rhs(case, gap, alpha, eps, theta, n_dim)

@@ -7,7 +7,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from bmhull import verify
+from bmhull import STREAM_LAYOUT, verify
 from bmhull.cli import main
 
 E1 = repr(math.exp(-1.0))
@@ -57,6 +57,7 @@ def test_verify_lemma8_passes(tmp_path):
     doc = json.loads(read(tmp_path / "verify_lemma8.json"))
     assert doc["all_passed"] is True
     assert doc["config"]["seed"] == 0 and doc["config"]["version"]
+    assert doc["config"]["stream_layout"] == STREAM_LAYOUT
     # no wall-clock anywhere in the artifact
     assert b"elapsed" not in read(tmp_path / "verify_lemma8.json")
 

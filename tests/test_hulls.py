@@ -14,7 +14,7 @@ SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
 
 def test_square_hull():
     poly = build_hull(SQUARE)
-    assert poly.facet_count() == 4
+    assert len(poly.facets) == 4
     assert sorted(poly.hull_vertex_indices) == [0, 1, 2, 3]
     assert poly.contains([0.5, 0.5])
     assert poly.contains([1.0, 1.0])  # boundary, within tolerance
@@ -29,7 +29,7 @@ def test_simplex_hulls_all_dims():
     for d in (2, 3, 4):
         pts = np.vstack([np.zeros(d), np.eye(d)])
         poly = build_hull(pts)
-        assert poly.facet_count() == d + 1
+        assert len(poly.facets) == d + 1
         assert poly.contains(np.full(d, 1.0 / (d + 1)))
 
 
@@ -117,7 +117,7 @@ def test_count_q_square_times():
 def test_facet_time_tuples_sorted():
     times = np.array([0.4, 0.1, 0.3, 0.2])
     poly, tuples = facet_time_tuples(times, SQUARE[:4])
-    assert len(tuples) == poly.facet_count() == 4
+    assert len(tuples) == len(poly.facets) == 4
     for tup in tuples:
         assert tup == tuple(sorted(tup))
 
@@ -158,6 +158,4 @@ def test_serialization_and_eps():
     import json
     doc = json.loads(poly.to_json())
     assert doc["dim"] == 2 and len(doc["facets"]) == 4
-    off = poly.to_off()
-    assert off.startswith("OFF\n")
     assert default_eps(SQUARE) == pytest.approx(1e-9 * math.sqrt(2.0))

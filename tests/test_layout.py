@@ -9,9 +9,18 @@ most replicas pass the modulus event and go on to the covering draws, were
 recorded before `paths.modulus_ok` learned to prune.  The second
 `discordant_prob` case and the `find_discordant` witnesses were recorded
 before `discordant_prob` gave up its inline copy of the discordance
-predicate and before `find_discordant` ranked its pairs with arrays.  A
-deliberate change to the stream layout must re-record the digests and say
-so.
+predicate and before `find_discordant` ranked its pairs with arrays.
+
+A deliberate change to the draw order bumps `estimate.STREAM_LAYOUT`,
+re-records the digests of the estimates it changes, and only those, and
+sets EXPECTED_LAYOUT to the new version; a re-record without a bump, or a
+bump without a re-record, fails here.  Layout 2 re-recorded the wedge-stay
+cases (`stay_prob_wedge`, `fit_exit_exponent`, `bridge_stay_prob`), which
+now step their live replicas time-major.  The two `include_R="always"`
+cases of `conditional_H_prob` kept their digests: their enlarged wedge is
+so wide that no replica leaves it, so the bridge steps draw what
+`paths.bridge` drew.  The `alpha=1e10` case, where replicas do leave, was
+recorded at layout 2.
 
 To print the current digests: `python tests/test_layout.py`.
 """
@@ -28,7 +37,7 @@ from click.testing import CliRunner
 
 from bmhull import mc, verify
 from bmhull.cli import main
-from bmhull.estimate import CHUNK, EstimatorConfig, stream
+from bmhull.estimate import CHUNK, STREAM_LAYOUT, EstimatorConfig, stream
 from bmhull.hulls import SimplexTimes
 from bmhull.integrals import measure_Za_complement
 from bmhull.paths import BridgeSpec, TimeGrid, sample_bridge, sample_brownian
@@ -53,10 +62,10 @@ def _campbell():
     return lhs.to_json() + "\n" + rhs.to_json()
 
 
-def _conditional_h(alpha=3.0):
+def _conditional_h(alpha=3.0, include_R="always"):
     d1, d2 = _edge_points(0.5)
     return mc.conditional_H_prob("interior", QUADRANT, 0.375, 0.625, d1, d2, alpha, CFG,
-                                 eps=0.93, include_R="always").to_json()
+                                 eps=0.93, include_R=include_R).to_json()
 
 
 def _discordant(alpha=1e3, kappa=math.pi / 2):
@@ -121,6 +130,8 @@ CASES = {
     # most replicas pass the modulus event here and go on to the covering draws
     "prob_R_complement(alpha=100)": lambda: mc.prob_R_complement(100.0, 2, CFG).to_json(),
     "conditional_H_prob(always, alpha=1e5)": lambda: _conditional_h(1e5),
+    # the enlarged wedge is narrow here, so replicas leave it mid-bridge
+    "conditional_H_prob(never, alpha=1e10)": lambda: _conditional_h(1e10, "never"),
     "campbell_check": _campbell,
     "discordant_prob": _discordant,
     # every branch of the discordance decision fires: facet-event failures,
@@ -140,15 +151,19 @@ CASES = {
     "simulate(dim=3)": lambda: _simulate_rows(3),
 }
 
+EXPECTED_LAYOUT = 2
+
 EXPECTED = {
     'bridge_stay_prob':
-        'eaca0efd89a5004a5b8f9d88dfd2c8ea85af3bce08d64279efaea1d50081f350',
+        'd2bd5113840b08cc093473cfa26af72e019292fcaf71f50b51cd8be09be2d245',
     'campbell_check':
         'db52581e07d3477d77ff488f46d4e1672e58f704d920e707a3b06b90a051bce4',
     'conditional_H_prob(always)':
         'f33de889221898fc760470446b1d6b64c7540589a3fc2868189af6dc00c44761',
     'conditional_H_prob(always, alpha=1e5)':
         'b1e7182d331326477e04cda9d25a3f060a5d2a854ec64445daa5815315fc0258',
+    'conditional_H_prob(never, alpha=1e10)':
+        'b9c99f0d7fbcc1d524668e56b9a38deff92cdec0456116e0d93570999edb08c3',
     'discordant_prob':
         '890cff4cac14d1f0e66409735228f186696699b32a2e8044318240bdbc536eaf',
     'discordant_prob(alpha=1e8, kappa=3)':
@@ -156,7 +171,7 @@ EXPECTED = {
     'find_discordant witnesses':
         '28542e52d84fd344b730d730ce168cfd360162726cba642110c01e38dc632153',
     'fit_exit_exponent':
-        'c350b1a1b78149f8ff6d4fa1d1b27ff283286e0d8ade3bb368ab18bd757fce27',
+        '2d46935ad5d9ccc7ddf94877af450e5361c85609ec1726576f04a678908a73db',
     'measure_Za_complement':
         '48d57fe0669efe2131b0f146c0ef363413f1e8fdc38c204bde98983a3667f749',
     'measure_Za_complement(two chunks)':
@@ -174,11 +189,11 @@ EXPECTED = {
     'simulate(dim=3)':
         '49629a4530a5d40b94a4fdb748b9d3a4fcef0e1cc9eb42d15561c5fd3c089706',
     'stay_prob_wedge(convex)':
-        'a636681e3dfad333778fcdd25a53dc218bf70276b10441305fd95fbbfbf39f19',
+        '52f18a793e57773edc1e782ac92fe7d547d09c49a4055311d38836bf7a10ca78',
     'stay_prob_wedge(reflex)':
-        'd2dd64d2cd39b323bbf76c6c12c78d69b074932592ac2199ef5b4eaca8795be9',
+        'eb8a1344aff42a36e3de2dbeb070a18e605693da08383c2f8e45fc8f8027c877',
     'stay_prob_wedge(two chunks)':
-        '0394302fe43834eb107a991ff17d28de4766540b570d28646c44d510122a6c64',
+        '35d7aa26abdcbf54db64daf23957aa347737b37b20d4456452eaf3aa65e4b1af',
     'suite_lemma4':
         '21a7b473d4d5b4da3bd4d05139bd0819d04afde6ca41ed3f15f4aed6b3b406eb',
     'suite_lemma8':
@@ -188,6 +203,10 @@ EXPECTED = {
 
 def digest(name):
     return hashlib.sha256(CASES[name]().encode()).hexdigest()
+
+
+def test_layout_version_matches_digests():
+    assert STREAM_LAYOUT == EXPECTED_LAYOUT
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from bmhull import mc
-from bmhull.estimate import EstimatorConfig
+from bmhull.estimate import EstimatorConfig, stream
 from bmhull.hulls import SimplexTimes
+from bmhull.integrals import enlargement
 from bmhull.wedges import Wedge2D
 
 HALF_PLANE = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=math.pi / 2)
+QUADRANT = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=math.pi / 4)
 
 
 def cfg(replicas=20000, seed=1, grid=256):
@@ -26,6 +29,24 @@ def test_halfplane_stay_closed_form():
     est2 = mc.stay_prob_wedge(HALF_PLANE, [0.5, 0.0], 0.25, cfg(seed=2))
     target2 = 2 * stats.norm.cdf(1.0) - 1  # same ratio r/sqrt(t)
     assert abs(est2.mean - target2) <= 4 * est2.std_error
+
+
+def test_quadrant_stay_closed_form():
+    """The edge coordinates of the quadrant are independent BMs, so the stay
+    probability is (2*Phi(r/sqrt(2t)) - 1)^2, and the per-edge crossing
+    product is exact."""
+    est = mc.stay_prob_wedge(QUADRANT, [1.0, 0.0], 1.0, cfg(seed=3))
+    target = (2 * stats.norm.cdf(1.0 / math.sqrt(2.0)) - 1) ** 2
+    assert abs(est.mean - target) <= 4 * est.std_error
+
+
+def test_start_on_edge_never_stays():
+    """A start on an edge (here the x axis, exactly) has weight 0 from grid
+    time 0, and so does a bridge that starts outside, whatever it does later."""
+    wedge = Wedge2D(tip=np.zeros(2), axis_angle=math.pi / 4, half_angle=math.pi / 4)
+    assert mc.stay_prob_wedge(wedge, [0.5, 0.0], 1.0, cfg(replicas=1000)).mean == 0.0
+    outside = mc.bridge_stay_prob(wedge, [0.5, -1e-3], [0.5, 0.5], cfg(replicas=1000))
+    assert outside.mean == 0.0
 
 
 def test_stay_prob_start_outside():
@@ -58,6 +79,52 @@ def test_bridge_stay_closed_form():
     assert abs(est.mean - (1 - math.exp(-2.0))) <= 4 * est.std_error
     est2 = mc.bridge_stay_prob(HALF_PLANE, [1.0, 0.0], [2.0, 3.0], cfg(seed=5))
     assert abs(est2.mean - (1 - math.exp(-4.0))) <= 4 * est2.std_error
+
+
+def test_bridge_stay_non_unit_gap():
+    """conditional_H_prob without the R conjunct is the bridge stay
+    probability over [s1, s2]: on a half-plane whose edge holds both
+    endpoints, the enlarged edge lies w = enlargement(alpha) away from each,
+    so the law is 1 - exp(-2 w^2 / (s2 - s1))."""
+    alpha, s1, s2 = 1e9, 0.3, 0.7
+    est = mc.conditional_H_prob("interior", HALF_PLANE, s1, s2, [0.0, 0.2], [0.0, -0.4],
+                                alpha, cfg(seed=4), include_R="never")
+    w = enlargement(alpha)
+    target = 1 - math.exp(-2.0 * w * w / (s2 - s1))
+    assert 0.2 < target < 0.8
+    assert abs(est.mean - target) <= 4 * est.std_error
+
+
+def test_stepper_fills_whole_paths_of_weighted_replicas():
+    """The stepper's out rows of the replicas with nonzero weight are whole
+    bridges, and each weight is the per-edge crossing product along its row."""
+    times = np.linspace(0.2, 0.7, 65)
+    a, b, offset = np.array([0.3, 0.1]), np.array([0.2, -0.1]), 0.05
+    out = np.empty((500, times.size, 2))
+    w = mc._stay_weights(stream(0, 1, 0), 500, QUADRANT, times, a, b, offset, out=out)
+    held = np.flatnonzero(w)
+    assert 0 < held.size < 500
+    paths = out[held]
+    assert np.all(paths[:, 0] == a) and np.all(paths[:, -1] == b)
+    d = paths @ QUADRANT.edge_normals().T + offset
+    cross = 2.0 * d[:, :-1] * d[:, 1:] / np.diff(times)[:, None]
+    assert np.allclose(w[held], np.prod(-np.expm1(-cross), axis=(1, 2)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("estimator", [
+    lambda c: mc.stay_prob_wedge(QUADRANT, [1.0, 0.0], 1.0, c),
+    lambda c: mc.bridge_stay_prob(HALF_PLANE, [1.0, 0.0], [1.0, 0.0], c),
+], ids=["stay_prob_wedge", "bridge_stay_prob"])
+def test_memory_bounded_in_replicas(estimator):
+    """The stepper holds O(replicas) state: at 2000 replicas x 8192 steps the
+    whole paths would take 262 MB, and the traced peak stays below 16 MB."""
+    tracemalloc.start()
+    try:
+        estimator(cfg(replicas=2000, grid=8192))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_bridge_bound_reporting():
