@@ -1,12 +1,17 @@
 """Command-line front end: simulation artifacts, verification suites, sweeps.
 
-Outputs embed the seed, the full config echo and the package version; they
-never embed wall-clock times (those go to stderr), so re-running a command
-with the same config yields byte-identical files.
+Outputs embed the seed, the config echo and the package version; they never
+embed wall-clock times (those go to stderr), so re-running a command with the
+same config yields byte-identical files.  The config echo holds exactly the
+settings the command read, minus its output location.
 
-Precedence for settings: command-line flag > config file (flat key=value
-lines) > built-in default.  The default output directory comes from the
-BMHULL_OUT environment variable, falling back to the working directory.
+Precedence for settings: command-line flag > config file > built-in default.
+The config file holds flat ``key=value`` lines whose keys are the command's
+long flag names without the dashes; each value goes through its flag's own
+type and choices, and a key the command does not take is an error.
+``simulate`` writes to the working directory unless ``--out`` or the
+``BMHULL_OUT`` environment variable names another; ``verify`` and ``sweep``
+print to stdout unless ``--out`` names a directory.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, asdict
 
 import click
 import numpy as np
@@ -32,72 +36,82 @@ from .verify import SUITES, run_suite
 
 _TAG_SIMULATE = 100
 
-_DEFAULTS = {
-    "seed": 0,
-    "alpha": 10.0,
-    "dim": 2,
-    "replicas": 10_000,
-    "grid": 1024,
-    "confidence": 0.99,
-    "format": "csv",
-}
 
-_CASTS = {"seed": int, "alpha": float, "dim": int, "replicas": int, "grid": int,
-          "confidence": float, "format": str, "out": str}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    seed: int
-    alpha: float
-    dim: int
-    replicas: int
-    grid: int
-    confidence: float
-    out_format: str
-    out_path: str
-
-    def estimator(self) -> EstimatorConfig:
-        return EstimatorConfig(replicas=self.replicas, master_seed=self.seed,
-                               grid_points_per_unit_time=self.grid,
-                               confidence_level=self.confidence)
-
-    def provenance(self) -> dict:
-        d = asdict(self)
-        d.pop("out_path")  # filesystem location, not part of the experiment
-        d["version"] = __version__
-        d["stream_layout"] = STREAM_LAYOUT
-        return d
-
-
-def _read_config_file(path):
-    out = {}
-    if not path:
-        return out
+def _load_config_file(ctx, param, path):
+    """Feed the file's settings to click as defaults, below the flags."""
+    if path is None:
+        return
+    keys = {opt[2:]: p.name for p in ctx.command.params if p is not param
+            for opt in p.opts if opt.startswith("--")}
+    found = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise click.ClickException(f"{path}:{lineno}: expected key=value")
+                raise click.BadParameter(f"{path}:{lineno}: expected key=value", ctx, param)
             k, v = (part.strip() for part in line.split("=", 1))
-            if k not in _CASTS:
-                raise click.ClickException(f"{path}:{lineno}: unknown key {k!r}")
-            out[k] = _CASTS[k](v)
-    return out
+            if k not in keys:
+                raise click.BadParameter(f"{path}:{lineno}: unknown key {k!r}", ctx, param)
+            found[keys[k]] = v
+    ctx.default_map = {**(ctx.default_map or {}), **found}
 
 
-def _resolve(command, flags, config_file):
-    merged = dict(_DEFAULTS)
-    merged.update(_read_config_file(config_file))
-    merged.update({k: v for k, v in flags.items() if v is not None})
-    out_dir = merged.get("out") or os.environ.get("BMHULL_OUT") or "."
-    return RunConfig(command=command, seed=merged["seed"], alpha=merged["alpha"],
-                     dim=merged["dim"], replicas=merged["replicas"], grid=merged["grid"],
-                     confidence=merged["confidence"], out_format=merged["format"],
-                     out_path=out_dir)
+def _floats(ctx, param, text):
+    """A comma-separated list of numbers; empty items are skipped."""
+    try:
+        return [float(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), ctx, param) from None
+
+
+_OPTIONS = {
+    "seed": click.option("--seed", type=int, default=0, help="master RNG seed"),
+    "dim": click.option("--dim", type=int, default=2, help="ambient dimension"),
+    "replicas": click.option("--replicas", type=int, default=10_000,
+                             help="MC replica budget"),
+    "grid": click.option("--grid", type=int, default=1024,
+                         help="grid points per unit time"),
+    "confidence": click.option("--confidence", type=float, default=0.99, help="CI level"),
+    "format": click.option("--format", "out_format", type=click.Choice(["csv", "json"]),
+                           default="csv"),
+    "alphas": click.option("--alphas", default="10", callback=_floats,
+                           help="comma-separated rain levels"),
+    "values": click.option("--values", default="", callback=_floats,
+                           help="comma-separated parameter values (may be empty)"),
+    "out": click.option("--out", type=str, default=None, help="output directory"),
+    "config-file": click.option("--config-file", type=click.Path(exists=True, dir_okay=False),
+                                is_eager=True, expose_value=False, callback=_load_config_file,
+                                help="flat key=value settings, overridden by flags"),
+}
+
+
+def _options(*names):
+    """Declare the named settings, plus --out and --config-file."""
+    def decorate(f):
+        for name in reversed(names + ("out", "config-file")):
+            f = _OPTIONS[name](f)
+        return f
+    return decorate
+
+
+def _provenance(ctx, *skip):
+    """The settings the command read, minus its output location and the
+    `skip` parameters, which the artifact records elsewhere (suite name,
+    sweep values)."""
+    d = {k: v for k, v in ctx.params.items() if k not in ("out",) + skip}
+    d.update(command=ctx.command.name, version=__version__, stream_layout=STREAM_LAYOUT)
+    return d
+
+
+def _estimator(seed, replicas, grid, confidence) -> EstimatorConfig:
+    try:
+        return EstimatorConfig(replicas=replicas, master_seed=seed,
+                               grid_points_per_unit_time=grid,
+                               confidence_level=confidence)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
 
 
 def _write(path, text):
@@ -116,24 +130,6 @@ def _rows_to_csv(rows, header):
     return buf.getvalue()
 
 
-def _common(f):
-    opts = [
-        click.option("--seed", type=int, default=None, help="master RNG seed"),
-        click.option("--alpha", type=float, default=None, help="rain intensity"),
-        click.option("--dim", type=int, default=None, help="ambient dimension"),
-        click.option("--replicas", type=int, default=None, help="MC replica budget"),
-        click.option("--grid", type=int, default=None, help="grid points per unit time"),
-        click.option("--confidence", type=float, default=None, help="CI level"),
-        click.option("--out", type=str, default=None, help="output directory"),
-        click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None),
-        click.option("--config-file", type=click.Path(exists=True), default=None,
-                     help="flat key=value settings, overridden by flags"),
-    ]
-    for o in reversed(opts):
-        f = o(f)
-    return f
-
-
 @click.group()
 @click.version_option(__version__)
 def main():
@@ -141,36 +137,29 @@ def main():
 
 
 @main.command("simulate")
-@_common
-@click.option("--alphas", type=str, default=None,
-              help="comma-separated rain levels (default: the single --alpha)")
-def cmd_simulate(seed, alpha, dim, replicas, grid, confidence, out, fmt,
-                 config_file, alphas):
-    """One coupled realization: path CSV, rain CSV and a hull JSON per level."""
+@_options("seed", "dim", "alphas")
+@click.pass_context
+def cmd_simulate(ctx, seed, dim, alphas, out):
+    """One coupled realization: path CSV, rain CSV and a hull JSON per level.
+    Writes to --out, else $BMHULL_OUT, else the working directory."""
     t0 = time.monotonic()
-    cfg = _resolve("simulate", {"seed": seed, "alpha": alpha, "dim": dim,
-                                "replicas": replicas, "grid": grid,
-                                "confidence": confidence, "out": out,
-                                "format": fmt}, config_file)
-    levels = sorted(float(x) for x in alphas.split(",")) if alphas else [cfg.alpha]
-    if any(a < 0 for a in levels):
-        raise click.ClickException("alpha levels must be >= 0")
-    rng = stream(cfg.seed, _TAG_SIMULATE, 0)
-    y_cap = max(max(levels), 1.0)
-    rain = generate_rain(y_cap, rng)
-    top = level(rain, max(levels)) if max(levels) > 0 else level(rain, 0.0)
-    grid_times = TimeGrid(top.times)
-    path = sample_brownian(cfg.dim, grid_times, rng)
-    prov = json.dumps(cfg.provenance(), sort_keys=True)
-    _write(os.path.join(cfg.out_path, "path.csv"),
-           f"# config {prov}\n" + path.to_csv())
-    _write(os.path.join(cfg.out_path, "rain.csv"),
-           f"# config {prov}\n" + rain.to_csv())
+    out_dir = out or os.environ.get("BMHULL_OUT") or "."
+    levels = sorted(alphas)
+    if not levels or levels[0] < 0:
+        raise click.UsageError("--alphas needs one or more levels >= 0")
+    rng = stream(seed, _TAG_SIMULATE, 0)
+    rain = generate_rain(max(levels[-1], 1.0), rng)
+    grid_times = TimeGrid(level(rain, levels[-1]).times)
+    path = sample_brownian(dim, grid_times, rng)
+    prov = _provenance(ctx)
+    prov_line = f"# config {json.dumps(prov, sort_keys=True)}\n"
+    _write(os.path.join(out_dir, "path.csv"), prov_line + path.to_csv())
+    _write(os.path.join(out_dir, "rain.csv"), prov_line + rain.to_csv())
     for a in levels:
         lv = level(rain, a)
         mask = np.isin(grid_times.times, lv.times)
         pts = path.points[mask]
-        doc = {"alpha": a, "config": cfg.provenance(), "level_times": lv.times.tolist()}
+        doc = {"alpha": a, "config": prov, "level_times": lv.times.tolist()}
         try:
             poly = build_hull(pts)
             doc["hull"] = json.loads(poly.to_json())
@@ -178,28 +167,24 @@ def cmd_simulate(seed, alpha, dim, replicas, grid, confidence, out, fmt,
             doc["degenerate"] = str(exc)
             doc["points"] = pts.tolist()
         tag = repr(float(a)).replace(".", "p").replace("-", "m")
-        _write(os.path.join(cfg.out_path, f"hull_alpha_{tag}.json"),
+        _write(os.path.join(out_dir, f"hull_alpha_{tag}.json"),
                json.dumps(doc, sort_keys=True) + "\n")
     click.echo(f"elapsed {time.monotonic() - t0:.2f}s", err=True)
 
 
 @main.command("verify")
 @click.argument("suite", type=click.Choice(sorted(SUITES)))
-@_common
-def cmd_verify(suite, seed, alpha, dim, replicas, grid, confidence,
-               out, fmt, config_file):
+@_options("seed", "replicas", "grid", "confidence")
+@click.pass_context
+def cmd_verify(ctx, suite, seed, replicas, grid, confidence, out):
     """Run one named suite; nonzero exit when any check fails."""
     t0 = time.monotonic()
-    cfg = _resolve("verify", {"seed": seed, "alpha": alpha, "dim": dim,
-                              "replicas": replicas, "grid": grid,
-                              "confidence": confidence, "out": out,
-                              "format": fmt}, config_file)
-    checks = run_suite(suite, cfg.estimator())
-    report = {"suite": suite, "config": cfg.provenance(), "checks": checks,
+    checks = run_suite(suite, _estimator(seed, replicas, grid, confidence))
+    report = {"suite": suite, "config": _provenance(ctx, "suite"), "checks": checks,
               "all_passed": all(c["passed"] for c in checks)}
     text = json.dumps(report, sort_keys=True, indent=2, default=float) + "\n"
     if out is not None:
-        _write(os.path.join(cfg.out_path, f"verify_{suite}.json"), text)
+        _write(os.path.join(out, f"verify_{suite}.json"), text)
     else:
         click.echo(text, nl=False)
     for c in checks:
@@ -210,15 +195,15 @@ def cmd_verify(suite, seed, alpha, dim, replicas, grid, confidence,
         sys.exit(1)
 
 
-def _inner_r_complement(cfg: RunConfig, value: float) -> dict:
-    est = mc.prob_R_complement(value, cfg.dim, cfg.estimator())
+def _inner_r_complement(value: float, dim: int, config: EstimatorConfig) -> dict:
+    est = mc.prob_R_complement(value, dim, config)
     row = {"alpha": value, "mean": est.mean, "std_error": est.std_error,
            "ci_low": est.ci_low, "ci_high": est.ci_high,
            "lemma_bound": est.extra["lemma_bound"]}
     return row
 
 
-def _inner_za(cfg: RunConfig, value: float) -> dict:
+def _inner_za(value: float, dim: int, config: EstimatorConfig) -> dict:
     row = {"a": value}
     for n in (1, 2):
         row[f"quadrature_n{n}"] = integral_Za_quadrature(value, n)
@@ -236,36 +221,22 @@ _INNER = {"r-complement": (_inner_r_complement,
 
 @main.command("sweep")
 @click.argument("inner", type=click.Choice(sorted(_INNER)))
-@_common
-@click.option("--values", type=str, default="",
-              help="comma-separated parameter values (may be empty)")
-def cmd_sweep(inner, seed, alpha, dim, replicas, grid, confidence,
-              out, fmt, config_file, values):
+@_options("seed", "dim", "replicas", "grid", "confidence", "format", "values")
+@click.pass_context
+def cmd_sweep(ctx, inner, seed, dim, replicas, grid, confidence, out_format, values, out):
     """Sweep the inner computation over parameter values; CSV/JSON rows with
     full provenance columns."""
     t0 = time.monotonic()
-    cfg = _resolve("sweep", {"seed": seed, "alpha": alpha, "dim": dim,
-                             "replicas": replicas, "grid": grid,
-                             "confidence": confidence, "out": out,
-                             "format": fmt}, config_file)
+    config = _estimator(seed, replicas, grid, confidence)
     fn, cols = _INNER[inner]
-    vals = [float(x) for x in values.split(",") if x.strip() != ""]
-    prov = cfg.provenance()
-    prov_cols = [f"cfg_{k}" for k in sorted(prov)]
-    rows = []
-    for v in vals:
-        row = fn(cfg, v)
-        row.update({f"cfg_{k}": prov[k] for k in sorted(prov)})
-        rows.append(row)
-    header = cols + prov_cols
-    if cfg.out_format == "json":
+    prov = {f"cfg_{k}": v for k, v in sorted(_provenance(ctx, "inner", "values").items())}
+    rows = [{**fn(v, dim, config), **prov} for v in values]
+    if out_format == "json":
         text = json.dumps(rows, sort_keys=True, indent=2, default=float) + "\n"
-        name = f"sweep_{inner}.json"
     else:
-        text = _rows_to_csv(rows, header)
-        name = f"sweep_{inner}.csv"
+        text = _rows_to_csv(rows, cols + list(prov))
     if out is not None:
-        _write(os.path.join(cfg.out_path, name), text)
+        _write(os.path.join(out, f"sweep_{inner}.{out_format}"), text)
     else:
         click.echo(text, nl=False)
     click.echo(f"elapsed {time.monotonic() - t0:.2f}s", err=True)

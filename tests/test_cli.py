@@ -122,10 +122,51 @@ def test_sweep_r_complement_reads_dim():
     assert row["cfg_dim"] == "3"
 
 
+REMOVED_FLAGS = [("sweep", "--kappa"), ("sweep", "--n"), ("sweep", "--alpha"),
+                 ("verify", "--alpha"), ("verify", "--dim"), ("verify", "--format"),
+                 ("simulate", "--alpha"), ("simulate", "--replicas"), ("simulate", "--grid"),
+                 ("simulate", "--confidence"), ("simulate", "--format")]
+
+
 def test_removed_flags_are_usage_errors():
-    for flag in ("--kappa", "--n"):
-        r = CliRunner().invoke(main, ["sweep", "r-complement", flag, "1"])
-        assert r.exit_code == 2 and "No such option" in r.output
+    """Each command takes only the settings it reads."""
+    head = {"sweep": ["sweep", "r-complement"], "verify": ["verify", "lemma4"],
+            "simulate": ["simulate"]}
+    for command, flag in REMOVED_FLAGS:
+        r = CliRunner().invoke(main, head[command] + [flag, "1"])
+        assert r.exit_code == 2 and "No such option" in r.output, (command, flag)
+
+
+def test_config_keys_per_command(tmp_path):
+    """The config echo holds the settings each command read, and no others."""
+    common = {"command", "version", "stream_layout"}
+    r = run(["verify", "lemma4", "--replicas", "200"])
+    assert set(json.loads(r.stdout)["config"]) == common | {"seed", "replicas", "grid",
+                                                            "confidence"}
+    r = run(["sweep", "za-integrals", "--values", E2])
+    header = next(csv.reader(io.StringIO(r.stdout)))
+    assert {c for c in header if c.startswith("cfg_")} == {
+        f"cfg_{k}" for k in common | {"seed", "dim", "replicas", "grid", "confidence",
+                                      "out_format"}}
+    run(["simulate", "--alphas", "5", "--out", str(tmp_path)])
+    doc = json.loads(read(tmp_path / "hull_alpha_5p0.json"))
+    assert set(doc["config"]) == common | {"seed", "dim", "alphas"}
+    assert doc["config"]["alphas"] == [5.0]
+
+
+def test_out_of_range_settings_are_usage_errors():
+    budgets = [("--replicas", "50", "replicas must be >= 100"),
+               ("--grid", "1", "grid resolution must be >= 2"),
+               ("--confidence", "1.5", "confidence_level must be in (0,1)")]
+    cases = [(head + [flag, value], message) for flag, value, message in budgets
+             for head in (["verify", "lemma4"], ["sweep", "r-complement", "--values", "20"])]
+    cases += [(["simulate", "--alphas", "5,-1"], "levels >= 0"),
+              (["simulate", "--alphas", ""], "one or more levels"),
+              (["simulate", "--alphas", "abc"], "could not convert"),
+              (["sweep", "za-integrals", "--values", "0.1,x"], "could not convert")]
+    for args, message in cases:
+        r = CliRunner().invoke(main, args)
+        assert r.exit_code == 2 and message in r.output, args
 
 
 def test_sweep_za_matches_closed_forms():
@@ -164,13 +205,35 @@ def test_config_file_and_flag_precedence(tmp_path):
 
 
 def test_config_file_rejects_garbage(tmp_path):
+    """Malformed lines, unknown keys, keys the command does not take and values
+    its flag would reject are usage errors, not silent defaults or tracebacks."""
     bad = tmp_path / "bad.cfg"
-    bad.write_text("not a key value line\n")
-    r = CliRunner().invoke(main, ["verify", "lemma4", "--config-file", str(bad)])
-    assert r.exit_code != 0
-    bad.write_text("unknown_key = 3\n")
-    r2 = CliRunner().invoke(main, ["verify", "lemma4", "--config-file", str(bad)])
-    assert r2.exit_code != 0
+    for text, message in [("not a key value line\n", "expected key=value"),
+                          ("unknown_key = 3\n", "unknown key 'unknown_key'"),
+                          ("alpha = 3\n", "unknown key 'alpha'"),
+                          ("format = json\n", "unknown key 'format'"),
+                          ("seed = abc\n", "'abc' is not a valid integer")]:
+        bad.write_text(text)
+        r = CliRunner().invoke(main, ["verify", "lemma4", "--config-file", str(bad)])
+        assert r.exit_code == 2 and message in r.output, text
+    bad.write_text("format = xml\n")
+    r = CliRunner().invoke(main, ["sweep", "za-integrals", "--config-file", str(bad)])
+    assert r.exit_code == 2 and "'xml' is not one of" in r.output
+
+
+def test_config_file_out_and_format(tmp_path):
+    """A config-file `out` sends verify's and sweep's output to that directory;
+    its `format` picks sweep's output format."""
+    cfgfile = tmp_path / "settings.cfg"
+    cfgfile.write_text(f"out = {tmp_path / 'dir'}\nreplicas = 200\n")
+    r = run(["verify", "lemma4", "--config-file", str(cfgfile)])
+    assert r.exit_code == 0
+    assert json.loads(read(tmp_path / "dir" / "verify_lemma4.json"))["config"]["replicas"] == 200
+    cfgfile.write_text(f"out = {tmp_path / 'dir'}\nformat = json\n")
+    r = run(["sweep", "za-integrals", "--values", E2, "--config-file", str(cfgfile)])
+    assert r.exit_code == 0
+    rows = json.loads(read(tmp_path / "dir" / "sweep_za-integrals.json"))
+    assert rows[0]["cfg_out_format"] == "json"
 
 
 def test_out_env_var(tmp_path, monkeypatch):
@@ -178,3 +241,6 @@ def test_out_env_var(tmp_path, monkeypatch):
     r = run(["simulate", "--seed", "1", "--alphas", "5"])
     assert r.exit_code == 0
     assert os.path.exists(tmp_path / "envout" / "path.csv")
+    r = run(["verify", "lemma4", "--replicas", "200"])  # simulate's default only
+    assert json.loads(r.stdout)["suite"] == "lemma4"
+    assert not os.path.exists(tmp_path / "envout" / "verify_lemma4.json")
