@@ -16,9 +16,9 @@ from .paths import (BridgeSpec, PathSample, TimeGrid, bridge, brownian, check_Y,
                     modulus_ok, sample_bridge, sample_brownian, step, time_steps)
 from .rain import (Rain, RainLevel, check_N, check_R, covered, generate_rain, level,
                    level_from_count, level_times)
-from .hulls import (DegeneracyError, Facet, Polytope, SimplexTimes, build_hull,
-                    count_q, count_w, euler_characteristic_3d, event_E,
-                    facet_time_tuples, merged_times, oriented_normal)
+from .hulls import (DegeneracyError, Polytope, SimplexTimes, build_hull, count_q,
+                    count_w, euler_characteristic_3d, event_E, merged_times,
+                    oriented_normal)
 from .wedges import (AmbientWedge, DiscordantWitness, HypothesisError,
                      LemmaViolationError, Wedge2D, WedgePair, angle,
                      check_discordant, check_events_H, find_discordant, gamma_ak,

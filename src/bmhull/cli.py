@@ -67,8 +67,10 @@ def _floats(ctx, param, text):
 
 
 _OPTIONS = {
-    "seed": click.option("--seed", type=int, default=0, help="master RNG seed"),
-    "dim": click.option("--dim", type=int, default=2, help="ambient dimension"),
+    "seed": click.option("--seed", type=click.IntRange(min=0), default=0,
+                         help="master RNG seed"),
+    "dim": click.option("--dim", type=click.IntRange(min=1), default=2,
+                        help="ambient dimension"),
     "replicas": click.option("--replicas", type=int, default=10_000,
                              help="MC replica budget"),
     "grid": click.option("--grid", type=int, default=1024,
@@ -230,7 +232,10 @@ def cmd_sweep(ctx, inner, seed, dim, replicas, grid, confidence, out_format, val
     config = _estimator(seed, replicas, grid, confidence)
     fn, cols = _INNER[inner]
     prov = {f"cfg_{k}": v for k, v in sorted(_provenance(ctx, "inner", "values").items())}
-    rows = [{**fn(v, dim, config), **prov} for v in values]
+    try:
+        rows = [{**fn(v, dim, config), **prov} for v in values]
+    except ValueError as exc:  # a value outside the inner computation's domain
+        raise click.BadParameter(str(exc), ctx, param_hint="'--values'") from None
     if out_format == "json":
         text = json.dumps(rows, sort_keys=True, indent=2, default=float) + "\n"
     else:

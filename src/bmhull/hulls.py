@@ -3,8 +3,9 @@ and counting processes of the approximating polytope.
 
 Hull construction is delegated to qhull (scipy.spatial.ConvexHull); the module
 owns the orientation convention, the tolerance policy and the facet/time
-bookkeeping. Brute-force half-space containment stays available as a test
-oracle.
+bookkeeping.  A Polytope is qhull's arrays: row k of `simplices`, `normals`
+and `offsets` is facet k, so every reader works on all facets at once.
+Brute-force half-space containment stays available as a test oracle.
 """
 
 from __future__ import annotations
@@ -26,37 +27,29 @@ class DegeneracyError(ValueError):
 
 
 @dataclass(frozen=True)
-class Facet:
-    vertex_indices: tuple
-    normal: np.ndarray  # outward unit normal
-    offset: float       # <normal, x> = offset on the facet plane
-
-    def __post_init__(self):
-        object.__setattr__(self, "normal", np.asarray(self.normal, dtype=float))
-        object.__setattr__(self, "vertex_indices", tuple(int(i) for i in self.vertex_indices))
-
-
-@dataclass(frozen=True)
 class Polytope:
-    vertices: np.ndarray          # all input points; facet indices refer here
-    facets: tuple
+    vertices: np.ndarray             # all input points; simplices index here
+    simplices: np.ndarray            # (facets, dim) vertex indices per facet
+    normals: np.ndarray              # (facets, dim) outward unit normals
+    offsets: np.ndarray              # (facets,): <normal, x> = offset on the facet
     dim: int
     eps_geom: float
-    hull_vertex_indices: tuple = ()
+    hull_vertex_indices: np.ndarray  # qhull's hull vertices, indices into vertices
 
     def contains(self, x, tol=None) -> bool:
         tol = self.eps_geom if tol is None else tol
         x = np.asarray(x, dtype=float)
-        return all(float(f.normal @ x) <= f.offset + tol for f in self.facets)
+        return bool(np.all(self.normals @ x <= self.offsets + tol))
 
     def to_json(self) -> str:
         return json.dumps({
             "dim": self.dim,
             "vertices": self.vertices.tolist(),
-            "hull_vertex_indices": list(self.hull_vertex_indices),
-            "facets": [{"vertex_indices": list(f.vertex_indices),
-                        "normal": f.normal.tolist(),
-                        "offset": f.offset} for f in self.facets],
+            "hull_vertex_indices": self.hull_vertex_indices.tolist(),
+            "facets": [{"vertex_indices": simplex, "normal": normal, "offset": offset}
+                       for simplex, normal, offset in zip(self.simplices.tolist(),
+                                                          self.normals.tolist(),
+                                                          self.offsets.tolist())],
         })
 
 
@@ -92,25 +85,22 @@ def build_hull(points, eps_geom: float | None = None) -> Polytope:
         hull = ConvexHull(pts)
     except QhullError as exc:  # near-degenerate inputs slip past the rank gate
         raise DegeneracyError(f"qhull failed: {exc}", rank=rank) from exc
-    facets = []
-    for simplex, eq in zip(hull.simplices, hull.equations):
-        n = eq[:-1]
-        nn = float(np.linalg.norm(n))
-        facets.append(Facet(tuple(simplex), n / nn, float(-eq[-1]) / nn))
-    return Polytope(vertices=pts, facets=tuple(facets), dim=d, eps_geom=eps,
-                    hull_vertex_indices=tuple(int(i) for i in hull.vertices))
+    n = hull.equations[:, :-1]
+    # rounds as np.linalg.norm of each row does; norm(axis=1) can differ in
+    # the last bit, which would move hull documents and discordant witnesses
+    nn = np.sqrt(np.matmul(n[:, None, :], n[:, :, None])[:, 0, 0])
+    return Polytope(vertices=pts, simplices=hull.simplices, normals=n / nn[:, None],
+                    offsets=-hull.equations[:, -1] / nn, dim=d, eps_geom=eps,
+                    hull_vertex_indices=hull.vertices)
 
 
 def euler_characteristic_3d(poly: Polytope) -> int:
     """V - E + F of the boundary complex (triangulated facets, d=3)."""
     if poly.dim != 3:
         raise ValueError("d = 3 only")
-    v = len(poly.hull_vertex_indices)
-    edges = set()
-    for f in poly.facets:
-        a, b, c = f.vertex_indices
-        edges.update({frozenset(p) for p in ((a, b), (b, c), (a, c))})
-    return v - len(edges) + len(poly.facets)
+    edges = np.sort(poly.simplices[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
+    n_edges = len(np.unique(edges, axis=0))
+    return len(poly.hull_vertex_indices) - n_edges + len(poly.simplices)
 
 
 def oriented_normal(points_of_facet, reference) -> np.ndarray:
@@ -177,26 +167,23 @@ def merged_times(r: SimplexTimes, s: SimplexTimes) -> np.ndarray:
     return np.sort(np.concatenate([r.r, s.r]))
 
 
-def facet_time_tuples(level_times, level_points, eps_geom=None):
-    """Map each facet of the hull of the level points to its sorted time tuple."""
-    poly = build_hull(np.asarray(level_points, dtype=float), eps_geom)
-    t = np.asarray(level_times, dtype=float)
-    return poly, [tuple(sorted(t[list(f.vertex_indices)])) for f in poly.facets]
-
-
 def count_q(level_times, level_points, region=None, eps_geom=None) -> int:
     """Number of increasing n-tuples of level times whose simplex is a facet of
-    the hull of the level points; region is a predicate on the sorted tuple."""
-    _, tuples = facet_time_tuples(level_times, level_points, eps_geom)
+    the hull of the level points; region maps the (facets, n) array of sorted
+    time tuples to a boolean row mask."""
+    poly = build_hull(np.asarray(level_points, dtype=float), eps_geom)
+    tuples = np.sort(np.asarray(level_times, dtype=float)[poly.simplices], axis=1)
     if region is None:
         return len(tuples)
-    return sum(1 for tup in tuples if region(np.asarray(tup)))
+    return int(np.count_nonzero(region(tuples)))
 
 
 def count_w(levelset_times, n: int, region=None) -> int:
     """Number of increasing n-tuples of level times (facet candidates) in the
-    region; the full count is C(|Lambda|, n)."""
+    region, a boolean row mask over the (tuples, n) array as in count_q; the
+    full count is C(|Lambda|, n)."""
     t = np.asarray(levelset_times, dtype=float)
     if region is None:
         return math.comb(t.size, n)
-    return sum(1 for tup in combinations(sorted(t), n) if region(np.asarray(tup)))
+    tuples = np.array(list(combinations(np.sort(t), n))).reshape(-1, n)
+    return int(np.count_nonzero(region(tuples)))

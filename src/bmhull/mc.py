@@ -51,9 +51,11 @@ def _stay_weights(rng: np.random.Generator, n_rep: int, wedge: Wedge2D,
     and a replica leaves the state, with weight 0, at the first grid time
     whose weight factor is not positive (convex wedges) or at which it lies
     outside (reflex ones).  A start on or outside the boundary draws
-    nothing.  offset pushes both edges outward (the enlarged wedge W').  out, shape (n_rep, len(times), 2), receives the
-    points of the replicas still live at each time; the rows of replicas
-    with nonzero weight are whole paths.
+    nothing.  offset pushes both edges outward (the enlarged wedge W').
+
+    out, shape (n_rep, len(times), 2), receives the points of the replicas
+    still live at each time; the rows of replicas with nonzero weight are
+    whole paths.
     """
     edges = []
     if wedge.convex:
@@ -260,6 +262,8 @@ def prob_R_complement(alpha: float, n_dim: int, config: EstimatorConfig) -> Esti
     level set dense enough AND grid modulus event, per replica."""
     if alpha <= 1.0:
         raise ValueError("alpha must be > 1")
+    if n_dim < 1:
+        raise ValueError("n_dim must be >= 1")
     n_steps = config.grid_points_per_unit_time
     times = np.linspace(0.0, 1.0, n_steps + 1)
     dts = np.full(n_steps, times[1] - times[0])
@@ -275,10 +279,11 @@ def prob_R_complement(alpha: float, n_dim: int, config: EstimatorConfig) -> Esti
                                           "lemma_bound": alpha ** (-2 * n_dim - 1)})
 
 
-def _rain_tuple(u) -> bool:
-    """Only tuples of rain times count: the pinned endpoint times 0 and 1 are
-    not process points, so facets touching them lie outside the open simplex."""
-    return u[0] > 0.0 and u[-1] < 1.0
+def _rain_tuple(u: np.ndarray) -> np.ndarray:
+    """Row mask over sorted time tuples: only tuples of rain times count; the
+    pinned endpoint times 0 and 1 are not process points, so facets touching
+    them lie outside the open simplex."""
+    return (u[:, 0] > 0.0) & (u[:, -1] < 1.0)
 
 
 def campbell_check(alpha: float, n_dim: int, config: EstimatorConfig):

@@ -150,10 +150,10 @@ def suite_lemma3(config: EstimatorConfig, instances: int = 1000,
             except LemmaViolationError:
                 violations += 1
                 continue
-            f_i, f_j = poly.facets[w.facet_i], poly.facets[w.facet_j]
             ok = (w.angle >= kappa / 16.0
                   and w.tip_distance <= lemma3_constant(kappa) * s
-                  and abs(angle(f_i.normal, f_j.normal) - w.angle) <= 1e-9)
+                  and abs(angle(poly.normals[w.facet_i], poly.normals[w.facet_j])
+                          - w.angle) <= 1e-9)
             bad_witness += 0 if ok else 1
         checks.append(_check(f"discordant_existence(kappa={kappa:g})",
                              violations == 0 and bad_witness == 0,

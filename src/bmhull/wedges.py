@@ -231,27 +231,24 @@ def find_discordant(poly: Polytope, wedge: AmbientWedge, kappa: float,
     """
     if not 0.0 < kappa < math.pi:
         raise ValueError("kappa must be in (0, pi)")
-    verts = poly.vertices[list(poly.hull_vertex_indices)]
+    verts = poly.vertices[poly.hull_vertex_indices]
     tol = max(poly.eps_geom, 1e-9 * (1.0 + float(np.abs(verts).max())))
     if not np.all(wedge.contains(verts, tol=tol)):
         raise ValueError("polytope is not contained in the wedge")
     if float(np.linalg.norm(verts - wedge.tip, axis=1).min()) > s + tol:
         raise ValueError("polytope is farther than s from the wedge tip")
     m_bound = lemma3_constant(kappa) * s
-    facets = poly.facets
-    nf = len(facets)
-    normals = np.array([f.normal for f in facets])
+    normals, offsets = poly.normals, poly.offsets
     cosines = np.clip(normals @ normals.T, -1.0, 1.0)
     # pairs i < j in row-major order, stably ranked by decreasing angle
-    iu, ju = np.triu_indices(nf, k=1)
+    iu, ju = np.triu_indices(len(normals), k=1)
     angles = np.arccos(cosines[iu, ju])
     rank = np.argsort(-angles, kind="stable")
     iu, ju, angles = iu[rank].tolist(), ju[rank].tolist(), angles[rank].tolist()
 
     def tip_dist(i, j):
-        f_i, f_j = facets[i], facets[j]
-        pair = pair_geometry(f_i.normal, f_i.offset, f_j.normal, f_j.offset)
-        return projected_tip_distance(pair, poly.vertices[list(f_i.vertex_indices)])
+        pair = pair_geometry(normals[i], offsets[i], normals[j], offsets[j])
+        return projected_tip_distance(pair, poly.vertices[poly.simplices[i]])
 
     k = 0
     while k < len(angles):

@@ -131,10 +131,10 @@ def test_acceptance_8_hull_invariants():
         d = (2, 3, 4)[i % 3]
         pts = rng.standard_normal((10 + 3 * d, d))
         poly = build_hull(pts)
-        for f in poly.facets:
-            if abs(np.linalg.norm(f.normal) - 1.0) > 1e-9:
+        for normal, offset in zip(poly.normals, poly.offsets):
+            if abs(np.linalg.norm(normal) - 1.0) > 1e-9:
                 bad += 1
-            if not np.all(pts @ f.normal <= f.offset + poly.eps_geom):
+            if not np.all(pts @ normal <= offset + poly.eps_geom):
                 bad += 1
         if d == 3 and euler_characteristic_3d(poly) != 2:
             bad += 1

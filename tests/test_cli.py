@@ -169,6 +169,23 @@ def test_out_of_range_settings_are_usage_errors():
         assert r.exit_code == 2 and message in r.output, args
 
 
+def test_inputs_outside_the_library_domain_are_usage_errors():
+    seed = "Invalid value for '--seed': -1 is not in the range x>=0"
+    dim = "Invalid value for '--dim': 0 is not in the range x>=1"
+    cases = [(["simulate", "--seed", "-1"], seed),
+             (["verify", "lemma4", "--seed", "-1"], seed),
+             (["simulate", "--dim", "0"], dim),
+             (["sweep", "r-complement", "--values", "20", "--dim", "0"], dim),
+             (["sweep", "r-complement", "--values", "-1"],
+              "Invalid value for '--values': alpha must be > 1"),
+             (["sweep", "za-integrals", "--values", "0.5"],
+              "Invalid value for '--values': a must be in (0, 1/e)")]
+    for args, message in cases:
+        r = run(args)  # an exception other than click's exit would propagate
+        assert r.exit_code == 2 and message in r.output, args
+        assert "Traceback" not in r.output, args
+
+
 def test_sweep_za_matches_closed_forms():
     r = run(["sweep", "za-integrals", "--values", f"{E1},{E2}"])
     assert r.exit_code == 0

@@ -6,30 +6,29 @@ import pytest
 from bmhull.estimate import stream
 from bmhull.hulls import (DegeneracyError, SimplexTimes, build_hull, count_q,
                           count_w, default_eps, euler_characteristic_3d,
-                          event_E, facet_time_tuples, merged_times,
-                          oriented_normal)
+                          event_E, merged_times, oriented_normal)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
 
 
 def test_square_hull():
     poly = build_hull(SQUARE)
-    assert len(poly.facets) == 4
+    assert len(poly.simplices) == len(poly.normals) == len(poly.offsets) == 4
     assert sorted(poly.hull_vertex_indices) == [0, 1, 2, 3]
     assert poly.contains([0.5, 0.5])
     assert poly.contains([1.0, 1.0])  # boundary, within tolerance
     assert not poly.contains([1.1, 0.5])
-    for f in poly.facets:
-        assert np.linalg.norm(f.normal) == pytest.approx(1.0)
+    for normal, offset in zip(poly.normals, poly.offsets):
+        assert np.linalg.norm(normal) == pytest.approx(1.0)
         # outward: interior point strictly inside
-        assert float(f.normal @ [0.5, 0.5]) < f.offset
+        assert float(normal @ [0.5, 0.5]) < offset
 
 
 def test_simplex_hulls_all_dims():
     for d in (2, 3, 4):
         pts = np.vstack([np.zeros(d), np.eye(d)])
         poly = build_hull(pts)
-        assert len(poly.facets) == d + 1
+        assert poly.simplices.shape == poly.normals.shape == (d + 1, d)
         assert poly.contains(np.full(d, 1.0 / (d + 1)))
 
 
@@ -51,9 +50,9 @@ def test_random_hulls_brute_force_containment():
             pts = rng.standard_normal((12 + d * 4, d))
             poly = build_hull(pts)
             # every input point satisfies all facet inequalities within eps
-            for f in poly.facets:
-                assert np.all(pts @ f.normal <= f.offset + poly.eps_geom)
-                assert np.linalg.norm(f.normal) == pytest.approx(1.0, abs=1e-12)
+            for normal, offset in zip(poly.normals, poly.offsets):
+                assert np.all(pts @ normal <= offset + poly.eps_geom)
+                assert np.linalg.norm(normal) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_euler_relation_3d():
@@ -93,7 +92,7 @@ def test_event_E_matches_hull_facets():
     for _ in range(20):
         pts = rng.standard_normal((15, 2))
         poly = build_hull(pts)
-        facet_pairs = {frozenset(f.vertex_indices) for f in poly.facets}
+        facet_pairs = {frozenset(simplex) for simplex in poly.simplices.tolist()}
         for i in range(6):
             for j in range(i + 1, 6):
                 expected = frozenset((i, j)) in facet_pairs
@@ -110,23 +109,32 @@ def test_event_E_matches_hull_facets():
 def test_count_q_square_times():
     times = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
     assert count_q(times, SQUARE) == 4
-    got = count_q(times, SQUARE, region=lambda t: 0.1 in t)
+    got = count_q(times, SQUARE, region=lambda t: (t == 0.1).any(axis=1))
     assert got == 2  # the two square edges meeting at vertex 0
 
 
-def test_facet_time_tuples_sorted():
+def test_count_q_region_sees_sorted_tuples():
     times = np.array([0.4, 0.1, 0.3, 0.2])
-    poly, tuples = facet_time_tuples(times, SQUARE[:4])
-    assert len(tuples) == len(poly.facets) == 4
-    for tup in tuples:
-        assert tup == tuple(sorted(tup))
+    seen = []
+
+    def region(tuples):
+        seen.append(tuples)
+        return np.ones(len(tuples), dtype=bool)
+
+    assert count_q(times, SQUARE[:4], region=region) == 4
+    (tuples,) = seen
+    assert tuples.shape == (4, 2)
+    assert np.array_equal(tuples, np.sort(tuples, axis=1))
+    # the square's edges, as sorted pairs of the times of their corners
+    assert sorted(map(tuple, tuples.tolist())) == [(0.1, 0.3), (0.1, 0.4),
+                                                   (0.2, 0.3), (0.2, 0.4)]
 
 
 def test_count_w_comb_and_region():
     t = np.linspace(0, 1, 10)
     assert count_w(t, 2) == math.comb(10, 2)
     assert count_w(t, 3) == math.comb(10, 3)
-    got = count_w(t, 2, region=lambda tup: tup[1] - tup[0] > 0.5)
+    got = count_w(t, 2, region=lambda tup: tup[:, 1] - tup[:, 0] > 0.5)
     brute = sum(1 for i in range(10) for j in range(i + 1, 10) if t[j] - t[i] > 0.5)
     assert got == brute
 

@@ -9,7 +9,9 @@ most replicas pass the modulus event and go on to the covering draws, were
 recorded before `paths.modulus_ok` learned to prune.  The second
 `discordant_prob` case and the `find_discordant` witnesses were recorded
 before `discordant_prob` gave up its inline copy of the discordance
-predicate and before `find_discordant` ranked its pairs with arrays.
+predicate and before `find_discordant` ranked its pairs with arrays.  The
+`simulate hulls` cases were recorded while a `Polytope` still held one
+object per facet, before it kept qhull's arrays.
 
 A deliberate change to the draw order bumps `estimate.STREAM_LAYOUT`,
 re-records the digests of the estimates it changes, and only those, and
@@ -114,6 +116,26 @@ def _simulate_rows(dim):
     return "".join(parts)
 
 
+def _simulate_hulls(dim):
+    """`bmhull simulate`'s hull_alpha_*.json documents, each without its
+    `config` key, which echoes the CLI settings."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        r = runner.invoke(main, ["simulate", "--seed", "11", "--dim", str(dim),
+                                 "--alphas", "5,10", "--out", "out"],
+                          catch_exceptions=False)
+        assert r.exit_code == 0
+        docs = []
+        for name in sorted(os.listdir("out")):
+            if name.startswith("hull_alpha_"):
+                with open(os.path.join("out", name), encoding="utf-8") as fh:
+                    doc = json.load(fh)
+                del doc["config"]
+                docs.append(json.dumps(doc, sort_keys=True))
+    assert len(docs) == 2
+    return "\n".join(docs)
+
+
 CASES = {
     "stay_prob_wedge(convex)":
         lambda: mc.stay_prob_wedge(QUADRANT, [1.0, 0.0], 1.0, CFG).to_json(),
@@ -149,6 +171,9 @@ CASES = {
     "samplers": _samplers,
     "simulate(dim=2)": lambda: _simulate_rows(2),
     "simulate(dim=3)": lambda: _simulate_rows(3),
+    # hull documents: vertices, facet simplices, normals and offsets
+    "simulate hulls(dim=2)": lambda: _simulate_hulls(2),
+    "simulate hulls(dim=3)": lambda: _simulate_hulls(3),
 }
 
 EXPECTED_LAYOUT = 2
@@ -188,6 +213,10 @@ EXPECTED = {
         '015650db3f50da560d857561afdc67ef31fb63d02a0b0c7f22d8e54c8f33baec',
     'simulate(dim=3)':
         '49629a4530a5d40b94a4fdb748b9d3a4fcef0e1cc9eb42d15561c5fd3c089706',
+    'simulate hulls(dim=2)':
+        '7ff5e96005eebb05e9d6298b7ba6672a128d334318dcd85bf8028063568dd63f',
+    'simulate hulls(dim=3)':
+        '096492d84c53fdc0e682e1c308397328b77ab57225e34704c3c45d7c7d32c720',
     'stay_prob_wedge(convex)':
         '52f18a793e57773edc1e782ac92fe7d547d09c49a4055311d38836bf7a10ca78',
     'stay_prob_wedge(reflex)':

@@ -204,6 +204,8 @@ def test_prob_R_complement_small_at_100():
     assert est.extra["lemma_bound"] == pytest.approx(100.0 ** -5)
     with pytest.raises(ValueError):
         mc.prob_R_complement(1.0, 2, cfg(replicas=200))
+    with pytest.raises(ValueError, match="n_dim"):
+        mc.prob_R_complement(20.0, 0, cfg(replicas=200))
 
 
 def test_prob_R_complement_positive_at_small_alpha():

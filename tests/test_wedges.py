@@ -151,8 +151,7 @@ def test_find_discordant_constructed():
     w = find_discordant(poly, wedge, kappa, s=1.0)
     assert w.angle >= kappa / 16
     assert w.tip_distance <= lemma3_constant(kappa) * 1.0
-    f_i, f_j = poly.facets[w.facet_i], poly.facets[w.facet_j]
-    assert angle(f_i.normal, f_j.normal) == pytest.approx(w.angle)
+    assert angle(poly.normals[w.facet_i], poly.normals[w.facet_j]) == pytest.approx(w.angle)
 
 
 def test_find_discordant_preconditions():
