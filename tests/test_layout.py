@@ -11,7 +11,10 @@ recorded before `paths.modulus_ok` learned to prune.  The second
 before `discordant_prob` gave up its inline copy of the discordance
 predicate and before `find_discordant` ranked its pairs with arrays.  The
 `simulate hulls` cases were recorded while a `Polytope` still held one
-object per facet, before it kept qhull's arrays.
+object per facet, before it kept qhull's arrays.  The 3-tuple
+`discordant_prob` case and the `special_index indices` case were recorded
+while `oriented_normal`, `check_discordant` and `special_index` still
+decided one replica per call.
 
 A deliberate change to the draw order bumps `estimate.STREAM_LAYOUT`,
 re-records the digests of the estimates it changes, and only those, and
@@ -24,7 +27,8 @@ so wide that no replica leaves it, so the bridge steps draw what
 `paths.bridge` drew.  The `alpha=1e10` case, where replicas do leave, was
 recorded at layout 2.
 
-To print the current digests: `python tests/test_layout.py`.
+To print the current digests: `python tests/test_layout.py`, or
+`python tests/test_layout.py NAME ...` for the named cases alone.
 """
 
 import hashlib
@@ -44,7 +48,7 @@ from bmhull.hulls import SimplexTimes
 from bmhull.integrals import measure_Za_complement
 from bmhull.paths import BridgeSpec, TimeGrid, sample_bridge, sample_brownian
 from bmhull.rain import level_from_count
-from bmhull.wedges import Wedge2D, find_discordant
+from bmhull.wedges import Wedge2D, find_discordant, special_index
 
 CFG = EstimatorConfig(replicas=300, master_seed=0, grid_points_per_unit_time=64)
 # two chunks, so the chunk order of the reduction is pinned too
@@ -70,10 +74,20 @@ def _conditional_h(alpha=3.0, include_R="always"):
                                  eps=0.93, include_R=include_R).to_json()
 
 
-def _discordant(alpha=1e3, kappa=math.pi / 2):
-    return mc.discordant_prob(SimplexTimes(np.array([0.2, 0.4])),
-                              SimplexTimes(np.array([0.6, 0.8])), alpha, kappa,
-                              CFG).to_json()
+def _discordant(alpha=1e3, kappa=math.pi / 2, r=(0.2, 0.4), s=(0.6, 0.8)):
+    return mc.discordant_prob(SimplexTimes(np.array(r)), SimplexTimes(np.array(s)),
+                              alpha, kappa, CFG).to_json()
+
+
+def _special_indices():
+    """special_index on 500 random instances, suite_lemma4's parameters:
+    pins the index itself, where the suite's digest pins only counts."""
+    rng = stream(0, 307, 0)
+    out = []
+    for _ in range(500):
+        t, pb, w0 = verify.random_special_instance(rng)
+        out.append(special_index(t, pb, w0, 1e6, 1.0, 2))
+    return json.dumps(out)
 
 
 def _lemma3_witnesses():
@@ -159,6 +173,10 @@ CASES = {
     # every branch of the discordance decision fires: facet-event failures,
     # angles below kappa/16, ridge hits and ridge misses
     "discordant_prob(alpha=1e8, kappa=3)": lambda: _discordant(1e8, 3.0),
+    # d = 3: facet normals of point triples and ridges of planes in space
+    "discordant_prob(3-tuples, alpha=1e8, kappa=3)":
+        lambda: _discordant(1e8, 3.0, (0.1, 0.3, 0.45), (0.55, 0.7, 0.9)),
+    "special_index indices": _special_indices,
     "find_discordant witnesses": _lemma3_witnesses,
     "measure_Za_complement": lambda: measure_Za_complement(0.01, 2, CFG).to_json(),
     "stay_prob_wedge(two chunks)":
@@ -193,6 +211,8 @@ EXPECTED = {
         '890cff4cac14d1f0e66409735228f186696699b32a2e8044318240bdbc536eaf',
     'discordant_prob(alpha=1e8, kappa=3)':
         '6bfadf661cecaa58b850a44c9fe89ff61937e15fe9644de0b9c91878878b0e68',
+    'discordant_prob(3-tuples, alpha=1e8, kappa=3)':
+        'a776ecc3009e34b565be64032355b5231eac94ca4ff1810af56706040bad226c',
     'find_discordant witnesses':
         '28542e52d84fd344b730d730ce168cfd360162726cba642110c01e38dc632153',
     'fit_exit_exponent':
@@ -217,6 +237,8 @@ EXPECTED = {
         '7ff5e96005eebb05e9d6298b7ba6672a128d334318dcd85bf8028063568dd63f',
     'simulate hulls(dim=3)':
         '096492d84c53fdc0e682e1c308397328b77ab57225e34704c3c45d7c7d32c720',
+    'special_index indices':
+        '8976f2fd4ae7a0d41b23114a38954ab3dc7de30d8445f196103c10360ed570ff',
     'stay_prob_wedge(convex)':
         '52f18a793e57773edc1e782ac92fe7d547d09c49a4055311d38836bf7a10ca78',
     'stay_prob_wedge(reflex)':
@@ -244,6 +266,9 @@ def test_layout_unchanged(name):
 
 
 if __name__ == "__main__":
-    for case in sorted(CASES):
+    unknown = [name for name in sys.argv[1:] if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown cases {unknown}; choose from {sorted(CASES)}")
+    for case in sys.argv[1:] or sorted(CASES):
         print(f"    {case!r}:\n        {digest(case)!r},")
     sys.exit(0)
