@@ -17,13 +17,14 @@ from .paths import (BridgeSpec, PathSample, TimeGrid, bridge, brownian, check_Y,
 from .rain import (Rain, RainLevel, check_N, check_R, covered, generate_rain, level,
                    level_from_count, level_times)
 from .hulls import (DegeneracyError, Polytope, SimplexTimes, build_hull, count_q,
-                    count_w, euler_characteristic_3d, event_E, merged_times,
-                    oriented_normal)
+                    count_w, euler_characteristic_3d, event_E, facet_events,
+                    merged_times, oriented_normal, oriented_normals)
 from .wedges import (AmbientWedge, DiscordantWitness, HypothesisError,
                      LemmaViolationError, Wedge2D, WedgePair, angle,
-                     check_discordant, check_events_H, find_discordant, gamma_ak,
-                     lemma3_constant, pair_geometry, projected_tip_distance,
-                     ridge_distance, special_index)
+                     check_discordant, check_events_H, discordant_pairs,
+                     find_discordant, gamma_ak, half_space_events, lemma3_constant,
+                     pair_geometry, projected_tip_distance, special_index,
+                     special_indices)
 from .mc import (bridge_stay_prob, campbell_check, conditional_H_prob,
                  discordant_prob, fit_exit_exponent, lemma6_bound, prob_R_complement,
                  prop6_rhs, stay_prob_wedge)

@@ -5,7 +5,9 @@ Hull construction is delegated to qhull (scipy.spatial.ConvexHull); the module
 owns the orientation convention, the tolerance policy and the facet/time
 bookkeeping.  A Polytope is qhull's arrays: row k of `simplices`, `normals`
 and `offsets` is facet k, so every reader works on all facets at once.
-Brute-force half-space containment stays available as a test oracle.
+Brute-force half-space containment stays available as a test oracle.  The
+per-replica facet geometry runs stacked over a leading row axis
+(oriented_normals, facet_events); oriented_normal and event_E wrap one row.
 """
 
 from __future__ import annotations
@@ -86,9 +88,7 @@ def build_hull(points, eps_geom: float | None = None) -> Polytope:
     except QhullError as exc:  # near-degenerate inputs slip past the rank gate
         raise DegeneracyError(f"qhull failed: {exc}", rank=rank) from exc
     n = hull.equations[:, :-1]
-    # rounds as np.linalg.norm of each row does; norm(axis=1) can differ in
-    # the last bit, which would move hull documents and discordant witnesses
-    nn = np.sqrt(np.matmul(n[:, None, :], n[:, :, None])[:, 0, 0])
+    nn = np.sqrt(row_dot(n, n))
     return Polytope(vertices=pts, simplices=hull.simplices, normals=n / nn[:, None],
                     offsets=-hull.equations[:, -1] / nn, dim=d, eps_geom=eps,
                     hull_vertex_indices=hull.vertices)
@@ -103,32 +103,77 @@ def euler_characteristic_3d(poly: Polytope) -> int:
     return len(poly.hull_vertex_indices) - n_edges + len(poly.simplices)
 
 
+def row_dot(x, y) -> np.ndarray:
+    """Scalar products of matching rows of two stacks of vectors, (..., d) ->
+    (...), each rounded as the 1-d `x[k] @ y[k]` is; `(x * y).sum(-1)` and
+    np.linalg.norm(axis=...) can differ in the last bit, which would move
+    hull documents and discordant witnesses."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def oriented_normals(points, reference):
+    """Stacked oriented_normal over a leading row axis: row k of the (rows, d)
+    result is the unit normal to the affine span of the d points
+    points[k], (rows, d, d), oriented so that its scalar product with
+    reference[k] is >= 0; sign ties are broken by making the first nonzero
+    coordinate positive.
+
+    Also returns the (rows,) affine rank of each row's points: a row of rank
+    below d - 1 is degenerate, and its normal is meaningless.  The SVDs run
+    as one stacked np.linalg.svd, which rounds as the per-row calls do.
+    """
+    pts = np.asarray(points, dtype=float)
+    ref = np.asarray(reference, dtype=float)
+    d = pts.shape[-1]
+    if pts.ndim != 3 or pts.shape[1] != d:
+        raise ValueError("need exactly d points in dimension d")
+    diffs = pts[:, 1:] - pts[:, :1]
+    _, s, vt = np.linalg.svd(diffs)
+    scale = np.maximum(np.abs(diffs).max(axis=(1, 2)), 1e-300)
+    rank = np.count_nonzero(s > 1e-12 * scale[:, None], axis=1)
+    n = vt[:, -1]
+    n = n / np.sqrt(row_dot(n, n))[:, None]
+    dot = row_dot(n, ref)
+    eps = 1e-12 * np.maximum(1.0, np.sqrt(row_dot(ref, ref)))
+    lead = n[np.arange(len(n)), np.argmax(np.abs(n) > 1e-15, axis=1)]
+    flip = np.where(np.abs(dot) <= eps, lead < 0, dot < 0)
+    n[flip] = -n[flip]
+    return n, rank
+
+
+def _require_simplex(rank, d: int) -> None:
+    if rank < d - 1:
+        raise DegeneracyError("facet points are affinely dependent", rank=int(rank))
+
+
 def oriented_normal(points_of_facet, reference) -> np.ndarray:
     """Unit normal to the affine span of d points, oriented so that the scalar
-    product with the reference point is >= 0; sign ties broken by making the
-    first nonzero coordinate positive."""
+    product with the reference point is >= 0 (see oriented_normals); raises
+    DegeneracyError when the points are affinely dependent."""
     pts = np.asarray(points_of_facet, dtype=float)
-    ref = np.asarray(reference, dtype=float)
-    d = pts.shape[1]
-    if pts.shape[0] != d:
-        raise ValueError("need exactly d points in dimension d")
-    diffs = pts[1:] - pts[0]
-    u, s, vt = np.linalg.svd(diffs)
-    scale = max(float(np.abs(diffs).max()), 1e-300)
-    if s.size < d - 1 or s[-1] <= 1e-12 * scale:
-        raise DegeneracyError("facet points are affinely dependent",
-                              rank=int(np.sum(s > 1e-12 * scale)))
-    n = vt[-1]
-    n = n / np.linalg.norm(n)
-    dot = float(n @ ref)
-    eps = 1e-12 * max(1.0, float(np.linalg.norm(ref)))
-    if abs(dot) <= eps:
-        nz = np.nonzero(np.abs(n) > 1e-15)[0][0]
-        if n[nz] < 0:
-            n = -n
-    elif dot < 0:
-        n = -n
-    return n
+    n, rank = oriented_normals(pts[None], np.asarray(reference, dtype=float)[None])
+    _require_simplex(rank[0], pts.shape[1])
+    return n[0]
+
+
+def facet_events(r_points, level_points, eps) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked event_E over a leading row axis: row k holds when every level
+    point level_points[k], (rows, m, d), lies within eps[k] on one side of
+    the affine span of the simplex r_points[k], (rows, d, d).
+
+    Also returns each simplex's affine rank (see oriented_normals); the event
+    of a degenerate row is False.  Ragged level sets can be padded with a
+    simplex point, which lies on its hyperplane up to rounding.
+    """
+    r_pts = np.asarray(r_points, dtype=float)
+    n, rank = oriented_normals(r_pts, r_pts[:, 0])
+    side = np.matmul(np.asarray(level_points, dtype=float), n[:, :, None])[..., 0]
+    side -= row_dot(n, r_pts[:, 0])[:, None]
+    eps = np.asarray(eps, dtype=float).reshape(-1, 1)
+    events = np.all(side <= eps, axis=1) | np.all(side >= -eps, axis=1)
+    return events & (rank >= r_pts.shape[-1] - 1), rank
 
 
 def event_E(r_points, level_points, eps_geom: float | None = None) -> bool:
@@ -136,11 +181,10 @@ def event_E(r_points, level_points, eps_geom: float | None = None) -> bool:
     i.e. every level point lies weakly on one side of its affine span."""
     r_pts = np.asarray(r_points, dtype=float)
     lv = np.asarray(level_points, dtype=float)
-    n = oriented_normal(r_pts, r_pts[0])
-    off = float(n @ r_pts[0])
     eps = default_eps(np.vstack([r_pts, lv])) if eps_geom is None else eps_geom
-    side = lv @ n - off
-    return bool(np.all(side <= eps) or np.all(side >= -eps))
+    events, rank = facet_events(r_pts[None], lv[None], [eps])
+    _require_simplex(rank[0], r_pts.shape[1])
+    return bool(events[0])
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,13 @@ per-step Brownian-bridge boundary crossing correction
 floating point.  Convex wedges apply the correction per edge independently
 (documented over-correction near the tip); non-convex (reflex) wedges fall
 back to plain grid indicators, where the correction is invalid.
+
+The facet estimators decide many replicas per call of the stacked kernels of
+hulls and wedges: discordant_prob draws its paths with paths.brownian in
+blocks of at most _PATH_BLOCK numbers, and campbell_check's indicator side
+draws replica by replica and decides _DECIDE_ROWS replicas at once on
+padded level-point arrays.  brownian draws replica by replica, so neither
+changes the draw order, and memory stays O(block), not O(replicas x steps).
 """
 
 from __future__ import annotations
@@ -24,11 +31,12 @@ import math
 import numpy as np
 
 from .estimate import Estimate, EstimatorConfig, from_weights, run_chunks, scaled
-from .hulls import SimplexTimes, count_q, event_E, merged_times, oriented_normal
+from .hulls import (SimplexTimes, count_q, facet_events, merged_times, oriented_normals,
+                    row_dot)
 from .integrals import enlargement, phi, rhs_bound
 from .paths import brownian, modulus_ok, step, time_steps
 from .rain import covered, level_times
-from .wedges import Wedge2D, check_discordant, check_events_H, gamma_ak
+from .wedges import Wedge2D, discordant_pairs, gamma_ak, half_space_events
 
 _TAG_STAY = 1
 _TAG_BRIDGE = 2
@@ -38,6 +46,12 @@ _TAG_CAMPBELL_LHS = 5
 _TAG_CAMPBELL_RHS = 6
 _TAG_DISCORDANT = 7
 _TAG_FIT_BASE = 800
+
+# replicas whose facet geometry is decided at once
+_DECIDE_ROWS = 256
+# numbers (points x coordinates) in one block of discordant_prob's paths:
+# 15 paths at grid 1024, whose temporaries keep peak RSS within 1 MB
+_PATH_BLOCK = 1 << 15
 
 
 def _stay_weights(rng: np.random.Generator, n_rep: int, wedge: Wedge2D,
@@ -312,17 +326,24 @@ def campbell_check(alpha: float, n_dim: int, config: EstimatorConfig):
 
     def rhs_kernel(rng, sz):
         hits = np.zeros(sz)
-        for i in range(sz):
-            r = np.sort(rng.random(n_dim))
-            all_t = np.concatenate([r, level_times(rng, alpha)])
-            order = np.argsort(all_t, kind="stable")
-            pts = np.empty((all_t.size, n_dim))
-            pts[order] = brownian(rng, 1, time_steps(all_t[order]), n_dim)[0, 1:]
-            try:
-                hits[i] = event_E(pts[:n_dim], pts[n_dim:],
-                                  eps_geom=1e-12 * max(1.0, float(np.abs(pts).max())))
-            except ValueError:
-                pass  # affinely dependent simplex points: no facet
+        for lo in range(0, sz, _DECIDE_ROWS):
+            draws = []
+            for _ in range(min(_DECIDE_ROWS, sz - lo)):
+                r = np.sort(rng.random(n_dim))
+                all_t = np.concatenate([r, level_times(rng, alpha)])
+                order = np.argsort(all_t, kind="stable")
+                pts = np.empty((all_t.size, n_dim))
+                pts[order] = brownian(rng, 1, time_steps(all_t[order]), n_dim)[0, 1:]
+                draws.append(pts)
+            simplex = np.array([p[:n_dim] for p in draws])
+            # level sets padded with the simplex's first point, which lies on
+            # its hyperplane up to rounding, far inside eps
+            level = simplex[:, :1].repeat(max(map(len, draws)) - n_dim, axis=1)
+            for k, p in enumerate(draws):
+                level[k, :len(p) - n_dim] = p[n_dim:]
+            eps = 1e-12 * np.maximum(1.0, [np.abs(p).max() for p in draws])
+            # an affinely dependent simplex is no facet: its event is False
+            hits[lo:lo + len(draws)] = facet_events(simplex, level, eps)[0]
         return hits
 
     lhs = from_weights(run_chunks(config, _TAG_CAMPBELL_LHS, lhs_kernel), config,
@@ -343,27 +364,30 @@ def discordant_prob(r: SimplexTimes, s: SimplexTimes, alpha: float, kappa: float
     if r.n != s.n:
         raise ValueError("r and s must have the same length")
     n = r.n
+    if n < 2:
+        raise ValueError("need tuples of at least 2 times (facets in dimension >= 2)")
     base = np.linspace(0.0, 1.0, config.grid_points_per_unit_time + 1)
     times = np.unique(np.concatenate([base, r.r, s.r]))
     dts = time_steps(times)
     idx_r = np.searchsorted(times, r.r)
     idx_s = np.searchsorted(times, s.r)
     gamma = gamma_ak(alpha, kappa)
+    block = max(1, _PATH_BLOCK // (dts.size * n))
 
     def kernel(rng, sz):
-        hits = np.zeros(sz)
-        for i in range(sz):
-            pts = brownian(rng, 1, dts, n)[0, 1:]
-            pr, ps = pts[idx_r], pts[idx_s]
-            try:
-                n_r = oriented_normal(pr, pr[0])
-                n_s = oriented_normal(ps, ps[0])
-            except ValueError:
-                continue
-            hits[i] = (check_events_H(pts, n_r, n_s, pr[0], ps[0], alpha)
-                       and check_discordant(n_r, float(n_r @ pr[0]), pr,
-                                            n_s, float(n_s @ ps[0]), ps,
-                                            gamma, kappa / 16.0))
+        hits = np.zeros(sz, dtype=bool)
+        for lo in range(0, sz, block):
+            # brownian draws replica by replica, so blocks keep the stream
+            pts = brownian(rng, min(block, sz - lo), dts, n)[:, 1:]
+            pr, ps = pts[:, idx_r], pts[:, idx_s]
+            n_r, rank_r = oriented_normals(pr, pr[:, 0])
+            n_s, rank_s = oriented_normals(ps, ps[:, 0])
+            # replicas with an affinely dependent tuple score 0
+            hits[lo:lo + len(pts)] = (
+                (rank_r == n - 1) & (rank_s == n - 1)
+                & half_space_events(pts, n_r, n_s, pr[:, 0], ps[:, 0], alpha)
+                & discordant_pairs(n_r, row_dot(n_r, pr[:, 0]), pr,
+                                   n_s, row_dot(n_s, ps[:, 0]), ps, gamma, kappa / 16.0))
         return hits
 
     hits = run_chunks(config, _TAG_DISCORDANT, kernel)

@@ -19,11 +19,14 @@ from .integrals import (integral_Za_bound, integral_Za_quadrature,
                         measure_Za_complement, log_final_assembly)
 from .paths import brownian, time_steps
 from .wedges import (AmbientWedge, LemmaViolationError, Wedge2D, angle,
-                     find_discordant, lemma3_constant, special_index)
+                     find_discordant, lemma3_constant, special_indices)
 
 _TAG_SINGLE = 90
 _TAG_LEMMA3 = 91
 _TAG_LEMMA4 = 92
+
+# instances whose special index is searched at once
+_SPECIAL_ROWS = 256
 
 SPITZER_CASES = ((math.pi / 2.0, 1.0), (math.pi / 4.0, 2.0), (3.0 * math.pi / 8.0, 4.0 / 3.0))
 
@@ -168,17 +171,20 @@ def suite_lemma4(config: EstimatorConfig, instances: int = 10_000,
     rng = stream(config.master_seed, _TAG_LEMMA4, 0)
     none_count = mismatch = invalid = 0
     scale = alpha ** (1.0 / (10.0 * n))
-    for _ in range(instances):
-        t, pb, w0 = random_special_instance(rng, n)
-        j = special_index(t, pb, w0, alpha, M, n)
-        if j != brute_force_special(t, pb, w0, alpha, n):
-            mismatch += 1
-        if j is None:
-            none_count += 1
-            continue
-        dmin = min(math.dist(pb[j], w0), math.dist(pb[j + 1], w0))
-        if t[j + 1] - t[j] < scale * max(dmin ** 2, 1.0 / alpha):
-            invalid += 1
+    for lo in range(0, instances, _SPECIAL_ROWS):
+        batch = [random_special_instance(rng, n)
+                 for _ in range(min(_SPECIAL_ROWS, instances - lo))]
+        found = special_indices(*map(np.array, zip(*batch)), alpha, M, n)
+        for (t, pb, w0), j in zip(batch, found.tolist()):
+            j = None if j < 0 else j
+            if j != brute_force_special(t, pb, w0, alpha, n):
+                mismatch += 1
+            if j is None:
+                none_count += 1
+                continue
+            dmin = min(math.dist(pb[j], w0), math.dist(pb[j + 1], w0))
+            if t[j + 1] - t[j] < scale * max(dmin ** 2, 1.0 / alpha):
+                invalid += 1
     return [_check("special_index", mismatch == 0 and invalid == 0 and none_count == 0,
                    instances=instances, mismatches=mismatch,
                    invalid=invalid, none_returned=none_count)]

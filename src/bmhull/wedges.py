@@ -2,6 +2,10 @@
 discordance predicate and its radius gamma(alpha, kappa), the constructive
 discordant-pair search on a polytope confined to a wedge, and the
 special-interval finder.
+
+The per-replica predicates each have one stacked kernel over a leading row
+axis (half_space_events, discordant_pairs, special_indices); the scalar
+check_events_H, check_discordant and special_index wrap one row of it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hulls import DegeneracyError, Polytope
+from .hulls import DegeneracyError, Polytope, row_dot
 from .integrals import enlargement, phi
 
 
@@ -25,11 +29,14 @@ class LemmaViolationError(RuntimeError):
 
 
 class HypothesisError(ValueError):
-    """A stated precondition failed; carries which hypothesis broke."""
+    """A stated precondition failed; carries which hypothesis broke and, from
+    a stacked kernel, the row it broke in."""
 
-    def __init__(self, failures):
-        super().__init__("; ".join(failures))
+    def __init__(self, failures, row=None):
+        prefix = "" if row is None else f"row {row}: "
+        super().__init__(prefix + "; ".join(failures))
         self.failures = list(failures)
+        self.row = row
 
 
 def _wrap_angle(x):
@@ -127,8 +134,9 @@ def angle(n_r, n_s, tol: float = 1e-9) -> float:
     return float(np.arccos(np.clip(n_r @ n_s, -1.0, 1.0)))
 
 
-def _no_ridge(theta: float) -> bool:
-    return theta <= _PARALLEL_TOL or theta >= math.pi - _PARALLEL_TOL
+def _no_ridge(theta):
+    """Normal angle(s) within _PARALLEL_TOL of 0 or pi: no ridge."""
+    return (theta <= _PARALLEL_TOL) | (theta >= math.pi - _PARALLEL_TOL)
 
 
 def pair_geometry(n_r, off_r, n_s, off_s) -> WedgePair:
@@ -146,29 +154,47 @@ def pair_geometry(n_r, off_r, n_s, off_s) -> WedgePair:
                      projected_tip=plane_basis @ ridge_point)
 
 
-def ridge_distance(verts_r, verts_s, pair: WedgePair) -> float:
-    """max over the vertices of both facets of the distance to the ridge L."""
-    v = np.vstack([np.atleast_2d(verts_r), np.atleast_2d(verts_s)])
-    rel = v - pair.ridge_point
-    in_plane = rel @ pair.plane_basis.T  # component orthogonal to L
-    return float(np.sqrt((in_plane ** 2).sum(axis=1)).max())
+def discordant_pairs(n_r, off_r, verts_r, n_s, off_s, verts_s,
+                     gamma: float, theta_min: float) -> np.ndarray:
+    """Stacked check_discordant over a leading row axis: normals (rows, d),
+    offsets (rows,), facet vertices (rows, k, d); returns (rows,) booleans.
+
+    A vertex v lies at a = v.n_r - off_r and b = v.n_s - off_s from the two
+    hyperplanes; in the orthonormal basis n_r, (n_s - c n_r)/|n_s - c n_r|
+    of their normal plane, c = n_r.n_s, its distance to the ridge is
+    sqrt(a^2 + ((b - c a)/|n_s - c n_r|)^2).
+    """
+    n_r = np.asarray(n_r, dtype=float)
+    n_s = np.asarray(n_s, dtype=float)
+    for n in (n_r, n_s):
+        if np.any(np.abs(np.sqrt(row_dot(n, n)) - 1.0) > 1e-9):
+            raise ValueError("inputs must be unit vectors")
+    c = row_dot(n_r, n_s)
+    theta = np.arccos(np.clip(c, -1.0, 1.0))
+    v = np.concatenate([np.asarray(verts_r, dtype=float),
+                        np.asarray(verts_s, dtype=float)], axis=1)
+    a = np.matmul(v, n_r[:, :, None])[..., 0] - np.asarray(off_r, dtype=float)[:, None]
+    b = np.matmul(v, n_s[:, :, None])[..., 0] - np.asarray(off_s, dtype=float)[:, None]
+    e = n_s - c[:, None] * n_r
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows without a ridge
+        across = (b - c[:, None] * a) / np.sqrt(row_dot(e, e))[:, None]
+        near = np.sqrt((a * a + across * across).max(axis=1)) <= gamma
+    return (theta >= theta_min) & (_no_ridge(theta) | near)
 
 
 def check_discordant(n_r, off_r, verts_r, n_s, off_s, verts_s,
                      gamma: float, theta_min: float) -> bool:
     """Discordance: normal angle >= theta_min and both facets within gamma of
-    the common ridge (inclusive comparisons).
+    the common ridge (inclusive comparisons); one row of discordant_pairs.
 
     A pair past the angle threshold whose normals are (near-)parallel or
     antiparallel has no ridge and counts as discordant; that can only
     overstate a probability that is checked against an upper bound."""
-    th = angle(n_r, n_s)
-    if th < theta_min:
-        return False
-    if _no_ridge(th):
-        return True
-    pair = pair_geometry(n_r, off_r, n_s, off_s)
-    return ridge_distance(verts_r, verts_s, pair) <= gamma
+    n_r, n_s = (np.asarray(n, dtype=float)[None] for n in (n_r, n_s))
+    verts_r, verts_s = (np.atleast_2d(np.asarray(v, dtype=float))[None]
+                        for v in (verts_r, verts_s))
+    return bool(discordant_pairs(n_r, [off_r], verts_r, n_s, [off_s], verts_s,
+                                 gamma, theta_min)[0])
 
 
 def lemma3_constant(kappa: float) -> float:
@@ -271,6 +297,39 @@ def find_discordant(poly: Polytope, wedge: AmbientWedge, kappa: float,
         f"tip distance <= {m_bound:.4g}")
 
 
+def special_indices(t, pb, w0, alpha: float, M: float, n: int) -> np.ndarray:
+    """Stacked special_index over a leading row axis: times (rows, 2n+2),
+    points (rows, 2n+2, dim) and tips (rows, dim).  Returns (rows,) indices,
+    -1 where no index qualifies; the first row whose hypotheses fail raises
+    HypothesisError naming that row."""
+    t = np.asarray(t, dtype=float)
+    pb = np.asarray(pb, dtype=float)
+    w0 = np.asarray(w0, dtype=float)
+    if t.shape[1] != 2 * n + 2 or pb.shape[1] != 2 * n + 2:
+        raise ValueError("expected 2n+2 times and points")
+    if np.any(t[:, 0] != 0.0) or np.any(t[:, -1] != 1.0):
+        raise ValueError("need t_0 = 0 and t_{2n+1} = 1")
+    ph = phi(alpha)
+    slack = alpha ** (-2 * n - 1)
+    gaps = np.diff(t, axis=1)
+    steps = np.linalg.norm(np.diff(pb, axis=1), axis=2)
+    bad = steps > ph * np.sqrt(gaps) + slack
+    dists = np.linalg.norm(pb - w0[:, None], axis=2)
+    far = ~np.any(dists < M * ph ** 2 / math.sqrt(alpha), axis=1)
+    broken = np.flatnonzero(bad.any(axis=1) | far)
+    if broken.size:
+        k = int(broken[0])
+        failures = []
+        if bad[k].any():
+            failures.append(f"increment bound violated at i={np.flatnonzero(bad[k]).tolist()}")
+        if far[k]:
+            failures.append("no point within M*phi^2/sqrt(alpha) of the tip")
+        raise HypothesisError(failures, row=k)
+    near = np.minimum(dists[:, :-1], dists[:, 1:])
+    ok = gaps >= alpha ** (1.0 / (10.0 * n)) * np.maximum(near * near, 1.0 / alpha)
+    return np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
+
+
 def special_index(t, pb, w0, alpha: float, M: float, n: int):
     """Smallest index j in [0, 2n] whose gap satisfies
 
@@ -278,42 +337,35 @@ def special_index(t, pb, w0, alpha: float, M: float, n: int):
 
     or None when no index qualifies (possible below the lemma's constant).
     Hypotheses (increment growth bound; some b_{j0} near the tip) are checked
-    and reported via HypothesisError.
+    and reported via HypothesisError.  One row of special_indices.
     """
     t = np.asarray(t, dtype=float)
     pb = np.atleast_2d(np.asarray(pb, dtype=float))
-    w0 = np.asarray(w0, dtype=float)
-    if t.size != 2 * n + 2 or pb.shape[0] != 2 * n + 2:
-        raise ValueError("expected 2n+2 times and points")
-    if t[0] != 0.0 or t[-1] != 1.0:
-        raise ValueError("need t_0 = 0 and t_{2n+1} = 1")
-    failures = []
-    ph = phi(alpha)
-    slack = alpha ** (-2 * n - 1)
-    gaps = np.diff(t)
-    steps = np.linalg.norm(np.diff(pb, axis=0), axis=1)
-    bad = np.nonzero(steps > ph * np.sqrt(gaps) + slack)[0]
-    if bad.size:
-        failures.append(f"increment bound violated at i={bad.tolist()}")
-    dists = np.linalg.norm(pb - w0, axis=1)
-    if not np.any(dists < M * ph ** 2 / math.sqrt(alpha)):
-        failures.append("no point within M*phi^2/sqrt(alpha) of the tip")
-    if failures:
-        raise HypothesisError(failures)
-    scale = alpha ** (1.0 / (10.0 * n))
-    for j in range(2 * n + 1):
-        need = scale * max(min(dists[j], dists[j + 1]) ** 2, 1.0 / alpha)
-        if gaps[j] >= need:
-            return j
-    return None
+    try:
+        j = int(special_indices(t[None], pb[None], np.asarray(w0, dtype=float)[None],
+                                alpha, M, n)[0])
+    except HypothesisError as exc:
+        raise HypothesisError(exc.failures) from None
+    return None if j < 0 else j
+
+
+def half_space_events(points, n_r, n_s, r1_points, s1_points, alpha: float) -> np.ndarray:
+    """Stacked check_events_H over a leading row axis: path segments
+    (rows, m, d), normals and anchors (rows, d); returns (rows,) booleans."""
+    p = np.asarray(points, dtype=float)
+    slack = enlargement(alpha)
+    ok = np.ones(len(p), dtype=bool)
+    for n, anchor in ((n_r, r1_points), (n_s, s1_points)):
+        n = np.asarray(n, dtype=float)
+        thr = row_dot(anchor, n)
+        ok &= np.all(np.matmul(p, n[:, :, None])[..., 0] <= (thr + slack)[:, None], axis=1)
+    return ok
 
 
 def check_events_H(segment_points, n_r, n_s, r1_point, s1_point, alpha: float) -> bool:
     """Half-space pair event on a path segment: every point satisfies
-    <B(t), n> <= <B(anchor), n> + phi(alpha)^2/sqrt(alpha) for both normals."""
+    <B(t), n> <= <B(anchor), n> + phi(alpha)^2/sqrt(alpha) for both normals;
+    one row of half_space_events."""
     p = np.atleast_2d(np.asarray(segment_points, dtype=float))
-    slack = enlargement(alpha)
-    thr_r = float(np.asarray(r1_point, dtype=float) @ np.asarray(n_r, dtype=float))
-    thr_s = float(np.asarray(s1_point, dtype=float) @ np.asarray(n_s, dtype=float))
-    return bool(np.all(p @ np.asarray(n_r, dtype=float) <= thr_r + slack)
-                and np.all(p @ np.asarray(n_s, dtype=float) <= thr_s + slack))
+    rows = [np.asarray(x, dtype=float)[None] for x in (n_r, n_s, r1_point, s1_point)]
+    return bool(half_space_events(p[None], *rows, alpha)[0])

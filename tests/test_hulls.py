@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from bmhull.estimate import stream
 from bmhull.hulls import (DegeneracyError, SimplexTimes, build_hull, count_q,
                           count_w, default_eps, euler_characteristic_3d,
-                          event_E, merged_times, oriented_normal)
+                          event_E, facet_events, merged_times, oriented_normal,
+                          oriented_normals)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
 
@@ -80,6 +82,41 @@ def test_oriented_normal_hand_cases():
                         np.zeros(3))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_oriented_normals_rows(d):
+    rng = stream(24, 404 + d, 0)
+    rows = 300
+    pts = rng.standard_normal((rows, d, d))
+    ref = 3.0 * rng.standard_normal((rows, d))
+    # rows 0-19: references orthogonal to the normal, the tie rule decides
+    # the sign; rows 10-19 repeat rows 0-9 with the reference negated
+    pts[10:20] = pts[:10]
+    ref[:10] = pts[:10, 1] - pts[:10, 0]
+    ref[10:20] = -ref[:10]
+    # degenerate rows: a repeated point, and d points on one line
+    pts[20, 1] = pts[20, 0]
+    pts[21] = pts[21, :1] + np.outer(np.arange(d), rng.standard_normal(d))
+    n, rank = oriented_normals(pts, ref)
+    assert n.shape == (rows, d) and rank.shape == (rows,)
+    assert rank[20] == d - 2 and rank[21] == 1
+    ok = np.ones(rows, dtype=bool)
+    ok[20:22] = False
+    assert np.all(rank[ok] == d - 1)
+    assert np.allclose(np.linalg.norm(n[ok], axis=1), 1.0, rtol=0.0, atol=1e-12)
+    edges = pts[:, 1:] - pts[:, :1]
+    scale = np.abs(edges).max(axis=(1, 2))
+    assert np.all(np.abs(np.einsum("rkd,rd->rk", edges, n)).max(axis=1)[ok]
+                  <= 1e-12 * scale[ok])
+    side = np.einsum("rd,rd->r", n, ref)
+    assert np.all(side[22:] > 0.0)
+    assert np.all(np.abs(side[:20]) <= 1e-12 * np.linalg.norm(ref[:20], axis=1))
+    for k in range(20):
+        assert n[k][np.abs(n[k]) > 1e-15][0] > 0.0
+    assert np.array_equal(n[:10], n[10:20])
+    with pytest.raises(ValueError):
+        oriented_normals(pts[:, 1:], ref)
+
+
 def test_event_E_square():
     corners = SQUARE[:4]
     assert event_E(corners[[0, 1]], corners)          # bottom edge is a facet
@@ -104,6 +141,29 @@ def test_event_E_matches_hull_facets():
                     assert min(abs(side.min()), abs(side.max())) < 1e-8
                 else:
                     assert expected == got
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_facet_events_rows_against_hull_facets(d):
+    """Every d-subset of a point set, stacked with the whole set as its level
+    points, is an event exactly when qhull lists it as a facet."""
+    rng = stream(25, 406 + d, 0)
+    pts = rng.standard_normal((9, d))
+    poly = build_hull(pts)
+    facets = {frozenset(simplex) for simplex in poly.simplices.tolist()}
+    subsets = list(combinations(range(len(pts)), d))
+    simplex = pts[np.array(subsets)]
+    level = np.broadcast_to(pts, (len(subsets),) + pts.shape)
+    events, rank = facet_events(simplex, level, default_eps(pts))
+    assert np.all(rank == d - 1)
+    assert [frozenset(c) for c, e in zip(subsets, events) if e] == \
+        [frozenset(c) for c in subsets if frozenset(c) in facets]
+    # a degenerate simplex is no event, even where its points are all the
+    # level points and so lie on any hyperplane through them
+    flat = simplex[:1].copy()
+    flat[0, 1] = flat[0, 0]
+    events, rank = facet_events(flat, flat, [1e-9])
+    assert not events[0] and rank[0] < d - 1
 
 
 def test_count_q_square_times():

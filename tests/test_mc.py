@@ -234,6 +234,25 @@ def test_discordant_prob_reports_bound():
     with pytest.raises(ValueError):
         mc.discordant_prob(r, SimplexTimes(np.array([0.5])), 100.0, 1.0,
                            cfg(replicas=200))
+    # a single time has no facet hyperplane
+    with pytest.raises(ValueError):
+        mc.discordant_prob(SimplexTimes(np.array([0.3])), SimplexTimes(np.array([0.6])),
+                           100.0, 1.0, cfg(replicas=200))
+
+
+def test_discordant_prob_memory_bounded_in_replicas():
+    """Paths are drawn and decided in blocks: at 4096 replicas x 4096 steps
+    the chunk's whole paths would take 268 MB, and the traced peak stays
+    below 16 MB."""
+    r = SimplexTimes(np.array([0.2, 0.4]))
+    s = SimplexTimes(np.array([0.6, 0.8]))
+    tracemalloc.start()
+    try:
+        mc.discordant_prob(r, s, 1e3, math.pi / 2, cfg(replicas=4096, grid=4096))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_estimators_deterministic():

@@ -9,8 +9,9 @@ from bmhull.integrals import enlargement
 from bmhull.verify import brute_force_special, random_special_instance, random_wedge_polytope
 from bmhull.wedges import (AmbientWedge, HypothesisError, LemmaViolationError,
                            Wedge2D, angle, check_discordant, check_events_H,
-                           find_discordant, lemma3_constant, pair_geometry,
-                           projected_tip_distance, ridge_distance, special_index)
+                           discordant_pairs, find_discordant, half_space_events,
+                           lemma3_constant, pair_geometry, projected_tip_distance,
+                           special_index, special_indices)
 
 
 def test_wedge2d_membership():
@@ -80,23 +81,79 @@ def test_pair_geometry_parallel_raises():
         pair_geometry([1.0, 0.0], 0.0, [-1.0, 0.0], 1.0)
 
 
-def test_ridge_distance_hand_and_invariance():
-    pair = pair_geometry([1.0, 0.0], 1.0, [0.0, 1.0], 1.0)
+def _within(gamma, verts_r, verts_s, n_r, off_r, n_s, off_s):
+    """check_discordant at theta_min 0: both facets within gamma of the ridge."""
+    return check_discordant(n_r, off_r, verts_r, n_s, off_s, verts_s, gamma, 0.0)
+
+
+def test_check_discordant_hand_ridge_distances():
+    """Vertices at a known distance from the ridge decide at gamma just above
+    and just below that distance."""
+    up, down = 1.0 + 1e-9, 1.0 - 1e-9
     # (1,0) is at distance 1 from the ridge point (1,1) in the normal plane
-    assert ridge_distance([[1.0, 0.0]], [[1.0, 1.0]], pair) == pytest.approx(1.0)
+    planar = ([[1.0, 0.0]], [[1.0, 1.0]], [1.0, 0.0], 1.0, [0.0, 1.0], 1.0)
+    assert _within(up, *planar) and not _within(down, *planar)
     # 3D: distance ignores the ridge direction component
-    pair3 = pair_geometry([1.0, 0.0, 0.0], 1.0, [0.0, 1.0, 0.0], 1.0)
-    d = ridge_distance([[1.0, 0.0, 57.0]], [[1.0, 1.0, -3.0]], pair3)
-    assert d == pytest.approx(1.0)
-    # rotation invariance of theta and ridge distance
+    spatial = ([[1.0, 0.0, 57.0]], [[1.0, 1.0, -3.0]], [1.0, 0.0, 0.0], 1.0,
+               [0.0, 1.0, 0.0], 1.0)
+    assert _within(up, *spatial) and not _within(down, *spatial)
+    # rotation invariance of the distance
     rng = stream(31, 501, 0)
     th = rng.random() * 2 * math.pi
     rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    n_r, n_s = rot @ [1.0, 0.0], rot @ [0.0, 1.0]
-    pr = pair_geometry(n_r, 1.0, n_s, 1.0)
-    assert pr.theta == pytest.approx(pair.theta)
     v = rot @ [1.0, 0.0]
-    assert ridge_distance([v], [v], pr) == pytest.approx(1.0)
+    rotated = ([v], [v], rot @ [1.0, 0.0], 1.0, rot @ [0.0, 1.0], 1.0)
+    assert _within(up, *rotated) and not _within(down, *rotated)
+    # a non-orthogonal pair: normals 60 degrees apart, ridge at (1, 1/sqrt 3)
+    n_s = [0.5, math.sqrt(3) / 2]
+    far = [[1.0, 1.0 / math.sqrt(3) - 2.0]]
+    oblique = (far, far, [1.0, 0.0], 1.0, n_s, 1.0)
+    assert _within(2.0 + 1e-9, *oblique) and not _within(2.0 - 1e-9, *oblique)
+
+
+def _ridge_distance_oracle(n_r, off_r, verts_r, n_s, off_s, verts_s):
+    """Largest distance of the vertices to the ridge, from pair_geometry's
+    ridge point and normal-plane basis."""
+    pair = pair_geometry(n_r, off_r, n_s, off_s)
+    rel = np.vstack([verts_r, verts_s]) - pair.ridge_point
+    return float(np.linalg.norm(rel @ pair.plane_basis.T, axis=1).max())
+
+
+def _unit(x):
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_discordant_pairs_against_pair_geometry(d):
+    rng = stream(35, 505 + d, 0)
+    rows = 400
+    n_r = _unit(rng.standard_normal((rows, d)))
+    n_s = _unit(rng.standard_normal((rows, d)))
+    # parallel and antiparallel rows have no ridge
+    n_r[:2] = n_s[0] = np.eye(d)[0]
+    n_s[1] = -n_r[1]
+    off_r, off_s = rng.standard_normal(rows), rng.standard_normal(rows)
+    verts_r = rng.standard_normal((rows, d, d))
+    verts_s = rng.standard_normal((rows, d, d))
+    gamma, theta_min = 2.5, 0.3
+    got = discordant_pairs(n_r, off_r, verts_r, n_s, off_s, verts_s, gamma, theta_min)
+    assert got.shape == (rows,)
+    for k in range(rows):
+        theta = math.acos(max(-1.0, min(1.0, float(n_r[k] @ n_s[k]))))
+        if theta < theta_min:
+            want = False
+        elif theta <= 1e-9 or theta >= math.pi - 1e-9:
+            want = True
+        else:
+            dist = _ridge_distance_oracle(n_r[k], off_r[k], verts_r[k],
+                                          n_s[k], off_s[k], verts_s[k])
+            assert abs(dist - gamma) > 1e-9  # no row sits on the threshold
+            want = dist <= gamma
+        assert got[k] == want, k
+    assert not got[0] and got[1]
+    assert 0 < np.count_nonzero(got[2:]) < rows - 2
+    with pytest.raises(ValueError):
+        discordant_pairs(2 * n_r, off_r, verts_r, n_s, off_s, verts_s, gamma, theta_min)
 
 
 def test_check_discordant():
@@ -222,6 +279,32 @@ def test_special_index_none_case():
     assert brute_force_special(t, pb, w0, alpha, n) is None
 
 
+def test_special_indices_rows_against_brute_force():
+    rng = stream(36, 508, 0)
+    alpha, n = 1e6, 2
+    insts = [random_special_instance(rng, n) for _ in range(300)]
+    # a last row whose points are all far from its tip: no index qualifies
+    ang = np.linspace(0, 2 * math.pi, 6, endpoint=False)
+    insts.append((np.array([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]),
+                  np.column_stack([np.cos(ang), np.sin(ang)]), np.zeros(2)))
+    t, pb, w0 = (np.array(x) for x in zip(*insts))
+    got = special_indices(t, pb, w0, alpha, 1e6, n)
+    assert got.shape == (301,)
+    for k, (tk, pbk, w0k) in enumerate(insts):
+        want = brute_force_special(tk, pbk, w0k, alpha, n)
+        assert got[k] == (-1 if want is None else want), k
+    assert got[-1] == -1 and np.all(got[:-1] >= 0)
+    # the first failing row is named, with the hypotheses it broke
+    pb[7, 3] = [500.0, 0.0]
+    w0[7] = w0[9] = [1e6, 1e6]
+    with pytest.raises(HypothesisError) as exc:
+        special_indices(t, pb, w0, alpha, 1.0, n)
+    assert exc.value.row == 7
+    assert str(exc.value).startswith("row 7: ")
+    assert exc.value.failures == ["increment bound violated at i=[2, 3]",
+                                  "no point within M*phi^2/sqrt(alpha) of the tip"]
+
+
 def test_special_index_brute_force_agreement():
     rng = stream(33, 503, 0)
     for _ in range(300):
@@ -243,3 +326,22 @@ def test_check_events_H_identity():
         direct = (np.all(seg[:, 0] <= r1[0] + slack)
                   and np.all(seg[:, 1] <= s1[1] + slack))
         assert check_events_H(seg, n_r, n_s, r1, s1, alpha) == direct
+
+
+def test_half_space_events_rows():
+    """Each row of the stacked H event against its own half-space test,
+    with normals and anchors that differ by row."""
+    rng = stream(37, 509, 0)
+    alpha = math.e ** 4
+    slack = enlargement(alpha)
+    rows, d = 200, 3
+    seg = rng.standard_normal((rows, 30, d))
+    n_r = _unit(rng.standard_normal((rows, d)))
+    n_s = _unit(rng.standard_normal((rows, d)))
+    r1, s1 = 2.0 * rng.standard_normal((2, rows, d))
+    got = half_space_events(seg, n_r, n_s, r1, s1, alpha)
+    want = [all(float(p @ n_r[k]) <= float(r1[k] @ n_r[k]) + slack
+                and float(p @ n_s[k]) <= float(s1[k] @ n_s[k]) + slack for p in seg[k])
+            for k in range(rows)]
+    assert got.tolist() == want
+    assert 0 < sum(want) < rows
