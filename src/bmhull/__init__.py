@@ -12,19 +12,15 @@ from .estimate import (CHUNK, STREAM_LAYOUT, Estimate, EstimatorConfig, chunk_si
 from .integrals import (ZaRegion, enlargement, final_assembly, integral_Za_bound,
                         integral_Za_quadrature, log_final_assembly,
                         measure_Za_complement, phi, rhs_bound)
-from .paths import (BridgeSpec, PathSample, TimeGrid, bridge, brownian, check_Y, modulus,
-                    modulus_ok, sample_bridge, sample_brownian, step, time_steps)
-from .rain import (Rain, RainLevel, check_N, check_R, covered, generate_rain, level,
-                   level_from_count, level_times)
+from .paths import (PathSample, TimeGrid, bridge, brownian, modulus_ok, sample_brownian,
+                    step, time_steps)
+from .rain import Rain, RainLevel, check_N, covered, generate_rain, level, level_times
 from .hulls import (DegeneracyError, Polytope, SimplexTimes, build_hull, count_q,
-                    count_w, euler_characteristic_3d, event_E, facet_events,
-                    merged_times, oriented_normal, oriented_normals)
+                    euler_characteristic_3d, facet_events, merged_times, oriented_normals)
 from .wedges import (AmbientWedge, DiscordantWitness, HypothesisError,
-                     LemmaViolationError, Wedge2D, WedgePair, angle,
-                     check_discordant, check_events_H, discordant_pairs,
+                     LemmaViolationError, Wedge2D, WedgePair, angle, discordant_pairs,
                      find_discordant, gamma_ak, half_space_events, lemma3_constant,
-                     pair_geometry, projected_tip_distance, special_index,
-                     special_indices)
+                     pair_geometry, projected_tip_distance, special_indices)
 from .mc import (bridge_stay_prob, campbell_check, conditional_H_prob,
                  discordant_prob, fit_exit_exponent, lemma6_bound, prob_R_complement,
                  prop6_rhs, stay_prob_wedge)

@@ -7,15 +7,13 @@ bookkeeping.  A Polytope is qhull's arrays: row k of `simplices`, `normals`
 and `offsets` is facet k, so every reader works on all facets at once.
 Brute-force half-space containment stays available as a test oracle.  The
 per-replica facet geometry runs stacked over a leading row axis
-(oriented_normals, facet_events); oriented_normal and event_E wrap one row.
+(oriented_normals, facet_events), one row per replica.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.spatial import ConvexHull
@@ -67,20 +65,19 @@ def default_eps(points: np.ndarray) -> float:
     return 1e-9 * max(float(np.linalg.norm(span)), 1.0e-300)
 
 
-def build_hull(points, eps_geom: float | None = None) -> Polytope:
-    """Convex hull with outward unit facet normals; raises DegeneracyError when
-    the input is not full-dimensional."""
+def build_hull(points) -> Polytope:
+    """Convex hull with outward unit facet normals and containment tolerance
+    default_eps(points); raises DegeneracyError when the input is not
+    full-dimensional."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array")
     d = pts.shape[1]
     if d not in (2, 3, 4):
         raise ValueError("supported dimensions are 2, 3, 4")
-    if pts.shape[0] < d + 1:
-        raise DegeneracyError(f"need at least {d+1} points in dimension {d}",
-                              rank=_affine_rank(pts, 1e-12))
-    eps = default_eps(pts) if eps_geom is None else eps_geom
     rank = _affine_rank(pts, 1e-12)
+    if pts.shape[0] < d + 1:
+        raise DegeneracyError(f"need at least {d+1} points in dimension {d}", rank=rank)
     if rank < d:
         raise DegeneracyError(f"input has affine rank {rank} < {d}", rank=rank)
     try:
@@ -90,8 +87,8 @@ def build_hull(points, eps_geom: float | None = None) -> Polytope:
     n = hull.equations[:, :-1]
     nn = np.sqrt(row_dot(n, n))
     return Polytope(vertices=pts, simplices=hull.simplices, normals=n / nn[:, None],
-                    offsets=-hull.equations[:, -1] / nn, dim=d, eps_geom=eps,
-                    hull_vertex_indices=hull.vertices)
+                    offsets=-hull.equations[:, -1] / nn, dim=d,
+                    eps_geom=default_eps(pts), hull_vertex_indices=hull.vertices)
 
 
 def euler_characteristic_3d(poly: Polytope) -> int:
@@ -114,11 +111,11 @@ def row_dot(x, y) -> np.ndarray:
 
 
 def oriented_normals(points, reference):
-    """Stacked oriented_normal over a leading row axis: row k of the (rows, d)
-    result is the unit normal to the affine span of the d points
-    points[k], (rows, d, d), oriented so that its scalar product with
-    reference[k] is >= 0; sign ties are broken by making the first nonzero
-    coordinate positive.
+    """Oriented facet normals, one per row: row k of the (rows, d) result is
+    the unit normal to the affine span of the d points points[k],
+    (rows, d, d), oriented so that its scalar product with reference[k] is
+    >= 0; sign ties are broken by making the first nonzero coordinate
+    positive.
 
     Also returns the (rows,) affine rank of each row's points: a row of rank
     below d - 1 is degenerate, and its normal is meaningless.  The SVDs run
@@ -143,25 +140,11 @@ def oriented_normals(points, reference):
     return n, rank
 
 
-def _require_simplex(rank, d: int) -> None:
-    if rank < d - 1:
-        raise DegeneracyError("facet points are affinely dependent", rank=int(rank))
-
-
-def oriented_normal(points_of_facet, reference) -> np.ndarray:
-    """Unit normal to the affine span of d points, oriented so that the scalar
-    product with the reference point is >= 0 (see oriented_normals); raises
-    DegeneracyError when the points are affinely dependent."""
-    pts = np.asarray(points_of_facet, dtype=float)
-    n, rank = oriented_normals(pts[None], np.asarray(reference, dtype=float)[None])
-    _require_simplex(rank[0], pts.shape[1])
-    return n[0]
-
-
 def facet_events(r_points, level_points, eps) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked event_E over a leading row axis: row k holds when every level
-    point level_points[k], (rows, m, d), lies within eps[k] on one side of
-    the affine span of the simplex r_points[k], (rows, d, d).
+    """Facet events, one per row: row k holds when the simplex r_points[k],
+    (rows, d, d), on the path points B(r) is a facet of the hull of itself
+    and the level points level_points[k], (rows, m, d), i.e. when every
+    level point lies within eps[k] of one closed side of its affine span.
 
     Also returns each simplex's affine rank (see oriented_normals); the event
     of a degenerate row is False.  Ragged level sets can be padded with a
@@ -174,17 +157,6 @@ def facet_events(r_points, level_points, eps) -> tuple[np.ndarray, np.ndarray]:
     eps = np.asarray(eps, dtype=float).reshape(-1, 1)
     events = np.all(side <= eps, axis=1) | np.all(side >= -eps, axis=1)
     return events & (rank >= r_pts.shape[-1] - 1), rank
-
-
-def event_E(r_points, level_points, eps_geom: float | None = None) -> bool:
-    """Facet event: the simplex on B(r) is a facet of Conv(B(r) u K_alpha),
-    i.e. every level point lies weakly on one side of its affine span."""
-    r_pts = np.asarray(r_points, dtype=float)
-    lv = np.asarray(level_points, dtype=float)
-    eps = default_eps(np.vstack([r_pts, lv])) if eps_geom is None else eps_geom
-    events, rank = facet_events(r_pts[None], lv[None], [eps])
-    _require_simplex(rank[0], r_pts.shape[1])
-    return bool(events[0])
 
 
 @dataclass(frozen=True)
@@ -211,23 +183,12 @@ def merged_times(r: SimplexTimes, s: SimplexTimes) -> np.ndarray:
     return np.sort(np.concatenate([r.r, s.r]))
 
 
-def count_q(level_times, level_points, region=None, eps_geom=None) -> int:
+def count_q(level_times, level_points, region=None) -> int:
     """Number of increasing n-tuples of level times whose simplex is a facet of
     the hull of the level points; region maps the (facets, n) array of sorted
     time tuples to a boolean row mask."""
-    poly = build_hull(np.asarray(level_points, dtype=float), eps_geom)
+    poly = build_hull(np.asarray(level_points, dtype=float))
     tuples = np.sort(np.asarray(level_times, dtype=float)[poly.simplices], axis=1)
     if region is None:
         return len(tuples)
-    return int(np.count_nonzero(region(tuples)))
-
-
-def count_w(levelset_times, n: int, region=None) -> int:
-    """Number of increasing n-tuples of level times (facet candidates) in the
-    region, a boolean row mask over the (tuples, n) array as in count_q; the
-    full count is C(|Lambda|, n)."""
-    t = np.asarray(levelset_times, dtype=float)
-    if region is None:
-        return math.comb(t.size, n)
-    tuples = np.array(list(combinations(np.sort(t), n))).reshape(-1, n)
     return int(np.count_nonzero(region(tuples)))

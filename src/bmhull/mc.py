@@ -135,8 +135,7 @@ def stay_prob_wedge(wedge: Wedge2D, start, horizon: float,
                                "grid_steps": n_steps})
 
 
-def fit_exit_exponent(beta: float, config: EstimatorConfig,
-                      ratios=None) -> float:
+def fit_exit_exponent(beta: float, config: EstimatorConfig) -> float:
     """Fitted power-law exponent of the wedge stay probability in r/sqrt(t).
 
     Theory (Spitzer) gives pi/(2 beta) for half-angle beta; the fit uses
@@ -145,9 +144,7 @@ def fit_exit_exponent(beta: float, config: EstimatorConfig,
     """
     if not 0.0 < beta <= math.pi / 2.0:
         raise ValueError("beta must be in (0, pi/2]")
-    xs = np.geomspace(0.03, 0.3, 8) if ratios is None else np.asarray(ratios, dtype=float)
-    if xs.size < 4:
-        raise ValueError("need at least 4 support points for the fit")
+    xs = np.geomspace(0.03, 0.3, 8)
     wedge = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=beta)
     times = np.linspace(0.0, 1.0, max(2, config.grid_points_per_unit_time) + 1)
     # starts along the bisector, horizon 1

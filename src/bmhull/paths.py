@@ -2,12 +2,11 @@
 
 Paths are realised at sorted time grids in [0,1]; increments are exact
 Gaussians, so there is no discretisation error at the grid times themselves.
-Also houses the grid modulus of continuity M_delta and the modulus event
-check used by the regularity event R.  step is the one exact transition of
-a batch of points, Brownian or bridge, which bridge loops over and the
-wedge-stay estimators run time-major; the batched kernels brownian, bridge
-and modulus_ok are what the other estimators run; the single-path samplers
-and check_Y wrap them.
+Also houses the modulus event of the regularity event R.  step is the one
+exact transition of a batch of points, Brownian or bridge, which bridge
+loops over and the wedge-stay estimators run time-major; the batched kernels
+brownian, bridge and modulus_ok are what the other estimators run, and
+sample_brownian draws the single path of `bmhull simulate`.
 """
 
 from __future__ import annotations
@@ -40,11 +39,6 @@ class TimeGrid:
     def __len__(self):
         return self.times.size
 
-    @staticmethod
-    def uniform(points_per_unit_time: int, a: float = 0.0, b: float = 1.0) -> "TimeGrid":
-        n = max(2, int(round(points_per_unit_time * (b - a))))
-        return TimeGrid(np.linspace(a, b, n))
-
 
 @dataclass(frozen=True)
 class PathSample:
@@ -72,26 +66,6 @@ class PathSample:
         return json.dumps({"dim": self.dim,
                            "times": self.grid.times.tolist(),
                            "points": self.points.tolist()})
-
-
-@dataclass(frozen=True)
-class BridgeSpec:
-    a: np.ndarray
-    b: np.ndarray
-    s1: float
-    s2: float
-
-    def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("endpoints must be finite")
-        if a.shape != b.shape:
-            raise ValueError("endpoint dimensions differ")
-        if not self.s1 < self.s2:
-            raise ValueError("need s1 < s2")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
 
 
 # soft cap on the normals drawn in one block of brownian()
@@ -186,39 +160,6 @@ def sample_brownian(dim: int, grid: TimeGrid, rng: np.random.Generator) -> PathS
     return PathSample(grid, pts, dim)
 
 
-def sample_bridge(spec: BridgeSpec, dim: int, grid: TimeGrid,
-                  rng: np.random.Generator) -> PathSample:
-    """Brownian bridge from (s1, a) to (s2, b) on the grid (see bridge)."""
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
-    t = grid.times
-    if t[0] != spec.s1 or t[-1] != spec.s2:
-        raise ValueError("grid must start at s1 and end at s2")
-    if spec.a.size != dim:
-        raise ValueError("endpoint dimension mismatch")
-    return PathSample(grid, bridge(rng, 1, t, spec.a, spec.b)[0], dim)
-
-
-def modulus(path: PathSample, delta: float) -> float:
-    """Grid modulus of continuity: sup over grid pairs with gap <= delta of |dB|."""
-    if delta <= 0.0:
-        raise ValueError("delta must be > 0")
-    t = path.grid.times
-    p = path.points
-    n = t.size
-    best = 0.0
-    for lag in range(1, n):
-        gaps = t[lag:] - t[:-lag]
-        if gaps.min() > delta:
-            break  # min gap per lag is nondecreasing in lag
-        m = gaps <= delta
-        if not m.any():
-            continue
-        d = p[lag:][m] - p[:-lag][m]
-        best = max(best, float(np.sqrt((d * d).sum(axis=1)).max()))
-    return best
-
-
 def modulus_ok(points: np.ndarray, times: np.ndarray, alpha: float, n_dim: int) -> np.ndarray:
     """Modulus event per replica, points (replicas, m, dim) at the m sorted
     times: for every grid pair, |B(t2)-B(t1)| <= sqrt(t2-t1)*phi(alpha) + alpha^{-2n-1}.
@@ -273,18 +214,3 @@ def _sum_squares(parts):
     for x in it:
         acc += x * x
     return acc
-
-
-def check_Y(path: PathSample, alpha: float, interval=(0.0, 1.0), n_dim: int = 2) -> bool:
-    """Modulus event on [a,b] of one path (see modulus_ok); it holds vacuously
-    when [a,b] contains fewer than two grid times."""
-    if alpha <= 1.0:
-        raise ValueError("alpha must be > 1 (phi undefined below)")
-    a, b = interval
-    if not a <= b:
-        raise ValueError("invalid interval")
-    t = path.grid.times
-    sel = (t >= a) & (t <= b)
-    if np.count_nonzero(sel) < 2:
-        return True
-    return bool(modulus_ok(path.points[sel][None], t[sel], alpha, n_dim)[0])

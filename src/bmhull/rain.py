@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrals import phi
-from .paths import PathSample, check_Y
 
 
 @dataclass(frozen=True)
@@ -88,13 +87,6 @@ def level_times(rng: np.random.Generator, alpha: float, lo: float = 0.0,
     return np.sort(np.concatenate([pts, ends]))
 
 
-def level_from_count(alpha: float, rng: np.random.Generator) -> RainLevel:
-    """Direct Poisson(alpha) level set (no coupled family); cheaper for MC."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be > 0")
-    return RainLevel(alpha, np.unique(level_times(rng, alpha)))
-
-
 def covered(times: np.ndarray, a: float, b: float, radius: float) -> bool:
     """Covering event: every t in [a,b] has one of the sorted times within radius.
 
@@ -121,9 +113,3 @@ def check_N(levelset: RainLevel, alpha: float, interval=(0.0, 1.0)) -> bool:
     if not a <= b:
         raise ValueError("invalid interval")
     return covered(levelset.times, a, b, phi(alpha) / alpha)
-
-
-def check_R(levelset: RainLevel, path: PathSample, alpha: float,
-            interval=(0.0, 1.0), n_dim: int = 2) -> bool:
-    """Regularity event: covering (check_N) together with the modulus event."""
-    return check_N(levelset, alpha, interval) and check_Y(path, alpha, interval, n_dim)

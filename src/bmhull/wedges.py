@@ -3,9 +3,8 @@ discordance predicate and its radius gamma(alpha, kappa), the constructive
 discordant-pair search on a polytope confined to a wedge, and the
 special-interval finder.
 
-The per-replica predicates each have one stacked kernel over a leading row
-axis (half_space_events, discordant_pairs, special_indices); the scalar
-check_events_H, check_discordant and special_index wrap one row of it.
+Each per-replica predicate has one kernel over a leading row axis, one row
+per replica: half_space_events, discordant_pairs and special_indices.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from .hulls import DegeneracyError, Polytope, row_dot
 from .integrals import enlargement, phi
 
 
-# normal angles within this of 0 or pi: the facet hyperplanes have no ridge
+# |n_s - (n_r.n_s) n_r| at or below this: parallel hyperplanes, no ridge
 _PARALLEL_TOL = 1e-9
 
 
@@ -125,18 +124,22 @@ class DiscordantWitness:
                 "angle": self.angle, "tip_distance": self.tip_distance}
 
 
-def angle(n_r, n_s, tol: float = 1e-9) -> float:
+def angle(n_r, n_s) -> float:
     """arccos of the inner product of two unit vectors, clamped to [-1,1]."""
     n_r = np.asarray(n_r, dtype=float)
     n_s = np.asarray(n_s, dtype=float)
-    if abs(np.linalg.norm(n_r) - 1.0) > tol or abs(np.linalg.norm(n_s) - 1.0) > tol:
+    if abs(np.linalg.norm(n_r) - 1.0) > 1e-9 or abs(np.linalg.norm(n_s) - 1.0) > 1e-9:
         raise ValueError("inputs must be unit vectors")
     return float(np.arccos(np.clip(n_r @ n_s, -1.0, 1.0)))
 
 
-def _no_ridge(theta):
-    """Normal angle(s) within _PARALLEL_TOL of 0 or pi: no ridge."""
-    return (theta <= _PARALLEL_TOL) | (theta >= math.pi - _PARALLEL_TOL)
+def _no_ridge(n_r, n_s):
+    """Whether the unit normals n_r, n_s, (..., d), are parallel or
+    antiparallel: |n_s - c n_r| <= _PARALLEL_TOL with c = n_r.n_s.  For
+    n_s = -n_r the rounded c can be -0.9999999999999999, whose arccos is
+    1.5e-8 short of pi, while |n_s - c n_r| is about 1e-16."""
+    e = n_s - row_dot(n_r, n_s)[..., None] * n_r
+    return np.sqrt(row_dot(e, e)) <= _PARALLEL_TOL
 
 
 def pair_geometry(n_r, off_r, n_s, off_s) -> WedgePair:
@@ -144,7 +147,7 @@ def pair_geometry(n_r, off_r, n_s, off_s) -> WedgePair:
     n_r = np.asarray(n_r, dtype=float)
     n_s = np.asarray(n_s, dtype=float)
     theta = angle(n_r, n_s)
-    if _no_ridge(theta):
+    if _no_ridge(n_r, n_s):
         raise DegeneracyError("facet hyperplanes are (near-)parallel")
     b = np.array([off_r, off_s], dtype=float)
     ridge_point, *_ = np.linalg.lstsq(np.vstack([n_r, n_s]), b, rcond=None)
@@ -156,9 +159,15 @@ def pair_geometry(n_r, off_r, n_s, off_s) -> WedgePair:
 
 def discordant_pairs(n_r, off_r, verts_r, n_s, off_s, verts_s,
                      gamma: float, theta_min: float) -> np.ndarray:
-    """Stacked check_discordant over a leading row axis: normals (rows, d),
-    offsets (rows,), facet vertices (rows, k, d); returns (rows,) booleans.
+    """Discordance of facet pairs, one per row: normals (rows, d), offsets
+    (rows,), facet vertices (rows, k, d); returns (rows,) booleans.  A pair
+    is discordant when its normal angle is >= theta_min and every vertex of
+    both facets lies within gamma of the common ridge (inclusive
+    comparisons).
 
+    A pair past the angle threshold whose normals are parallel or
+    antiparallel (_no_ridge) has no ridge and counts as discordant; that can
+    only overstate a probability that is checked against an upper bound.
     A vertex v lies at a = v.n_r - off_r and b = v.n_s - off_s from the two
     hyperplanes; in the orthonormal basis n_r, (n_s - c n_r)/|n_s - c n_r|
     of their normal plane, c = n_r.n_s, its distance to the ridge is
@@ -179,22 +188,7 @@ def discordant_pairs(n_r, off_r, verts_r, n_s, off_s, verts_s,
     with np.errstate(divide="ignore", invalid="ignore"):  # rows without a ridge
         across = (b - c[:, None] * a) / np.sqrt(row_dot(e, e))[:, None]
         near = np.sqrt((a * a + across * across).max(axis=1)) <= gamma
-    return (theta >= theta_min) & (_no_ridge(theta) | near)
-
-
-def check_discordant(n_r, off_r, verts_r, n_s, off_s, verts_s,
-                     gamma: float, theta_min: float) -> bool:
-    """Discordance: normal angle >= theta_min and both facets within gamma of
-    the common ridge (inclusive comparisons); one row of discordant_pairs.
-
-    A pair past the angle threshold whose normals are (near-)parallel or
-    antiparallel has no ridge and counts as discordant; that can only
-    overstate a probability that is checked against an upper bound."""
-    n_r, n_s = (np.asarray(n, dtype=float)[None] for n in (n_r, n_s))
-    verts_r, verts_s = (np.atleast_2d(np.asarray(v, dtype=float))[None]
-                        for v in (verts_r, verts_s))
-    return bool(discordant_pairs(n_r, [off_r], verts_r, n_s, [off_s], verts_s,
-                                 gamma, theta_min)[0])
+    return (theta >= theta_min) & (_no_ridge(n_r, n_s) | near)
 
 
 def lemma3_constant(kappa: float) -> float:
@@ -287,7 +281,8 @@ def find_discordant(poly: Polytope, wedge: AmbientWedge, kappa: float,
             k += 1
         k += 1
         cands = sorted((tip_dist(iu[g], ju[g]), iu[g], ju[g], angles[g])
-                       for g in range(start, k) if not _no_ridge(angles[g]))
+                       for g in range(start, k)
+                       if not _no_ridge(normals[iu[g]], normals[ju[g]]))
         for td, i, j, th_ij in cands:
             if td <= m_bound:
                 return DiscordantWitness(facet_i=i, facet_j=j,
@@ -298,10 +293,17 @@ def find_discordant(poly: Polytope, wedge: AmbientWedge, kappa: float,
 
 
 def special_indices(t, pb, w0, alpha: float, M: float, n: int) -> np.ndarray:
-    """Stacked special_index over a leading row axis: times (rows, 2n+2),
-    points (rows, 2n+2, dim) and tips (rows, dim).  Returns (rows,) indices,
-    -1 where no index qualifies; the first row whose hypotheses fail raises
-    HypothesisError naming that row."""
+    """Special-gap index, one per row: times t_0 = 0 < ... < t_{2n+1} = 1,
+    (rows, 2n+2), skeleton points b_i, (rows, 2n+2, dim), and tips w0,
+    (rows, dim).  Row k's index is the smallest j in [0, 2n] whose gap
+    satisfies
+
+        t_{j+1} - t_j >= alpha^{1/(10n)} * max(min(|b_j - w0|, |b_{j+1} - w0|)^2, 1/alpha)
+
+    or -1 when no index qualifies (possible below the lemma's constant).
+    The hypotheses (the increment growth bound; some b_{j0} within
+    M*phi^2/sqrt(alpha) of the tip) are checked, and the first row that
+    fails them raises HypothesisError naming that row."""
     t = np.asarray(t, dtype=float)
     pb = np.asarray(pb, dtype=float)
     w0 = np.asarray(w0, dtype=float)
@@ -330,28 +332,13 @@ def special_indices(t, pb, w0, alpha: float, M: float, n: int) -> np.ndarray:
     return np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
 
 
-def special_index(t, pb, w0, alpha: float, M: float, n: int):
-    """Smallest index j in [0, 2n] whose gap satisfies
-
-        t_{j+1} - t_j >= alpha^{1/(10n)} * max(min(|b_j - w0|, |b_{j+1} - w0|)^2, 1/alpha)
-
-    or None when no index qualifies (possible below the lemma's constant).
-    Hypotheses (increment growth bound; some b_{j0} near the tip) are checked
-    and reported via HypothesisError.  One row of special_indices.
-    """
-    t = np.asarray(t, dtype=float)
-    pb = np.atleast_2d(np.asarray(pb, dtype=float))
-    try:
-        j = int(special_indices(t[None], pb[None], np.asarray(w0, dtype=float)[None],
-                                alpha, M, n)[0])
-    except HypothesisError as exc:
-        raise HypothesisError(exc.failures) from None
-    return None if j < 0 else j
-
-
 def half_space_events(points, n_r, n_s, r1_points, s1_points, alpha: float) -> np.ndarray:
-    """Stacked check_events_H over a leading row axis: path segments
-    (rows, m, d), normals and anchors (rows, d); returns (rows,) booleans."""
+    """Half-space pair event, one per row: path segments (rows, m, d),
+    normals and anchors (rows, d); returns (rows,) booleans.  Row k holds
+    when every point B(t) of its segment satisfies
+    <B(t), n> <= <B(anchor), n> + phi(alpha)^2/sqrt(alpha) both for
+    n = n_r[k] with anchor r1_points[k] and for n = n_s[k] with anchor
+    s1_points[k]."""
     p = np.asarray(points, dtype=float)
     slack = enlargement(alpha)
     ok = np.ones(len(p), dtype=bool)
@@ -360,12 +347,3 @@ def half_space_events(points, n_r, n_s, r1_points, s1_points, alpha: float) -> n
         thr = row_dot(anchor, n)
         ok &= np.all(np.matmul(p, n[:, :, None])[..., 0] <= (thr + slack)[:, None], axis=1)
     return ok
-
-
-def check_events_H(segment_points, n_r, n_s, r1_point, s1_point, alpha: float) -> bool:
-    """Half-space pair event on a path segment: every point satisfies
-    <B(t), n> <= <B(anchor), n> + phi(alpha)^2/sqrt(alpha) for both normals;
-    one row of half_space_events."""
-    p = np.atleast_2d(np.asarray(segment_points, dtype=float))
-    rows = [np.asarray(x, dtype=float)[None] for x in (n_r, n_s, r1_point, s1_point)]
-    return bool(half_space_events(p[None], *rows, alpha)[0])

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from bmhull.estimate import stream
-from bmhull.hulls import (DegeneracyError, SimplexTimes, build_hull, count_q,
-                          count_w, default_eps, euler_characteristic_3d,
-                          event_E, facet_events, merged_times, oriented_normal,
+from bmhull.hulls import (DegeneracyError, SimplexTimes, build_hull, count_q, default_eps,
+                          euler_characteristic_3d, facet_events, merged_times,
                           oriented_normals)
+from bmhull.paths import brownian
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
 
@@ -67,19 +67,26 @@ def test_euler_relation_3d():
         euler_characteristic_3d(build_hull(SQUARE))
 
 
+def _one_normal(points, reference):
+    """oriented_normals on one row: its normal and affine rank."""
+    n, rank = oriented_normals(np.array([points], dtype=float),
+                               np.array([reference], dtype=float))
+    return n[0], int(rank[0])
+
+
 def test_oriented_normal_hand_cases():
-    n = oriented_normal(np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([2.0, 0.5]))
-    assert n == pytest.approx([1.0, 0.0])
-    n2 = oriented_normal(np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([-2.0, 0.5]))
+    n, rank = _one_normal([[1.0, 0.0], [1.0, 1.0]], [2.0, 0.5])
+    assert n == pytest.approx([1.0, 0.0]) and rank == 1
+    n2, _ = _one_normal([[1.0, 0.0], [1.0, 1.0]], [-2.0, 0.5])
     assert n2 == pytest.approx([-1.0, 0.0])
     # reference on the plane through the origin: tie broken to positive coord
-    n3 = oriented_normal(np.array([[0.0, 1.0], [0.0, -1.0]]), np.array([0.0, 3.0]))
+    n3, _ = _one_normal([[0.0, 1.0], [0.0, -1.0]], [0.0, 3.0])
     assert n3 == pytest.approx([1.0, 0.0])
     with pytest.raises(ValueError):
-        oriented_normal(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), np.zeros(2))
-    with pytest.raises(DegeneracyError):
-        oriented_normal(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-                        np.zeros(3))
+        _one_normal([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], np.zeros(2))
+    # affinely dependent points: a rank below d - 1 flags the row
+    _, rank = _one_normal([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], np.zeros(3))
+    assert rank == 1
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -119,28 +126,15 @@ def test_oriented_normals_rows(d):
 
 def test_event_E_square():
     corners = SQUARE[:4]
-    assert event_E(corners[[0, 1]], corners)          # bottom edge is a facet
-    assert not event_E(corners[[0, 2]], corners)      # diagonal is not
-    assert event_E(np.array([[0.0, -1.0], [1.0, -1.0]]), corners)  # outside line
 
+    def event(simplex):
+        simplex = np.asarray(simplex, dtype=float)
+        eps = default_eps(np.vstack([simplex, corners]))
+        return bool(facet_events(simplex[None], corners[None], [eps])[0][0])
 
-def test_event_E_matches_hull_facets():
-    rng = stream(23, 403, 0)
-    for _ in range(20):
-        pts = rng.standard_normal((15, 2))
-        poly = build_hull(pts)
-        facet_pairs = {frozenset(simplex) for simplex in poly.simplices.tolist()}
-        for i in range(6):
-            for j in range(i + 1, 6):
-                expected = frozenset((i, j)) in facet_pairs
-                got = event_E(pts[[i, j]], pts)
-                if expected != got:
-                    # disagreement only permissible within tolerance of a facet
-                    n = oriented_normal(pts[[i, j]], pts[i])
-                    side = pts @ n - float(n @ pts[i])
-                    assert min(abs(side.min()), abs(side.max())) < 1e-8
-                else:
-                    assert expected == got
+    assert event(corners[[0, 1]])                 # bottom edge is a facet
+    assert not event(corners[[0, 2]])             # diagonal is not
+    assert event([[0.0, -1.0], [1.0, -1.0]])      # outside line
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -190,25 +184,36 @@ def test_count_q_region_sees_sorted_tuples():
                                                    (0.2, 0.3), (0.2, 0.4)]
 
 
-def test_count_w_comb_and_region():
-    t = np.linspace(0, 1, 10)
-    assert count_w(t, 2) == math.comb(10, 2)
-    assert count_w(t, 3) == math.comb(10, 3)
-    got = count_w(t, 2, region=lambda tup: tup[:, 1] - tup[:, 0] > 0.5)
-    brute = sum(1 for i in range(10) for j in range(i + 1, 10) if t[j] - t[i] > 0.5)
-    assert got == brute
+def _mean_facets_exact(n, d):
+    """Mean facet count 2 (d-1)! [n+1, d] / n! of the hull of a d-dimensional
+    walk S_0, ..., S_n whose increments are exchangeable, symmetric and a.s.
+    in general position, with [., .] the unsigned Stirling numbers of the
+    first kind (Kabluchko, Vysotsky and Zaporozhets, GAFA 2017)."""
+    row = [1]  # [0, k] for k = 0, 1, ...
+    for j in range(n + 1):  # [j+1, k] = j [j, k] + [j, k-1]
+        row = [j * a + b for a, b in zip(row + [0], [0] + row)]
+    return 2 * math.factorial(d - 1) * row[d] / math.factorial(n)
 
 
-def test_count_w_poisson_moment():
-    """E[C(m+2, 2)] with m ~ Poisson(20) equals (E m^2 + 3 E m + 2)/2 = 241."""
-    rng = stream(24, 404, 0)
-    vals = []
-    for _ in range(3000):
-        m = rng.poisson(20.0)
-        t = np.unique(np.concatenate([[0.0, 1.0], rng.random(m)]))
-        vals.append(count_w(t, 2))
-    se = np.std(vals, ddof=1) / math.sqrt(len(vals))
-    assert abs(np.mean(vals) - 241.0) <= 3 * se
+@pytest.mark.parametrize("d", [2, 3])
+def test_build_hull_mean_facets_exact_law(d):
+    """Brownian motion at m sorted uniform times plus 0 and 1 is a walk of
+    n = m + 1 steps sqrt(gap) Z, exchangeable because uniform spacings are,
+    so the facet count of its hull has the mean of _mean_facets_exact: 2 H_n
+    in d = 2 and 2 (H_n^2 - H_n^(2)) in d = 3."""
+    m, reps = 30, 4000
+    n = m + 1
+    h1 = sum(1.0 / k for k in range(1, n + 1))
+    h2 = sum(1.0 / k ** 2 for k in range(1, n + 1))
+    exact = _mean_facets_exact(n, d)
+    assert exact == pytest.approx(2 * h1 if d == 2 else 2 * (h1 * h1 - h2), rel=1e-12)
+    rng = stream(27, 412, d)
+    counts = np.empty(reps)
+    for i in range(reps):
+        times = np.concatenate([[0.0], np.sort(rng.random(m)), [1.0]])
+        counts[i] = len(build_hull(brownian(rng, 1, np.diff(times), d)[0]).simplices)
+    se = counts.std(ddof=1) / math.sqrt(reps)
+    assert abs(counts.mean() - exact) <= 4 * se
 
 
 def test_simplex_times_and_merge():

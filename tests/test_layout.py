@@ -46,9 +46,9 @@ from bmhull.cli import main
 from bmhull.estimate import CHUNK, STREAM_LAYOUT, EstimatorConfig, stream
 from bmhull.hulls import SimplexTimes
 from bmhull.integrals import measure_Za_complement
-from bmhull.paths import BridgeSpec, TimeGrid, sample_bridge, sample_brownian
-from bmhull.rain import level_from_count
-from bmhull.wedges import Wedge2D, find_discordant, special_index
+from bmhull.paths import PathSample, TimeGrid, bridge, sample_brownian
+from bmhull.rain import RainLevel, level_times
+from bmhull.wedges import Wedge2D, find_discordant, special_indices
 
 CFG = EstimatorConfig(replicas=300, master_seed=0, grid_points_per_unit_time=64)
 # two chunks, so the chunk order of the reduction is pinned too
@@ -80,14 +80,13 @@ def _discordant(alpha=1e3, kappa=math.pi / 2, r=(0.2, 0.4), s=(0.6, 0.8)):
 
 
 def _special_indices():
-    """special_index on 500 random instances, suite_lemma4's parameters:
-    pins the index itself, where the suite's digest pins only counts."""
+    """The special-gap index of 500 random instances, suite_lemma4's
+    parameters, None where no index qualifies: pins the index itself, where
+    the suite's digest pins only counts."""
     rng = stream(0, 307, 0)
-    out = []
-    for _ in range(500):
-        t, pb, w0 = verify.random_special_instance(rng)
-        out.append(special_index(t, pb, w0, 1e6, 1.0, 2))
-    return json.dumps(out)
+    insts = [verify.random_special_instance(rng) for _ in range(500)]
+    found = special_indices(*map(np.array, zip(*insts)), 1e6, 1.0, 2)
+    return json.dumps([None if j < 0 else j for j in found.tolist()])
 
 
 def _lemma3_witnesses():
@@ -106,9 +105,9 @@ def _samplers():
     grid = TimeGrid(np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.0]))
     bm = sample_brownian(3, grid, stream(0, 301, 0))
     off = sample_brownian(2, TimeGrid(np.array([0.25, 0.5, 1.0])), stream(0, 302, 0))
-    spec = BridgeSpec(a=[0.1, -0.2], b=[0.3, 0.4], s1=0.0, s2=1.0)
-    br = sample_bridge(spec, 2, grid, stream(0, 303, 0))
-    lv = level_from_count(20.0, stream(0, 304, 0))
+    br = PathSample(grid, bridge(stream(0, 303, 0), 1, grid.times, [0.1, -0.2],
+                                 [0.3, 0.4])[0], 2)
+    lv = RainLevel(20.0, np.unique(level_times(stream(0, 304, 0), 20.0)))
     t, pb, w0 = verify.random_special_instance(stream(0, 305, 0))
     special = json.dumps([t.tolist(), pb.tolist(), w0.tolist()])
     return "\n".join([bm.to_json(), off.to_json(), br.to_json(), lv.to_json(), special])

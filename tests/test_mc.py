@@ -67,8 +67,6 @@ def test_fit_exit_exponent_quarter_plane():
     got = mc.fit_exit_exponent(math.pi / 4, cfg(replicas=20000, grid=256))
     assert abs(got - 2.0) / 2.0 < 0.15
     with pytest.raises(ValueError):
-        mc.fit_exit_exponent(math.pi / 4, cfg(replicas=100), ratios=[0.1, 0.2])
-    with pytest.raises(ValueError):
         mc.fit_exit_exponent(2.0, cfg(replicas=100))
 
 

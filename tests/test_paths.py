@@ -6,8 +6,8 @@ import pytest
 from bmhull import paths
 from bmhull.estimate import stream
 from bmhull.integrals import phi
-from bmhull.paths import (BridgeSpec, PathSample, TimeGrid, brownian, check_Y, modulus,
-                          modulus_ok, sample_bridge, sample_brownian, time_steps)
+from bmhull.paths import (TimeGrid, bridge, brownian, modulus_ok, sample_brownian,
+                          time_steps)
 
 
 def test_timegrid_validation():
@@ -17,7 +17,7 @@ def test_timegrid_validation():
         TimeGrid(np.array([-0.1, 0.5]))
     with pytest.raises(ValueError):
         TimeGrid(np.array([]))
-    g = TimeGrid.uniform(10)
+    g = TimeGrid(np.linspace(0.0, 1.0, 10))
     assert g.times[0] == 0.0 and g.times[-1] == 1.0 and len(g) == 10
 
 
@@ -49,95 +49,19 @@ def test_brownian_starts_at_zero():
 
 
 def test_bridge_endpoints_and_variance():
-    spec = BridgeSpec(a=[0.0, 0.0], b=[0.0, 0.0], s1=0.0, s2=1.0)
-    grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
-    rng = stream(3, 204, 0)
-    mids = np.empty((4000, 2))
-    for i in range(len(mids)):
-        p = sample_bridge(spec, 2, grid, rng)
-        assert np.all(p.points[0] == 0.0) and np.all(p.points[-1] == 0.0)
-        mids[i] = p.points[1]
+    br = bridge(stream(3, 204, 0), 4000, np.array([0.0, 0.5, 1.0]), [0.0, 0.0],
+                [0.0, 0.0])
+    assert br.shape == (4000, 3, 2)
+    assert np.all(br[:, 0] == 0.0) and np.all(br[:, -1] == 0.0)
+    mids = br[:, 1]
     # pinned bridge at the midpoint: var = 0.5*0.5/1 = 0.25 per coordinate
     assert mids.var(axis=0) == pytest.approx([0.25, 0.25], abs=0.03)
     assert abs(mids.mean()) < 0.02
 
 
 def test_bridge_mean_interpolates():
-    spec = BridgeSpec(a=[0.0], b=[4.0], s1=0.2, s2=0.6)
-    grid = TimeGrid(np.array([0.2, 0.4, 0.6]))
-    rng = stream(9, 205, 0)
-    mids = [sample_bridge(spec, 1, grid, rng).points[1, 0] for _ in range(4000)]
+    mids = bridge(stream(9, 205, 0), 4000, np.array([0.2, 0.4, 0.6]), [0.0], [4.0])[:, 1, 0]
     assert np.mean(mids) == pytest.approx(2.0, abs=0.1)
-
-
-def test_bridge_grid_mismatch():
-    spec = BridgeSpec(a=[0.0], b=[1.0], s1=0.0, s2=1.0)
-    with pytest.raises(ValueError):
-        sample_bridge(spec, 1, TimeGrid(np.array([0.1, 1.0])), stream(0, 0, 0))
-
-
-def test_modulus_against_brute_force():
-    rng = stream(5, 206, 0)
-    t = np.sort(rng.random(30))
-    t[0], t[-1] = 0.0, 1.0
-    pts = rng.standard_normal((30, 2))
-    path = PathSample(TimeGrid(t), pts, 2)
-    for delta in (0.05, 0.2, 0.7):
-        brute = 0.0
-        for i in range(30):
-            for j in range(i + 1, 30):
-                if t[j] - t[i] <= delta:
-                    brute = max(brute, float(np.linalg.norm(pts[j] - pts[i])))
-        assert modulus(path, delta) == pytest.approx(brute)
-
-
-def test_modulus_monotone_in_delta():
-    rng = stream(6, 207, 0)
-    grid = TimeGrid.uniform(512)
-    path = sample_brownian(2, grid, rng)
-    vals = [modulus(path, d) for d in (0.01, 0.05, 0.2, 1.0)]
-    assert all(a <= b for a, b in zip(vals, vals[1:]))
-
-
-def test_modulus_scaling_order():
-    """On a fine grid the modulus tracks sqrt(2 delta log(1/delta)) to within
-    a factor, the classical envelope."""
-    grid = TimeGrid.uniform(4096)
-    path = sample_brownian(1, grid, stream(11, 208, 0))
-    delta = 1.0 / 256.0
-    envelope = math.sqrt(2 * delta * math.log(1 / delta))
-    ratio = modulus(path, delta) / envelope
-    assert 0.4 <= ratio <= 1.6
-
-
-def test_check_Y_typical_and_violated():
-    grid = TimeGrid.uniform(256)
-    path = sample_brownian(2, grid, stream(13, 209, 0))
-    assert check_Y(path, math.e ** 4, (0.0, 1.0), 2)
-    # a planted jump of size 5 over a tiny gap breaks the modulus event
-    pts = path.points.copy()
-    pts[100] += 5.0
-    bad = PathSample(grid, pts, 2)
-    assert not check_Y(bad, math.e ** 4, (0.0, 1.0), 2)
-    # restricted to an interval not containing the jump it holds again
-    assert check_Y(bad, math.e ** 4, (0.5, 1.0), 2)
-
-
-def test_check_Y_domain():
-    grid = TimeGrid.uniform(16)
-    path = sample_brownian(2, grid, stream(13, 210, 0))
-    with pytest.raises(ValueError):
-        check_Y(path, 1.0)
-
-
-def test_check_Y_short_and_reversed_interval():
-    grid = TimeGrid.uniform(16)
-    path = sample_brownian(2, grid, stream(13, 212, 0))
-    # no grid pair in [a,b]: the event holds vacuously
-    assert check_Y(path, 10.0, (0.3, 0.31))
-    assert check_Y(path, 10.0, (1.0, 1.0))
-    with pytest.raises(ValueError, match="invalid interval"):
-        check_Y(path, 10.0, (0.7, 0.3))
 
 
 def _modulus_ok_brute(points, times, alpha, n_dim):

@@ -5,9 +5,8 @@ import pytest
 
 from bmhull.estimate import stream
 from bmhull.integrals import enlargement, phi
-from bmhull.paths import PathSample, TimeGrid, sample_brownian
-from bmhull.rain import (Rain, RainLevel, check_N, check_R, generate_rain,
-                         level, level_from_count)
+from bmhull.paths import TimeGrid, modulus_ok, sample_brownian
+from bmhull.rain import Rain, RainLevel, check_N, generate_rain, level, level_times
 
 
 def test_generate_rain_counts_and_ranges():
@@ -38,7 +37,7 @@ def test_level_mean_count():
     # thinning: level alpha keeps Poisson(alpha) of the rain points on average
     sizes = [level(rain, a).times.size - 2 for a in (50.0, 100.0, 150.0)]
     assert sizes[0] <= sizes[1] <= sizes[2]
-    direct = [level_from_count(100.0, stream(3, 304, i)).times.size - 2 for i in range(2000)]
+    direct = [np.unique(level_times(stream(3, 304, i), 100.0)).size - 2 for i in range(2000)]
     assert np.mean(direct) == pytest.approx(100.0, abs=3 * math.sqrt(100.0 / 2000) + 0.5)
 
 
@@ -48,8 +47,6 @@ def test_level_domain_errors():
         level(rain, 6.0)
     with pytest.raises(ValueError):
         level(rain, -1.0)
-    with pytest.raises(ValueError):
-        level_from_count(0.0, stream(0, 0, 0))
 
 
 def test_rain_level_invariants():
@@ -93,42 +90,20 @@ def test_check_N_exactness_boundary():
     assert not check_N(lv2, alpha, (0.4, 0.4 + 2 * radius + 1e-6))
 
 
-def test_check_R_conjunction():
-    alpha = math.e ** 2
-    rng = stream(5, 305, 0)
-    lv = level_from_count(alpha, rng)
-    grid = TimeGrid(np.unique(np.concatenate([lv.times, np.linspace(0, 1, 128)])))
-    path = sample_brownian(2, grid, rng)
-    expected_n = check_N(lv, alpha)
-    assert check_R(lv, path, alpha) == expected_n  # Y holds at this alpha w.h.p.
-    pts = path.points.copy()
-    pts[10] += 50.0
-    assert not check_R(lv, PathSample(grid, pts, 2), alpha)
-
-
-def test_check_R_interval_without_grid_pair():
-    """The modulus conjunct holds vacuously on an interval holding no grid
-    pair, so check_R reduces to check_N there."""
-    alpha = 10.0
-    rng = stream(5, 307, 0)
-    lv = level_from_count(alpha, rng)
-    path = sample_brownian(2, TimeGrid.uniform(16), rng)
-    assert check_R(lv, path, alpha, (0.3, 0.31)) == check_N(lv, alpha, (0.3, 0.31))
-
-
 def test_dense_approximation_surrogate():
-    """Whenever the regularity event holds, every grid time has a level time
-    whose path value is within phi^2/sqrt(alpha)."""
+    """Whenever the regularity event holds (the covering event and the
+    modulus event), every grid time has a level time whose path value is
+    within phi^2/sqrt(alpha)."""
     alpha = math.e ** 4
     tol = enlargement(alpha)
     hits = 0
     for i in range(40):
         rng = stream(6, 306, i)
-        lv = level_from_count(alpha, rng)
+        lv = RainLevel(alpha, np.unique(level_times(rng, alpha)))
         base = np.linspace(0.0, 1.0, 200)
         grid = TimeGrid(np.unique(np.concatenate([lv.times, base])))
         path = sample_brownian(2, grid, rng)
-        if not check_R(lv, path, alpha):
+        if not (check_N(lv, alpha) and modulus_ok(path.points[None], grid.times, alpha, 2)[0]):
             continue
         hits += 1
         lv_mask = np.isin(grid.times, lv.times)

@@ -1,0 +1,80 @@
+"""Public-surface guard: every public module-level function and class of
+`bmhull` is used by the package itself, or is named below.
+
+A use is a name in code, resolved through the module's own imports: a bare
+name in the defining module outside its own definition, a name imported
+with `from .module import name`, or `module.name` after `from . import
+module`.  Comments, docstrings and the re-exports of `bmhull/__init__.py`
+are not uses.  This keeps wrappers that only tests call from growing back.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "bmhull"
+
+# test oracles: independent implementations the tests and checks compare with
+ORACLES = ("check_N", "euler_characteristic_3d", "final_assembly")
+# the samplers and estimators the package offers its callers without calling
+# them itself
+ENTRY_POINTS = ("bridge", "stay_prob_wedge", "bridge_stay_prob", "discordant_prob")
+
+
+def _modules():
+    return {f.stem: ast.parse(f.read_text(encoding="utf-8"))
+            for f in sorted(SRC.glob("*.py")) if f.name != "__init__.py"}
+
+
+def _public_defs(tree):
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _registered(node):
+    """A function that a click `.command(...)` decorator registers."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr == "command" for d in node.decorator_list)
+
+
+def _uses(name, tree, defs):
+    """(module, name) pairs that the names in tree's code refer to; defs
+    maps each module to the names it defines at top level."""
+    imported, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    imported[alias.asname or alias.name] = (node.module, alias.name)
+    owner = {}  # node id -> name of the top-level definition enclosing it
+    for top in _public_defs(tree):
+        for sub in ast.walk(top):
+            owner[id(sub)] = top.name
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            if node.id in imported:
+                found.add(imported[node.id])
+            elif node.id in defs[name] and owner.get(id(node)) != node.id:
+                found.add((name, node.id))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            found.add((modules[node.value.id], node.attr))
+    return found
+
+
+def test_public_surface_is_used_by_the_package():
+    trees = _modules()
+    defs = {name: {n.name for n in tree.body
+                   if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+            for name, tree in trees.items()}
+    used = set().union(*(_uses(name, tree, defs) for name, tree in trees.items()))
+    public = [(name, node) for name, tree in trees.items() for node in _public_defs(tree)]
+    unused = sorted(f"{name}.{node.name}" for name, node in public
+                    if (name, node.name) not in used and not _registered(node)
+                    and node.name not in ORACLES + ENTRY_POINTS)
+    assert unused == [], f"public names no module of bmhull uses: {unused}"
+    # the lists name only what still exists, so they cannot outlive it
+    assert set(ORACLES + ENTRY_POINTS) <= {node.name for _, node in public}

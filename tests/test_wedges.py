@@ -8,10 +8,9 @@ from bmhull.hulls import DegeneracyError, build_hull
 from bmhull.integrals import enlargement
 from bmhull.verify import brute_force_special, random_special_instance, random_wedge_polytope
 from bmhull.wedges import (AmbientWedge, HypothesisError, LemmaViolationError,
-                           Wedge2D, angle, check_discordant, check_events_H,
-                           discordant_pairs, find_discordant, half_space_events,
-                           lemma3_constant, pair_geometry, projected_tip_distance,
-                           special_index, special_indices)
+                           Wedge2D, angle, discordant_pairs, find_discordant,
+                           half_space_events, lemma3_constant, pair_geometry,
+                           projected_tip_distance, special_indices)
 
 
 def test_wedge2d_membership():
@@ -79,11 +78,27 @@ def test_pair_geometry_parallel_raises():
         pair_geometry([1.0, 0.0], 0.0, [1.0, 0.0], 1.0)
     with pytest.raises(DegeneracyError):
         pair_geometry([1.0, 0.0], 0.0, [-1.0, 0.0], 1.0)
+    # n and -n from random unit n: the rounded cosine can miss -1 by an ulp,
+    # which arccos turns into an angle 1.5e-8 short of pi
+    rng = stream(38, 510, 0)
+    for _ in range(20):
+        n = _unit(rng.standard_normal(3))
+        with pytest.raises(DegeneracyError):
+            pair_geometry(n, 0.0, n, 1.0)
+        with pytest.raises(DegeneracyError):
+            pair_geometry(n, 0.0, -n, 1.0)
+
+
+def _discordant(n_r, off_r, verts_r, n_s, off_s, verts_s, gamma, theta_min):
+    """discordant_pairs on one facet pair."""
+    rows = [np.array([x], dtype=float)
+            for x in (n_r, off_r, verts_r, n_s, off_s, verts_s)]
+    return bool(discordant_pairs(*rows, gamma, theta_min)[0])
 
 
 def _within(gamma, verts_r, verts_s, n_r, off_r, n_s, off_s):
-    """check_discordant at theta_min 0: both facets within gamma of the ridge."""
-    return check_discordant(n_r, off_r, verts_r, n_s, off_s, verts_s, gamma, 0.0)
+    """Discordance at theta_min 0: both facets within gamma of the ridge."""
+    return _discordant(n_r, off_r, verts_r, n_s, off_s, verts_s, gamma, 0.0)
 
 
 def test_check_discordant_hand_ridge_distances():
@@ -129,9 +144,11 @@ def test_discordant_pairs_against_pair_geometry(d):
     rows = 400
     n_r = _unit(rng.standard_normal((rows, d)))
     n_s = _unit(rng.standard_normal((rows, d)))
-    # parallel and antiparallel rows have no ridge
-    n_r[:2] = n_s[0] = np.eye(d)[0]
-    n_s[1] = -n_r[1]
+    # rows 0-19 are parallel, (n, n), and rows 20-39 antiparallel, (n, -n),
+    # from random unit n; they have no ridge, although the rounded cosine
+    # can miss +-1 by an ulp and put arccos 1.5e-8 off 0 or pi
+    n_s[:20] = n_r[:20]
+    n_s[20:40] = -n_r[20:40]
     off_r, off_s = rng.standard_normal(rows), rng.standard_normal(rows)
     verts_r = rng.standard_normal((rows, d, d))
     verts_s = rng.standard_normal((rows, d, d))
@@ -139,10 +156,11 @@ def test_discordant_pairs_against_pair_geometry(d):
     got = discordant_pairs(n_r, off_r, verts_r, n_s, off_s, verts_s, gamma, theta_min)
     assert got.shape == (rows,)
     for k in range(rows):
-        theta = math.acos(max(-1.0, min(1.0, float(n_r[k] @ n_s[k]))))
+        c = float(n_r[k] @ n_s[k])
+        theta = math.acos(max(-1.0, min(1.0, c)))
         if theta < theta_min:
             want = False
-        elif theta <= 1e-9 or theta >= math.pi - 1e-9:
+        elif np.linalg.norm(n_s[k] - c * n_r[k]) <= 1e-9:
             want = True
         else:
             dist = _ridge_distance_oracle(n_r[k], off_r[k], verts_r[k],
@@ -150,28 +168,28 @@ def test_discordant_pairs_against_pair_geometry(d):
             assert abs(dist - gamma) > 1e-9  # no row sits on the threshold
             want = dist <= gamma
         assert got[k] == want, k
-    assert not got[0] and got[1]
-    assert 0 < np.count_nonzero(got[2:]) < rows - 2
+    assert not got[:20].any() and got[20:40].all()
+    assert 0 < np.count_nonzero(got[40:]) < rows - 40
     with pytest.raises(ValueError):
         discordant_pairs(2 * n_r, off_r, verts_r, n_s, off_s, verts_s, gamma, theta_min)
 
 
 def test_check_discordant():
-    ok = check_discordant([1.0, 0.0], 1.0, [[1.0, 0.5]], [0.0, 1.0], 1.0,
-                          [[0.5, 1.0]], gamma=1.0, theta_min=1.0)
+    ok = _discordant([1.0, 0.0], 1.0, [[1.0, 0.5]], [0.0, 1.0], 1.0,
+                     [[0.5, 1.0]], gamma=1.0, theta_min=1.0)
     assert ok
     # angle below threshold
-    assert not check_discordant([1.0, 0.0], 1.0, [[1.0, 0.5]], [0.0, 1.0], 1.0,
-                                [[0.5, 1.0]], gamma=1.0, theta_min=2.0)
+    assert not _discordant([1.0, 0.0], 1.0, [[1.0, 0.5]], [0.0, 1.0], 1.0,
+                           [[0.5, 1.0]], gamma=1.0, theta_min=2.0)
     # facets too far from the ridge
-    assert not check_discordant([1.0, 0.0], 1.0, [[1.0, -5.0]], [0.0, 1.0], 1.0,
-                                [[0.5, 1.0]], gamma=1.0, theta_min=1.0)
+    assert not _discordant([1.0, 0.0], 1.0, [[1.0, -5.0]], [0.0, 1.0], 1.0,
+                           [[0.5, 1.0]], gamma=1.0, theta_min=1.0)
     # antiparallel normals past the threshold have no ridge: discordant
-    assert check_discordant([1.0, 0.0], 1.0, [[1.0, 0.5]], [-1.0, 0.0], 1.0,
-                            [[-1.0, 0.5]], gamma=1e-3, theta_min=1.0)
+    assert _discordant([1.0, 0.0], 1.0, [[1.0, 0.5]], [-1.0, 0.0], 1.0,
+                       [[-1.0, 0.5]], gamma=1e-3, theta_min=1.0)
     # equal normals stay below any positive threshold
-    assert not check_discordant([1.0, 0.0], 1.0, [[1.0, 0.5]], [1.0, 0.0], 2.0,
-                                [[2.0, 0.5]], gamma=1e3, theta_min=1e-3)
+    assert not _discordant([1.0, 0.0], 1.0, [[1.0, 0.5]], [1.0, 0.0], 2.0,
+                           [[2.0, 0.5]], gamma=1e3, theta_min=1e-3)
 
 
 def test_lemma3_constant_values():
@@ -235,13 +253,19 @@ def test_find_discordant_random_instances():
                                              "tip_distance"}
 
 
+def _special_index(t, pb, w0, alpha, M, n):
+    """special_indices on one instance."""
+    rows = (np.array([x], dtype=float) for x in (t, pb, w0))
+    return int(special_indices(*rows, alpha, M, n)[0])
+
+
 def test_special_index_plugin():
     alpha, n = 1e6, 2
     t = np.array([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
     pb = np.zeros((6, 2))
     pb[:, 0] = [0.0, 0.1, 0.15, 0.12, 0.2, 0.18]
     w0 = pb[2]  # distance 0 at index 2
-    j = special_index(t, pb, w0, alpha, M=1.0, n=n)
+    j = _special_index(t, pb, w0, alpha, M=1.0, n=n)
     # j=0 already qualifies: gap 0.2 >= alpha^{1/20} * max(min(d0,d1)^2, 1e-6)
     scale = alpha ** (1.0 / 20.0)
     d0 = np.linalg.norm(pb[0] - w0)
@@ -257,25 +281,26 @@ def test_special_index_hypothesis_failures():
     pb = np.zeros((6, 2))
     pb[3] = [500.0, 0.0]  # impossible increment
     with pytest.raises(HypothesisError) as exc:
-        special_index(t, pb, pb[0], alpha, M=1.0, n=n)
+        _special_index(t, pb, pb[0], alpha, M=1.0, n=n)
     assert any("increment" in f for f in exc.value.failures)
     pb2 = np.zeros((6, 2))
     far = np.array([1e6, 1e6])
     with pytest.raises(HypothesisError) as exc2:
-        special_index(t, pb2, far, alpha, M=1.0, n=n)
+        _special_index(t, pb2, far, alpha, M=1.0, n=n)
     assert any("tip" in f for f in exc2.value.failures)
 
 
 def test_special_index_none_case():
     """With all skeleton points about unit distance from the tip no gap can
-    reach alpha^{1/20} * 1, so the search legitimately returns None."""
+    reach alpha^{1/20} * 1, so no index qualifies: -1, where the brute-force
+    scan returns None."""
     alpha, n = 1e6, 2
     t = np.array([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
     ang = np.linspace(0, 2 * math.pi, 6, endpoint=False)
     pb = np.column_stack([np.cos(ang), np.sin(ang)])
     w0 = np.zeros(2)
-    j = special_index(t, pb, w0, alpha, M=1e6, n=n)  # large M keeps hypotheses valid
-    assert j is None
+    j = _special_index(t, pb, w0, alpha, M=1e6, n=n)  # large M keeps hypotheses valid
+    assert j == -1
     assert brute_force_special(t, pb, w0, alpha, n) is None
 
 
@@ -303,29 +328,6 @@ def test_special_indices_rows_against_brute_force():
     assert str(exc.value).startswith("row 7: ")
     assert exc.value.failures == ["increment bound violated at i=[2, 3]",
                                   "no point within M*phi^2/sqrt(alpha) of the tip"]
-
-
-def test_special_index_brute_force_agreement():
-    rng = stream(33, 503, 0)
-    for _ in range(300):
-        t, pb, w0 = random_special_instance(rng)
-        assert special_index(t, pb, w0, 1e6, 1.0, 2) == \
-            brute_force_special(t, pb, w0, 1e6, 2)
-
-
-def test_check_events_H_identity():
-    """The H event equals the conjunction of the two enlarged half-space
-    events, recomputed independently here."""
-    rng = stream(34, 504, 0)
-    alpha = math.e ** 4
-    slack = enlargement(alpha)
-    n_r, n_s = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    for _ in range(50):
-        seg = rng.standard_normal((20, 2)) * 3
-        r1, s1 = rng.standard_normal(2), rng.standard_normal(2)
-        direct = (np.all(seg[:, 0] <= r1[0] + slack)
-                  and np.all(seg[:, 1] <= s1[1] + slack))
-        assert check_events_H(seg, n_r, n_s, r1, s1, alpha) == direct
 
 
 def test_half_space_events_rows():
