@@ -18,9 +18,9 @@ from .rain import Rain, RainLevel, check_N, covered, generate_rain, level, level
 from .hulls import (DegeneracyError, Polytope, SimplexTimes, build_hull, count_q,
                     euler_characteristic_3d, facet_events, merged_times, oriented_normals)
 from .wedges import (AmbientWedge, DiscordantWitness, HypothesisError,
-                     LemmaViolationError, Wedge2D, WedgePair, angle, discordant_pairs,
+                     LemmaViolationError, Wedge2D, angle, discordant_pairs,
                      find_discordant, gamma_ak, half_space_events, lemma3_constant,
-                     pair_geometry, projected_tip_distance, special_indices)
+                     special_indices)
 from .mc import (bridge_stay_prob, campbell_check, conditional_H_prob,
                  discordant_prob, fit_exit_exponent, lemma6_bound, prob_R_complement,
                  prop6_rhs, stay_prob_wedge)

@@ -1,10 +1,13 @@
-"""Wedge geometry: planar wedges, facet-pair geometry (angle, ridge), the
+"""Wedge geometry: planar and ambient wedges, the facet-pair angle, the
 discordance predicate and its radius gamma(alpha, kappa), the constructive
 discordant-pair search on a polytope confined to a wedge, and the
 special-interval finder.
 
 Each per-replica predicate has one kernel over a leading row axis, one row
 per replica: half_space_events, discordant_pairs and special_indices.
+Distances to the ridge of two facet hyperplanes are read in the orthonormal
+basis n_r, (n_s - c n_r)/|n_s - c n_r| of their normal plane, c = n_r.n_s,
+straight from a point's distances to the two hyperplanes.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hulls import DegeneracyError, Polytope, row_dot
+from .hulls import Polytope, row_dot
 from .integrals import enlargement, phi
 
 
@@ -94,23 +97,6 @@ class AmbientWedge:
         p = np.atleast_2d(np.asarray(points, dtype=float)) - self.tip
         return (p @ self.u1 >= -tol) & (p @ self.u2 >= -tol)
 
-    @property
-    def kappa(self) -> float:
-        return angle(self.u1, self.u2)
-
-
-@dataclass(frozen=True)
-class WedgePair:
-    """Geometry attached to two non-parallel facet hyperplanes."""
-    theta: float
-    ridge_point: np.ndarray       # min-norm point of L(r,s)
-    plane_basis: np.ndarray       # (2, d) orthonormal basis of span{n_r, n_s}
-    projected_tip: np.ndarray     # ridge seen in plane_basis coordinates
-
-    def project(self, points) -> np.ndarray:
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        return p @ self.plane_basis.T
-
 
 @dataclass(frozen=True)
 class DiscordantWitness:
@@ -118,10 +104,6 @@ class DiscordantWitness:
     facet_j: int
     angle: float
     tip_distance: float
-
-    def to_json_dict(self) -> dict:
-        return {"facet_i": self.facet_i, "facet_j": self.facet_j,
-                "angle": self.angle, "tip_distance": self.tip_distance}
 
 
 def angle(n_r, n_s) -> float:
@@ -133,28 +115,14 @@ def angle(n_r, n_s) -> float:
     return float(np.arccos(np.clip(n_r @ n_s, -1.0, 1.0)))
 
 
-def _no_ridge(n_r, n_s):
-    """Whether the unit normals n_r, n_s, (..., d), are parallel or
-    antiparallel: |n_s - c n_r| <= _PARALLEL_TOL with c = n_r.n_s.  For
-    n_s = -n_r the rounded c can be -0.9999999999999999, whose arccos is
-    1.5e-8 short of pi, while |n_s - c n_r| is about 1e-16."""
+def _ridge_norm(n_r, n_s):
+    """|n_s - c n_r| with c = n_r.n_s for unit normals (..., d).  At or below
+    _PARALLEL_TOL the normals are parallel or antiparallel and the
+    hyperplanes have no ridge: for n_s = -n_r the rounded c can be
+    -0.9999999999999999, whose arccos is 1.5e-8 short of pi, while
+    |n_s - c n_r| is about 1e-16."""
     e = n_s - row_dot(n_r, n_s)[..., None] * n_r
-    return np.sqrt(row_dot(e, e)) <= _PARALLEL_TOL
-
-
-def pair_geometry(n_r, off_r, n_s, off_s) -> WedgePair:
-    """Angle, ridge and normal-plane geometry of two facet hyperplanes."""
-    n_r = np.asarray(n_r, dtype=float)
-    n_s = np.asarray(n_s, dtype=float)
-    theta = angle(n_r, n_s)
-    if _no_ridge(n_r, n_s):
-        raise DegeneracyError("facet hyperplanes are (near-)parallel")
-    b = np.array([off_r, off_s], dtype=float)
-    ridge_point, *_ = np.linalg.lstsq(np.vstack([n_r, n_s]), b, rcond=None)
-    e2 = n_s - (n_s @ n_r) * n_r
-    plane_basis = np.vstack([n_r, e2 / np.linalg.norm(e2)])
-    return WedgePair(theta=theta, ridge_point=ridge_point, plane_basis=plane_basis,
-                     projected_tip=plane_basis @ ridge_point)
+    return np.sqrt(row_dot(e, e))
 
 
 def discordant_pairs(n_r, off_r, verts_r, n_s, off_s, verts_s,
@@ -166,7 +134,7 @@ def discordant_pairs(n_r, off_r, verts_r, n_s, off_s, verts_s,
     comparisons).
 
     A pair past the angle threshold whose normals are parallel or
-    antiparallel (_no_ridge) has no ridge and counts as discordant; that can
+    antiparallel (_ridge_norm) has no ridge and counts as discordant; that can
     only overstate a probability that is checked against an upper bound.
     A vertex v lies at a = v.n_r - off_r and b = v.n_s - off_s from the two
     hyperplanes; in the orthonormal basis n_r, (n_s - c n_r)/|n_s - c n_r|
@@ -184,11 +152,11 @@ def discordant_pairs(n_r, off_r, verts_r, n_s, off_s, verts_s,
                         np.asarray(verts_s, dtype=float)], axis=1)
     a = np.matmul(v, n_r[:, :, None])[..., 0] - np.asarray(off_r, dtype=float)[:, None]
     b = np.matmul(v, n_s[:, :, None])[..., 0] - np.asarray(off_s, dtype=float)[:, None]
-    e = n_s - c[:, None] * n_r
+    e_norm = _ridge_norm(n_r, n_s)
     with np.errstate(divide="ignore", invalid="ignore"):  # rows without a ridge
-        across = (b - c[:, None] * a) / np.sqrt(row_dot(e, e))[:, None]
+        across = (b - c[:, None] * a) / e_norm[:, None]
         near = np.sqrt((a * a + across * across).max(axis=1)) <= gamma
-    return (theta >= theta_min) & (_no_ridge(n_r, n_s) | near)
+    return (theta >= theta_min) & ((e_norm <= _PARALLEL_TOL) | near)
 
 
 def lemma3_constant(kappa: float) -> float:
@@ -204,50 +172,27 @@ def gamma_ak(alpha: float, kappa: float) -> float:
     return lemma3_constant(kappa) * enlargement(alpha)
 
 
-def _point_polygon_distance_2d(p, poly_pts) -> float:
-    """Distance from a 2D point to the convex hull of a small 2D point set."""
-    p = np.asarray(p, dtype=float)
-    q = np.atleast_2d(np.asarray(poly_pts, dtype=float))
-    if q.shape[0] == 1:
-        return float(np.linalg.norm(p - q[0]))
-    centroid = q.mean(axis=0)
-    order = np.argsort(np.arctan2(q[:, 1] - centroid[1], q[:, 0] - centroid[0]))
-    q = q[order]
-    m = q.shape[0]
-    inside = True
-    best = math.inf
-    for i in range(m):
-        a, b = q[i], q[(i + 1) % m]
-        if m == 2 and i == 1:
-            break
-        ab = b - a
-        denom = float(ab @ ab)
-        if denom > 0.0:
-            t = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-            best = min(best, float(np.linalg.norm(p - (a + t * ab))))
-            if m > 2 and ab[0] * (p - a)[1] - ab[1] * (p - a)[0] < 0.0:
-                inside = False
-        else:
-            best = min(best, float(np.linalg.norm(p - a)))
-    if m > 2 and inside:
-        return 0.0
-    return best
-
-
-def projected_tip_distance(pair: WedgePair, verts_first) -> float:
-    """Distance between the projected wedge tip and the projection of the
-    first facet onto span{n_r, n_s}."""
-    return _point_polygon_distance_2d(pair.projected_tip, pair.project(verts_first))
-
-
 def find_discordant(poly: Polytope, wedge: AmbientWedge, kappa: float,
                     s: float) -> DiscordantWitness:
     """Exhaustive facet-pair search for a discordant witness on a polytope
     confined to a wedge of opening pi - kappa whose tip is within distance s.
 
-    Order: decreasing normal angle, ties by smaller projected tip distance.
+    Order: decreasing normal angle, ties by smaller tip distance, pairs
+    with parallel or antiparallel normals (_ridge_norm) left out.
     Existence is guaranteed (with tip distance <= lemma3_constant(kappa) * s);
     failure to find one raises LemmaViolationError.
+
+    The tip distance of facets (i, j) is the distance in span{n_i, n_j}
+    from the projected ridge to the projection of facet i.  Facet i lies on
+    its own hyperplane, a = 0 in discordant_pairs' coordinates, so it
+    projects onto a segment of the line through the projected ridge, where
+    vertex v sits at (v.n_j - off_j)/|n_j - c n_i|.  The polytope lies in
+    {v.n_j <= off_j}, so the segment's end nearest the ridge gives
+
+        max(0, off_j - max_{v in F_i} v.n_j) / |n_j - c n_i|,   c = n_i.n_j;
+
+    the clamp absorbs rounding, which puts the shared vertices of adjacent
+    facets up to about 3e-16 past off_j.
     """
     if not 0.0 < kappa < math.pi:
         raise ValueError("kappa must be in (0, pi)")
@@ -266,10 +211,6 @@ def find_discordant(poly: Polytope, wedge: AmbientWedge, kappa: float,
     rank = np.argsort(-angles, kind="stable")
     iu, ju, angles = iu[rank].tolist(), ju[rank].tolist(), angles[rank].tolist()
 
-    def tip_dist(i, j):
-        pair = pair_geometry(normals[i], offsets[i], normals[j], offsets[j])
-        return projected_tip_distance(pair, poly.vertices[poly.simplices[i]])
-
     k = 0
     while k < len(angles):
         th = angles[k]
@@ -280,10 +221,14 @@ def find_discordant(poly: Polytope, wedge: AmbientWedge, kappa: float,
         while k + 1 < len(angles) and abs(angles[k + 1] - th) <= 1e-12:
             k += 1
         k += 1
-        cands = sorted((tip_dist(iu[g], ju[g]), iu[g], ju[g], angles[g])
-                       for g in range(start, k)
-                       if not _no_ridge(normals[iu[g]], normals[ju[g]]))
-        for td, i, j, th_ij in cands:
+        cands = []
+        for g in range(start, k):
+            i, j = iu[g], ju[g]
+            e_norm = float(_ridge_norm(normals[i], normals[j]))
+            if e_norm > _PARALLEL_TOL:
+                top = float((poly.vertices[poly.simplices[i]] @ normals[j]).max())
+                cands.append((max(0.0, float(offsets[j]) - top) / e_norm, i, j, angles[g]))
+        for td, i, j, th_ij in sorted(cands):
             if td <= m_bound:
                 return DiscordantWitness(facet_i=i, facet_j=j,
                                          angle=th_ij, tip_distance=td)

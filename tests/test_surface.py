@@ -1,11 +1,14 @@
 """Public-surface guard: every public module-level function and class of
-`bmhull` is used by the package itself, or is named below.
+`bmhull`, and every public method and property of its public classes, is
+used by the package itself, or is named below.
 
 A use is a name in code, resolved through the module's own imports: a bare
 name in the defining module outside its own definition, a name imported
 with `from .module import name`, or `module.name` after `from . import
 module`.  Comments, docstrings and the re-exports of `bmhull/__init__.py`
-are not uses.  This keeps wrappers that only tests call from growing back.
+are not uses.  A method or property is used when some `.name` attribute
+access in the package's code spells its name.  This keeps wrappers that
+only tests call from growing back.
 """
 
 import ast
@@ -78,3 +81,20 @@ def test_public_surface_is_used_by_the_package():
     assert unused == [], f"public names no module of bmhull uses: {unused}"
     # the lists name only what still exists, so they cannot outlive it
     assert set(ORACLES + ENTRY_POINTS) <= {node.name for _, node in public}
+
+
+def _public_members(tree):
+    """(class, name) of each public method and property of tree's public
+    classes."""
+    return [(cls.name, node.name) for cls in _public_defs(tree)
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def test_public_members_are_used_by_the_package():
+    trees = _modules()
+    attrs = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    unused = sorted(f"{name}.{cls}.{member}" for name, tree in trees.items()
+                    for cls, member in _public_members(tree) if member not in attrs)
+    assert unused == [], f"public methods no module of bmhull uses: {unused}"
