@@ -21,7 +21,9 @@ max(0, off_j - max v.n_j)/|n_j - c n_i|.  The facet pairs and angles kept
 their bytes, and the other distances moved by at most 4.4e-14 relative.
 Witness 61 (kappa = 0.8) went from 0.0 to 8.42777574611598: its facet
 projects onto a segment, which the polygon test read as containing the
-ridge.
+ridge.  The `alpha=100, clipped at 0` case of `conditional_H_prob`, whose
+covering window is clipped on one side only, was recorded while the covering
+event still drew and sorted each replica's whole level set.
 
 A deliberate change to the draw order bumps `estimate.STREAM_LAYOUT`,
 re-records the digests of the estimates it changes, and only those, and
@@ -76,9 +78,9 @@ def _campbell():
     return lhs.to_json() + "\n" + rhs.to_json()
 
 
-def _conditional_h(alpha=3.0, include_R="always"):
+def _conditional_h(alpha=3.0, include_R="always", s1=0.375, s2=0.625):
     d1, d2 = _edge_points(0.5)
-    return mc.conditional_H_prob("interior", QUADRANT, 0.375, 0.625, d1, d2, alpha, CFG,
+    return mc.conditional_H_prob("interior", QUADRANT, s1, s2, d1, d2, alpha, CFG,
                                  eps=0.93, include_R=include_R).to_json()
 
 
@@ -173,6 +175,10 @@ CASES = {
     # most replicas pass the modulus event here and go on to the covering draws
     "prob_R_complement(alpha=100)": lambda: mc.prob_R_complement(100.0, 2, CFG).to_json(),
     "conditional_H_prob(always, alpha=1e5)": lambda: _conditional_h(1e5),
+    # the covering window [max(0, s1 - r), min(1, s2 + r)] is clipped at 0
+    # only (r = 0.0855); every replica reaches the covering draws
+    "conditional_H_prob(always, alpha=100, clipped at 0)":
+        lambda: _conditional_h(100.0, s1=0.05, s2=0.30),
     # the enlarged wedge is narrow here, so replicas leave it mid-bridge
     "conditional_H_prob(never, alpha=1e10)": lambda: _conditional_h(1e10, "never"),
     "campbell_check": _campbell,
@@ -212,6 +218,8 @@ EXPECTED = {
         'f33de889221898fc760470446b1d6b64c7540589a3fc2868189af6dc00c44761',
     'conditional_H_prob(always, alpha=1e5)':
         'b1e7182d331326477e04cda9d25a3f060a5d2a854ec64445daa5815315fc0258',
+    'conditional_H_prob(always, alpha=100, clipped at 0)':
+        '5e19a5c4557b9081ab5a5a9c1f9e96957ca8b89e42090972a8f8e71a843e856d',
     'conditional_H_prob(never, alpha=1e10)':
         'b9c99f0d7fbcc1d524668e56b9a38deff92cdec0456116e0d93570999edb08c3',
     'discordant_prob':
