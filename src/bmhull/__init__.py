@@ -14,7 +14,8 @@ from .integrals import (ZaRegion, enlargement, final_assembly, integral_Za_bound
                         measure_Za_complement, phi, rhs_bound)
 from .paths import (PathSample, TimeGrid, bridge, brownian, modulus_ok, sample_brownian,
                     step, time_steps)
-from .rain import Rain, RainLevel, check_N, covered, generate_rain, level, level_times
+from .rain import (Rain, RainLevel, check_N, covered, generate_rain, level, level_covered,
+                   level_times)
 from .hulls import (DegeneracyError, Polytope, SimplexTimes, build_hull, count_q,
                     euler_characteristic_3d, facet_events, merged_times, oriented_normals)
 from .wedges import (AmbientWedge, DiscordantWitness, HypothesisError,

@@ -22,6 +22,11 @@ blocks of at most _PATH_BLOCK numbers, and campbell_check's indicator side
 draws replica by replica and decides _DECIDE_ROWS replicas at once on
 padded level-point arrays.  brownian draws replica by replica, so neither
 changes the draw order, and memory stays O(block), not O(replicas x steps).
+
+The regularity estimators (conditional_H_prob, prob_R_complement) decide
+each replica's covering event with rain.level_covered, which usually settles
+it from a prefix of the level set and skips the rest of its draws, leaving
+the boolean and the stream that drawing and checking the whole set leaves.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .hulls import (SimplexTimes, count_q, facet_events, merged_times, oriented_
                     row_dot)
 from .integrals import enlargement, phi, rhs_bound
 from .paths import brownian, modulus_ok, step, time_steps
-from .rain import covered, level_times
+from .rain import level_covered, level_times
 from .wedges import Wedge2D, discordant_pairs, gamma_ak, half_space_events
 
 _TAG_STAY = 1
@@ -256,7 +261,7 @@ def conditional_H_prob(case: str, wedge: Wedge2D, s1: float, s2: float,
             held = np.flatnonzero(w)
             ok = modulus_ok(paths[held], times, alpha, n_dim)
             for j in np.flatnonzero(ok):
-                ok[j] = covered(level_times(rng, alpha, lo, hi), s1, s2, radius)
+                ok[j] = level_covered(rng, alpha, s1, s2, radius, lo, hi)
             w[held] *= ok
         return w
 
@@ -282,7 +287,7 @@ def prob_R_complement(alpha: float, n_dim: int, config: EstimatorConfig) -> Esti
 
     def kernel(rng, sz):
         y_ok = modulus_ok(brownian(rng, sz, dts, n_dim), times, alpha, n_dim)
-        n_ok = [covered(level_times(rng, alpha), 0.0, 1.0, radius) for _ in range(sz)]
+        n_ok = [level_covered(rng, alpha, 0.0, 1.0, radius) for _ in range(sz)]
         return ~(y_ok & np.array(n_ok))
 
     w = run_chunks(config, _TAG_RCOMP, kernel)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,15 +77,58 @@ def level(rain: Rain, alpha: float) -> RainLevel:
     return RainLevel(alpha, times)
 
 
-def level_times(rng: np.random.Generator, alpha: float, lo: float = 0.0,
-                hi: float = 1.0) -> np.ndarray:
-    """Sorted level times of a direct Poisson(alpha) level set on [lo, hi]
-    within [0,1]: Poisson(alpha (hi - lo)) uniform times plus whichever of the
-    pinned times 0 and 1 lie in [lo, hi]."""
-    m = rng.poisson(alpha * (hi - lo))
-    pts = lo + (hi - lo) * rng.random(m)
+def level_times(rng: np.random.Generator, alpha: float) -> np.ndarray:
+    """Sorted level times of a direct Poisson(alpha) level set on [0,1]:
+    Poisson(alpha) uniform times plus the pinned times 0 and 1."""
+    m = rng.poisson(alpha)
+    return np.sort(np.concatenate([rng.random(m), (0.0, 1.0)]))
+
+
+def level_covered(rng: np.random.Generator, alpha: float, a: float, b: float,
+                  radius: float, lo: float = 0.0, hi: float = 1.0) -> bool:
+    """Covering event of [a,b] at radius by a direct Poisson(alpha) level set
+    on the window [lo, hi] within [0,1]: Poisson(alpha (hi - lo)) uniform
+    times plus whichever of the pinned times 0 and 1 lie in [lo, hi].
+
+    The decision is covered's, and rng ends in the state that drawing the
+    whole level set leaves, but most calls read only a prefix of the times.
+    Of the m times it draws the first k = min(m, nb (ln nb + 4)), where the
+    nb = ceil((hi - lo) / (radius (1 - 1e-6))) equal buckets of [lo, hi] are
+    each no wider than radius (1 - 1e-6).  When [lo, hi] holds [a,b] and
+    every bucket holds a prefix time, covered returns True on the whole
+    level set:
+
+    - times of the same or adjacent buckets are less than 2 radius apart, so
+      no gap leaves an uncovered stretch;
+    - the buckets that hold a and b hold times within radius of a and of b;
+    - the other m - k times and the pinned ends only add times, which
+      shortens gaps and keeps the first and last times within radius;
+    - the margin 1e-6 radius dwarfs the rounding of lo + (hi - lo) u, a few
+      ulps of 1, for any radius above 1e-9 (phi(alpha)/alpha is 1.2e-8 at
+      alpha = 1e10, whose level set does not fit in memory).
+
+    The unread doubles are then skipped with random_raw: Philox's random()
+    reads one 64-bit word per double.  Otherwise the remaining m - k are
+    drawn, random(k) then random(m - k) giving the values random(m) gives,
+    and covered decides on the whole level set.
+    """
+    span = hi - lo
+    m = rng.poisson(alpha * span)
+    nb = math.ceil(span / (radius * (1.0 - 1e-6)))
+    k = min(m, math.ceil(nb * (math.log(nb) + 4.0)))
+    u = rng.random(k)
+    # nb buckets need nb times, so hit is never larger than the level set
+    if m >= nb and lo <= a and b <= hi:
+        hit = np.zeros(nb, dtype=bool)
+        # u <= 1 - 2**-53, and nb 2**-53 is at least half the spacing of the
+        # doubles below nb, so u * nb rounds below nb: the index is < nb
+        hit[(u * nb).astype(np.intp)] = True
+        if hit.all():
+            rng.bit_generator.random_raw(m - k, output=False)
+            return True
+    pts = lo + span * np.concatenate([u, rng.random(m - k)])
     ends = [x for x in (0.0, 1.0) if lo <= x <= hi]
-    return np.sort(np.concatenate([pts, ends]))
+    return covered(np.sort(np.concatenate([pts, ends])), a, b, radius)
 
 
 def covered(times: np.ndarray, a: float, b: float, radius: float) -> bool:

@@ -6,7 +6,8 @@ import pytest
 from bmhull.estimate import stream
 from bmhull.integrals import enlargement, phi
 from bmhull.paths import TimeGrid, modulus_ok, sample_brownian
-from bmhull.rain import Rain, RainLevel, check_N, generate_rain, level, level_times
+from bmhull.rain import (Rain, RainLevel, check_N, covered, generate_rain, level, level_covered,
+                         level_times)
 
 
 def test_generate_rain_counts_and_ranges():
@@ -119,3 +120,99 @@ def test_rain_csv():
     text = rain.to_csv()
     assert text.splitlines()[0] == "x,y"
     assert len(text.splitlines()) == 3
+
+
+def _window_covered(rng, alpha, a, b, radius, lo, hi):
+    """Reference for level_covered: draw the whole level set on [lo, hi],
+    pinned ends included, sort it and let covered decide."""
+    m = rng.poisson(alpha * (hi - lo))
+    pts = lo + (hi - lo) * rng.random(m)
+    ends = [x for x in (0.0, 1.0) if lo <= x <= hi]
+    return covered(np.sort(np.concatenate([pts, ends])), a, b, radius)
+
+
+@pytest.mark.parametrize("alpha", [3.0, 20.0, 100.0, 2e4, 1e5])
+def test_level_covered_matches_whole_level_set(alpha):
+    """Same boolean, and the same stream afterwards, as drawing and checking
+    the whole level set, on the estimators' windows [max(0, a - r),
+    min(1, b + r)] (interior, [0,1], clipped at 0, clipped at 1) and on two
+    windows that leave one end of [a,b] uncovered; the second radius makes
+    coverage a coin flip, so both outcomes and the exact fallback occur."""
+    radii = (phi(alpha) / alpha, math.log(alpha / math.log(2.0)) / (2.0 * alpha))
+    seen = set()
+    for j, (a, b, lo_, hi_) in enumerate([(0.375, 0.625, None, None), (0.0, 1.0, None, None),
+                                          (0.01, 0.3, None, None), (0.9, 1.0, None, None),
+                                          (0.375, 0.625, 0.45, None),
+                                          (0.375, 0.625, None, 0.55)]):
+        for i, r in enumerate(radii):
+            lo = max(0.0, a - r) if lo_ is None else lo_
+            hi = min(1.0, b + r) if hi_ is None else hi_
+            rng, twin = stream(7, 307, 10 * j + i), stream(7, 307, 10 * j + i)
+            for _ in range(30):
+                got = level_covered(rng, alpha, a, b, r, lo, hi)
+                assert got == _window_covered(twin, alpha, a, b, r, lo, hi)
+                assert rng.random() == twin.random()
+                seen.add(got)
+    assert seen == {True, False}
+
+
+class _GivenDraws:
+    """Generator stand-in that returns m from poisson and then the given
+    uniforms; random_raw skips them as Philox does."""
+
+    def __init__(self, m, u):
+        self.m, self.u, self.pos = m, np.asarray(u, dtype=float), 0
+        self.bit_generator = self
+
+    def poisson(self, lam):
+        return self.m
+
+    def random(self, size):
+        self.pos += size
+        return self.u[self.pos - size:self.pos]
+
+    def random_raw(self, size, output=True):
+        self.pos += size
+
+
+def test_level_covered_largest_uniform_lands_in_last_bucket():
+    # radius 0.4 on [0,1] gives nb = 3 buckets; u = 1 - 2**-53 is the
+    # largest double random() returns
+    u = [0.1, 0.5, 1.0 - 2.0 ** -53]
+    rng = _GivenDraws(3, u)
+    assert level_covered(rng, 3.0, 0.0, 1.0, 0.4)
+    assert rng.pos == 3
+    assert covered(np.concatenate([[0.0], u, [1.0]]), 0.0, 1.0, 0.4)
+
+
+def _miss_prob(alpha, r, a, b):
+    """P(N^c) of a Poisson(alpha) level set on [lo, hi] = [max(0, a - r),
+    min(1, b + r)] at radius r: Whitworth's max-spacing law mixed over
+    m ~ Poisson(lambda), lambda = alpha L, x = 2r/L, summed over k >= 1
+    (the k = 0 term is 1):
+    sum_k (-1)^(k+1) e^(-2k alpha r) [(lambda(1-kx))^k/k! + (lambda(1-kx))^(k-1)/(k-1)!]."""
+    lo, hi = max(0.0, a - r), min(1.0, b + r)
+    lam, x = alpha * (hi - lo), 2.0 * r / (hi - lo)
+    total = 0.0
+    for k in range(1, int(1.0 / x) + 1):
+        y = lam * (1.0 - k * x)
+        total += (-1) ** (k + 1) * math.exp(-2.0 * k * alpha * r) * (
+            y ** k / math.factorial(k) + y ** (k - 1) / math.factorial(k - 1))
+    return total
+
+
+@pytest.mark.parametrize("alpha,r,a,b,exact", [
+    (20.0, 0.08, 0.0, 1.0, 0.43481),
+    (40.0, 0.05, 0.375, 0.625, 0.80656),
+    (40.0, 0.05, 0.02, 0.5, 0.68825),  # window clipped at 0
+    (100.0, 0.02, 0.6, 0.99, 0.46295),  # window clipped at 1
+])
+def test_level_covered_rate_matches_closed_form(alpha, r, a, b, exact):
+    p_miss = _miss_prob(alpha, r, a, b)
+    assert 1.0 - p_miss == pytest.approx(exact, abs=5e-6)
+    lo, hi = max(0.0, a - r), min(1.0, b + r)
+    rng = stream(8, 308, int(alpha))
+    n = 20000
+    misses = sum(not level_covered(rng, alpha, a, b, r, lo, hi) for _ in range(n))
+    se = math.sqrt(p_miss * (1.0 - p_miss) / n)
+    assert abs(misses / n - p_miss) <= 4.0 * se
