@@ -23,7 +23,10 @@ Witness 61 (kappa = 0.8) went from 0.0 to 8.42777574611598: its facet
 projects onto a segment, which the polygon test read as containing the
 ridge.  The `alpha=100, clipped at 0` case of `conditional_H_prob`, whose
 covering window is clipped on one side only, was recorded while the covering
-event still drew and sorted each replica's whole level set.
+event still drew and sorted each replica's whole level set.  Every covering
+call of the estimator cases returns True, so the `level_covered` case calls
+the covering kernel directly, at radii where the covering event fails as well
+as where it holds.
 
 A deliberate change to the draw order bumps `estimate.STREAM_LAYOUT`,
 re-records the digests of the estimates it changes, and only those, and
@@ -55,9 +58,9 @@ from bmhull import mc, verify
 from bmhull.cli import main
 from bmhull.estimate import CHUNK, STREAM_LAYOUT, EstimatorConfig, stream
 from bmhull.hulls import SimplexTimes
-from bmhull.integrals import measure_Za_complement
+from bmhull.integrals import measure_Za_complement, phi
 from bmhull.paths import PathSample, TimeGrid, bridge, sample_brownian
-from bmhull.rain import RainLevel, level_times
+from bmhull.rain import RainLevel, level_covered, level_times
 from bmhull.wedges import Wedge2D, find_discordant, special_indices
 
 CFG = EstimatorConfig(replicas=300, master_seed=0, grid_points_per_unit_time=64)
@@ -121,6 +124,24 @@ def _samplers():
     t, pb, w0 = verify.random_special_instance(stream(0, 305, 0))
     special = json.dumps([t.tolist(), pb.tolist(), w0.tolist()])
     return "\n".join([bm.to_json(), off.to_json(), br.to_json(), lv.to_json(), special])
+
+
+def _level_covered():
+    """rain.level_covered's booleans on covering windows [max(0, a - r),
+    min(1, b + r)] that are interior, clipped at 0 and clipped at 1, at the
+    estimators' radius phi(alpha)/alpha, where the event nearly always
+    holds, and at a radius where it fails in about one call in five; then
+    one uniform, so a kernel that skips or overdraws part of the stream
+    shows."""
+    rng = stream(0, 308, 0)
+    out = []
+    for alpha in (20.0, 1e3, 1e5):
+        for r in (phi(alpha) / alpha, math.log(alpha / math.log(2.0)) / (2.0 * alpha)):
+            for a, b in ((0.375, 0.625), (0.0, 0.3), (0.7, 1.0)):
+                lo, hi = max(0.0, a - r), min(1.0, b + r)
+                out.append([level_covered(rng, alpha, a, b, r, lo, hi) for _ in range(20)])
+    out.append(rng.random())
+    return json.dumps(out)
 
 
 def _simulate_rows(dim):
@@ -200,6 +221,8 @@ CASES = {
                                        sort_keys=True),
     "suite_lemma8": lambda: json.dumps(verify.suite_lemma8(CFG), sort_keys=True),
     "samplers": _samplers,
+    # covering windows interior and clipped at either end; both outcomes
+    "level_covered": _level_covered,
     "simulate(dim=2)": lambda: _simulate_rows(2),
     "simulate(dim=3)": lambda: _simulate_rows(3),
     # hull documents: vertices, facet simplices, normals and offsets
@@ -232,6 +255,8 @@ EXPECTED = {
         '20d51274e347631f7a131977c1f8d5b4cf3172592e3dcf4ad4fa52d84332345c',
     'fit_exit_exponent':
         '2d46935ad5d9ccc7ddf94877af450e5361c85609ec1726576f04a678908a73db',
+    'level_covered':
+        '219aab2bde4825618e34fdf726c21244663e9ba9c1226ecf0c05ea2d2c82de43',
     'measure_Za_complement':
         '48d57fe0669efe2131b0f146c0ef363413f1e8fdc38c204bde98983a3667f749',
     'measure_Za_complement(two chunks)':
