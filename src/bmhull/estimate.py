@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 # Fixed chunk size; changing it changes the stream layout, so it is part of
 # the reproducibility contract.
@@ -104,7 +104,7 @@ def from_weights(weights: np.ndarray, config: EstimatorConfig, extra: dict | Non
         hi = float(1.0 - (1.0 - level) ** (1.0 / n))
         lo = 0.0
     else:
-        z = stats.norm.ppf(0.5 + level / 2.0)
+        z = ndtri(0.5 + level / 2.0)
         lo, hi = mean - z * se, mean + z * se
         if clamp01:
             lo, hi = max(lo, 0.0), min(hi, 1.0)

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -89,3 +94,14 @@ def test_interval_bounds_are_python_floats():
                 from_weights(np.repeat([0.0, 1.0], 100), cfg),
                 from_weights(np.repeat([0.0, 3.0], 100), cfg, clamp01=False)):
         assert type(est.ci_low) is float and type(est.ci_high) is float
+
+
+def test_package_does_not_import_scipy_stats():
+    """The interval's normal quantile is scipy.special.ndtri, so importing
+    the package and its CLI leaves scipy.stats, and its import time, out."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import bmhull, bmhull.cli, sys; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
