@@ -31,12 +31,13 @@ class ZaRegion:
         if self.n < 1:
             raise ValueError("n must be positive")
 
-    def contains(self, z) -> bool:
+    def contains(self, z) -> np.ndarray:
+        """Membership of the sorted rows z of shape (..., 2n)."""
         z = np.asarray(z, dtype=float)
-        if z.size != 2 * self.n:
+        if z.shape[-1] != 2 * self.n:
             raise ValueError("expected 2n coordinates")
-        gaps = np.diff(z)
-        return bool(z[0] >= self.a and 1.0 - z[-1] >= self.a and np.all(gaps >= self.a))
+        gaps_ok = np.all(np.diff(z, axis=-1) >= self.a, axis=-1)
+        return (z[..., 0] >= self.a) & (1.0 - z[..., -1] >= self.a) & gaps_ok
 
 
 def phi(alpha: float) -> float:
@@ -81,16 +82,14 @@ def measure_Za_complement(a: float, n: int, config: EstimatorConfig) -> Estimate
     (r,s) uniform on the double simplex is realised by sorting two independent
     uniform n-vectors; merging gives the 2n order statistics.
     """
-    ZaRegion(a, n)
+    region = ZaRegion(a, n)
     if n != 2:
         raise ValueError("n = 2 only (cost)")
 
     def kernel(rng, sz):
         r = np.sort(rng.random((sz, n)), axis=1)
         s = np.sort(rng.random((sz, n)), axis=1)
-        t = np.sort(np.concatenate([r, s], axis=1), axis=1)
-        gaps_ok = np.all(np.diff(t, axis=1) >= a, axis=1)
-        return ~((t[:, 0] >= a) & (1.0 - t[:, -1] >= a) & gaps_ok)
+        return ~region.contains(np.sort(np.concatenate([r, s], axis=1), axis=1))
 
     w = run_chunks(config, _STREAM_ZA, kernel)
     union_bound = (2 * n + 1) * a

@@ -75,29 +75,26 @@ _BLOCK_ELEMS = 20_000_000
 _SCAN_ELEMS = _BLOCK_ELEMS // 64
 
 
-def brownian(rng: np.random.Generator, n_rep: int, dts: np.ndarray, dim: int,
-             start=0.0) -> np.ndarray:
-    """Brownian paths of shape (n_rep, len(dts) + 1, dim): row 0 is `start` and
-    row k adds the first k independent increments, of variances dts[:k].
+def brownian(rng: np.random.Generator, n_rep: int, dts: np.ndarray, dim: int) -> np.ndarray:
+    """Brownian paths from the origin, of shape (n_rep, len(dts) + 1, dim):
+    row 0 is 0.0 and row k adds the first k independent increments, of
+    variances dts[:k].
 
     Normals are drawn replica by replica in row blocks, so the draw sequence
     (and hence the result) does not depend on the block size.
     """
     n = dts.size
-    # per-coordinate scales of one flattened path, so that scaling and the
-    # start offset below run as one contiguous loop per path
+    # per-coordinate scales of one flattened path, so that scaling runs as
+    # one contiguous loop per path
     sd = np.sqrt(dts).repeat(dim)
     out = np.empty((n_rep, n + 1, dim))
-    out[:, 0] = start
+    out[:, 0] = 0.0
     block = max(1, _BLOCK_ELEMS // max(sd.size, 1))
     for lo in range(0, n_rep, block):
         hi = min(lo + block, n_rep)
         inc = rng.standard_normal((hi - lo, sd.size))
         inc *= sd
         np.cumsum(inc.reshape(hi - lo, n, dim), axis=1, out=out[lo:hi, 1:])
-    # a zero start adds nothing, and skipping it keeps -0.0 entries as drawn
-    if n_rep and np.count_nonzero(start):
-        out.reshape(n_rep, (n + 1) * dim)[:, dim:] += np.tile(out[0, 0], n)
     return out
 
 

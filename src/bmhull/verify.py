@@ -252,9 +252,3 @@ SUITES = {
     "lemma4": suite_lemma4,
     "bounds": suite_bounds,
 }
-
-
-def run_suite(name: str, config: EstimatorConfig):
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](config)

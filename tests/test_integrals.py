@@ -42,6 +42,8 @@ def test_za_region():
     assert not z.contains([0.05, 0.4, 0.6, 0.8])   # first coordinate too small
     assert not z.contains([0.2, 0.25, 0.6, 0.8])   # interior gap too small
     assert not z.contains([0.2, 0.4, 0.6, 0.95])   # last gap too small
+    rows = [[0.2, 0.4, 0.6, 0.8], [0.05, 0.4, 0.6, 0.8], [0.2, 0.25, 0.6, 0.8]]
+    assert z.contains(rows).tolist() == [True, False, False]
     with pytest.raises(ValueError):
         ZaRegion(0.5, 2)
     with pytest.raises(ValueError):
