@@ -26,7 +26,9 @@ covering window is clipped on one side only, was recorded while the covering
 event still drew and sorted each replica's whole level set.  Every covering
 call of the estimator cases returns True, so the `level_covered` case calls
 the covering kernel directly, at radii where the covering event fails as well
-as where it holds.
+as where it holds.  The `simulate degenerate hulls` documents, whose level
+points span no hull, were recorded while `simulate` still drew through the
+`Rain` and `PathSample` classes and serialised hulls with `Polytope.to_json`.
 
 A deliberate change to the draw order bumps `estimate.STREAM_LAYOUT`,
 re-records the digests of the estimates it changes, and only those, and
@@ -160,13 +162,13 @@ def _simulate_rows(dim):
     return "".join(parts)
 
 
-def _simulate_hulls(dim):
+def _simulate_hulls(dim, seed=11, alphas="5,10"):
     """`bmhull simulate`'s hull_alpha_*.json documents, each without its
     `config` key, which echoes the CLI settings."""
     runner = CliRunner()
     with runner.isolated_filesystem():
-        r = runner.invoke(main, ["simulate", "--seed", "11", "--dim", str(dim),
-                                 "--alphas", "5,10", "--out", "out"],
+        r = runner.invoke(main, ["simulate", "--seed", str(seed), "--dim", str(dim),
+                                 "--alphas", alphas, "--out", "out"],
                           catch_exceptions=False)
         assert r.exit_code == 0
         docs = []
@@ -228,6 +230,10 @@ CASES = {
     # hull documents: vertices, facet simplices, normals and offsets
     "simulate hulls(dim=2)": lambda: _simulate_hulls(2),
     "simulate hulls(dim=3)": lambda: _simulate_hulls(3),
+    # degenerate documents: at dim 2 alpha = 0 leaves the 2 points of times
+    # 0 and 1, and at dim 1 build_hull rejects the dimension
+    "simulate degenerate hulls":
+        lambda: _simulate_hulls(2, 2, "0,5") + "\n" + _simulate_hulls(1, 2, "0,5"),
 }
 
 EXPECTED_LAYOUT = 2
@@ -273,6 +279,8 @@ EXPECTED = {
         '015650db3f50da560d857561afdc67ef31fb63d02a0b0c7f22d8e54c8f33baec',
     'simulate(dim=3)':
         '49629a4530a5d40b94a4fdb748b9d3a4fcef0e1cc9eb42d15561c5fd3c089706',
+    'simulate degenerate hulls':
+        '7e98eac9ee68c94e93fbb5ca2aeee4418556a1c768f756b55a45fa56046486d2',
     'simulate hulls(dim=2)':
         '7ff5e96005eebb05e9d6298b7ba6672a128d334318dcd85bf8028063568dd63f',
     'simulate hulls(dim=3)':
