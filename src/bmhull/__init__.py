@@ -12,10 +12,8 @@ from .estimate import (CHUNK, STREAM_LAYOUT, Estimate, EstimatorConfig, chunk_si
 from .integrals import (ZaRegion, enlargement, final_assembly, integral_Za_bound,
                         integral_Za_quadrature, log_final_assembly,
                         measure_Za_complement, phi, rhs_bound)
-from .paths import (PathSample, TimeGrid, bridge, brownian, modulus_ok, sample_brownian,
-                    step, time_steps)
-from .rain import (Rain, RainLevel, check_N, covered, generate_rain, level, level_covered,
-                   level_times)
+from .paths import bridge, brownian, modulus_ok, step, time_steps
+from .rain import check_N, coupled_levels, covered, level_covered, level_times
 from .hulls import (DegeneracyError, Polytope, SimplexTimes, build_hull, count_q,
                     euler_characteristic_3d, facet_events, merged_times, oriented_normals)
 from .wedges import (AmbientWedge, DiscordantWitness, HypothesisError,

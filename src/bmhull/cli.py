@@ -28,10 +28,10 @@ import numpy as np
 
 from . import __version__, mc
 from .estimate import STREAM_LAYOUT, EstimatorConfig, stream
-from .hulls import DegeneracyError, build_hull
+from .hulls import build_hull
 from .integrals import integral_Za_bound, integral_Za_quadrature
-from .paths import TimeGrid, sample_brownian
-from .rain import generate_rain, level
+from .paths import brownian, time_steps
+from .rain import coupled_levels
 from .verify import SUITES
 
 _TAG_SIMULATE = 100
@@ -147,27 +147,37 @@ def cmd_simulate(ctx, seed, dim, alphas, out):
     t0 = time.monotonic()
     out_dir = out or os.environ.get("BMHULL_OUT") or "."
     levels = sorted(alphas)
-    if not levels or levels[0] < 0:
-        raise click.UsageError("--alphas needs one or more levels >= 0")
     rng = stream(seed, _TAG_SIMULATE, 0)
-    rain = generate_rain(max(levels[-1], 1.0), rng)
-    grid_times = TimeGrid(level(rain, levels[-1]).times)
-    path = sample_brownian(dim, grid_times, rng)
+    try:
+        rain, level_sets = coupled_levels(rng, levels)
+    except ValueError as exc:  # a level outside the rain's domain
+        raise click.BadParameter(str(exc), ctx, param_hint="'--alphas'") from None
+    times = level_sets[-1]
+    points = brownian(rng, 1, time_steps(times), dim)[0, 1:]
+    points[0] = 0.0  # times[0] = 0, and sqrt(0) * Z may be -0.0
     prov = _provenance(ctx)
     prov_line = f"# config {json.dumps(prov, sort_keys=True)}\n"
-    _write(os.path.join(out_dir, "path.csv"), prov_line + path.to_csv())
-    _write(os.path.join(out_dir, "rain.csv"), prov_line + rain.to_csv())
-    for a in levels:
-        lv = level(rain, a)
-        mask = np.isin(grid_times.times, lv.times)
-        pts = path.points[mask]
-        doc = {"alpha": a, "config": prov, "level_times": lv.times.tolist()}
+    path_cols = ["t"] + [f"x_{i + 1}" for i in range(dim)]
+    path_rows = [dict(zip(path_cols, [t] + x)) for t, x in zip(times.tolist(), points.tolist())]
+    _write(os.path.join(out_dir, "path.csv"), prov_line + _rows_to_csv(path_rows, path_cols))
+    rain_rows = [{"x": x, "y": y} for x, y in rain.tolist()]
+    _write(os.path.join(out_dir, "rain.csv"), prov_line + _rows_to_csv(rain_rows, ["x", "y"]))
+    for a, level_times in zip(levels, level_sets):
+        pts = points[np.isin(times, level_times)]
+        doc = {"alpha": a, "config": prov, "level_times": level_times.tolist()}
         try:
             poly = build_hull(pts)
-            doc["hull"] = json.loads(poly.to_json())
-        except (DegeneracyError, ValueError) as exc:
+        except ValueError as exc:  # a DegeneracyError, or a dimension qhull is not run in
             doc["degenerate"] = str(exc)
             doc["points"] = pts.tolist()
+        else:
+            doc["hull"] = {
+                "dim": poly.dim, "vertices": poly.vertices.tolist(),
+                "hull_vertex_indices": poly.hull_vertex_indices.tolist(),
+                "facets": [{"vertex_indices": simplex, "normal": normal, "offset": offset}
+                           for simplex, normal, offset in zip(poly.simplices.tolist(),
+                                                              poly.normals.tolist(),
+                                                              poly.offsets.tolist())]}
         tag = repr(float(a)).replace(".", "p").replace("-", "m")
         _write(os.path.join(out_dir, f"hull_alpha_{tag}.json"),
                json.dumps(doc, sort_keys=True) + "\n")

@@ -12,7 +12,6 @@ per-replica facet geometry runs stacked over a leading row axis
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,17 +39,6 @@ class Polytope:
         tol = self.eps_geom if tol is None else tol
         x = np.asarray(x, dtype=float)
         return bool(np.all(self.normals @ x <= self.offsets + tol))
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "dim": self.dim,
-            "vertices": self.vertices.tolist(),
-            "hull_vertex_indices": self.hull_vertex_indices.tolist(),
-            "facets": [{"vertex_indices": simplex, "normal": normal, "offset": offset}
-                       for simplex, normal, offset in zip(self.simplices.tolist(),
-                                                          self.normals.tolist(),
-                                                          self.offsets.tolist())],
-        })
 
 
 def _affine_rank(points: np.ndarray, eps: float) -> int:

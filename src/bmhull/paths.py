@@ -5,67 +5,16 @@ Gaussians, so there is no discretisation error at the grid times themselves.
 Also houses the modulus event of the regularity event R.  step is the one
 exact transition of a batch of points, Brownian or bridge, which bridge
 loops over and the wedge-stay estimators run time-major; the batched kernels
-brownian, bridge and modulus_ok are what the other estimators run, and
-sample_brownian draws the single path of `bmhull simulate`.
+brownian, bridge and modulus_ok are what the other estimators run.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .integrals import phi
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    times: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size == 0:
-            raise ValueError("grid must be a nonempty 1-d array")
-        if t[0] < 0.0 or t[-1] > 1.0:
-            raise ValueError("grid times must lie in [0,1]")
-        if t.size > 1 and np.any(np.diff(t) <= 0.0):
-            raise ValueError("grid times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-
-    def __len__(self):
-        return self.times.size
-
-
-@dataclass(frozen=True)
-class PathSample:
-    grid: TimeGrid
-    points: np.ndarray  # (len(grid), dim)
-    dim: int
-
-    def __post_init__(self):
-        p = np.asarray(self.points, dtype=float)
-        if p.shape != (len(self.grid), self.dim):
-            raise ValueError("points must have shape (len(grid), dim)")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("points must be finite")
-        object.__setattr__(self, "points", p)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t"] + [f"x_{i+1}" for i in range(self.dim)])
-        for t, x in zip(self.grid.times, self.points):
-            w.writerow([repr(float(t))] + [repr(float(v)) for v in x])
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps({"dim": self.dim,
-                           "times": self.grid.times.tolist(),
-                           "points": self.points.tolist()})
 
 
 # soft cap on the normals drawn in one block of brownian()
@@ -144,17 +93,6 @@ def bridge(rng: np.random.Generator, n_rep: int, times: np.ndarray, a, b) -> np.
     for k in range(1, times.size):
         step(rng, out[:, k - 1], times[k - 1], times[k], out[:, k], pin)
     return out
-
-
-def sample_brownian(dim: int, grid: TimeGrid, rng: np.random.Generator) -> PathSample:
-    """Standard Brownian motion pinned at B(0)=0, realised at the grid times."""
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
-    t = grid.times
-    pts = brownian(rng, 1, time_steps(t), dim)[0, 1:]
-    if t[0] == 0.0:
-        pts[0] = 0.0  # sqrt(0)*z already, keep exact zero
-    return PathSample(grid, pts, dim)
 
 
 def modulus_ok(points: np.ndarray, times: np.ndarray, alpha: float, n_dim: int) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Poisson rain on [0,1] x [0, y_cap] and its monotone family of level sets.
+"""Poisson rain on [0,1] x [0, cap], its monotone family of level sets and
+the covering event.
 
 A single rain realisation yields the whole coupled family of level sets
 Lambda_alpha = {x_i : y_i <= alpha} + {0,1}, which is what makes the
@@ -7,74 +8,30 @@ monotonicity of the approximating hulls testable exactly.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .integrals import phi
 
 
-@dataclass(frozen=True)
-class Rain:
-    points: np.ndarray  # (m, 2) columns x, y
-    y_cap: float
+def coupled_levels(rng: np.random.Generator, alphas):
+    """One rain realisation and its nested level sets at the levels alphas.
 
-    def __post_init__(self):
-        p = np.asarray(self.points, dtype=float).reshape(-1, 2)
-        if p.size and (p[:, 0].min() < 0.0 or p[:, 0].max() > 1.0):
-            raise ValueError("x coordinates must lie in [0,1]")
-        if p.size and (p[:, 1].min() < 0.0 or p[:, 1].max() > self.y_cap):
-            raise ValueError("y coordinates must lie in [0, y_cap]")
-        object.__setattr__(self, "points", p)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["x", "y"])
-        for x, y in self.points:
-            w.writerow([repr(float(x)), repr(float(y))])
-        return buf.getvalue()
-
-
-@dataclass(frozen=True)
-class RainLevel:
-    alpha: float
-    times: np.ndarray  # sorted, contains 0 and 1
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.size < 2 or t[0] != 0.0 or t[-1] != 1.0:
-            raise ValueError("level set must contain 0 and 1")
-        if np.any(np.diff(t) < 0.0):
-            raise ValueError("times must be sorted")
-        object.__setattr__(self, "times", t)
-
-    def to_json(self) -> str:
-        return json.dumps({"alpha": self.alpha, "times": self.times.tolist()})
-
-
-def generate_rain(y_cap: float, rng: np.random.Generator) -> Rain:
-    """Homogeneous unit-intensity Poisson process on [0,1] x [0, y_cap]."""
-    if y_cap <= 0.0:
-        raise ValueError("y_cap must be > 0")
-    m = rng.poisson(y_cap)
-    pts = np.column_stack([rng.random(m), rng.random(m) * y_cap])
-    return Rain(pts, y_cap)
-
-
-def level(rain: Rain, alpha: float) -> RainLevel:
-    """Sub-level set of the rain at height alpha, always including {0,1}."""
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
-    if alpha > rain.y_cap:
-        raise ValueError("alpha exceeds the realised cap y_cap")
-    xs = rain.points[rain.points[:, 1] <= alpha, 0] if rain.points.size else np.empty(0)
-    times = np.unique(np.concatenate([[0.0, 1.0], xs]))
-    return RainLevel(alpha, times)
+    The rain is the unit-intensity Poisson process on [0,1] x [0, cap], with
+    cap = max(top level, 1): Poisson(cap) points, their x coordinates drawn
+    before their y coordinates.  Returns the (m, 2) rain points (x, y) and,
+    for each level in sorted order, the sorted level times: the x of the
+    points with y <= alpha, plus the pinned times 0 and 1.
+    """
+    levels = sorted(alphas)
+    if not levels or not all(a >= 0.0 for a in levels):
+        raise ValueError("need one or more levels >= 0")
+    cap = max(levels[-1], 1.0)
+    m = rng.poisson(cap)
+    rain = np.column_stack([rng.random(m), rng.random(m) * cap])
+    return rain, [np.unique(np.concatenate([[0.0, 1.0], rain[rain[:, 1] <= a, 0]]))
+                  for a in levels]
 
 
 def level_times(rng: np.random.Generator, alpha: float) -> np.ndarray:
@@ -149,11 +106,14 @@ def covered(times: np.ndarray, a: float, b: float, radius: float) -> bool:
     return not bool(bad.any())
 
 
-def check_N(levelset: RainLevel, alpha: float, interval=(0.0, 1.0)) -> bool:
-    """Covering event on [a,b] at radius phi(alpha)/alpha (see covered)."""
+def check_N(times: np.ndarray, alpha: float, interval=(0.0, 1.0)) -> bool:
+    """Covering event of the sorted level times on [a,b] at radius
+    phi(alpha)/alpha (see covered)."""
     if alpha <= 1.0:
         raise ValueError("alpha must be > 1")
     a, b = interval
     if not a <= b:
         raise ValueError("invalid interval")
-    return covered(levelset.times, a, b, phi(alpha) / alpha)
+    if np.any(np.diff(times) < 0.0):
+        raise ValueError("times must be sorted")
+    return covered(times, a, b, phi(alpha) / alpha)

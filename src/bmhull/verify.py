@@ -29,6 +29,16 @@ _TAG_LEMMA4 = 92
 _SPECIAL_ROWS = 256
 
 SPITZER_CASES = ((math.pi / 2.0, 1.0), (math.pi / 4.0, 2.0), (3.0 * math.pi / 8.0, 4.0 / 3.0))
+_CAMPBELL_ALPHAS = (10.0, 20.0)
+# lemma 3: vertices of a random polytope lie within _LEMMA3_RADIUS of the
+# wedge tip, and each polytope spans _WEDGE_POLYTOPE_POINTS random points
+_LEMMA3_RADIUS = 1.0
+_WEDGE_POLYTOPE_POINTS = 40
+# lemma 4: level alpha, simplex size n and bound M of the special-gap index;
+# a random instance places the wedge tip within _SPECIAL_TIP_OFFSET of one
+# skeleton point
+_LEMMA4_ALPHA, _LEMMA4_N, _LEMMA4_M = 1e6, 2, 1.0
+_SPECIAL_TIP_OFFSET = 0.01
 
 
 def _check(name, passed, **fields):
@@ -39,33 +49,32 @@ def _check(name, passed, **fields):
 
 # ------------------------------------------------------------- generators
 
-def random_wedge_polytope(rng: np.random.Generator, kappa: float, s: float = 1.0,
-                          n_points: int = 40):
-    """Random 3D polytope inside an ambient wedge of opening pi - kappa, with
-    every vertex within distance s of the tip (rejection from the ball)."""
+def random_wedge_polytope(rng: np.random.Generator, kappa: float, s: float = _LEMMA3_RADIUS):
+    """Random 3D polytope of _WEDGE_POLYTOPE_POINTS points inside an ambient
+    wedge of opening pi - kappa, with every vertex within distance s of the
+    tip (rejection from the ball)."""
     half = kappa / 2.0
     u1 = np.array([math.sin(half), 0.0, math.cos(half)])
     u2 = np.array([-math.sin(half), 0.0, math.cos(half)])
     wedge = AmbientWedge(tip=np.zeros(3), u1=u1, u2=u2)
     pts = []
-    while len(pts) < n_points:
-        cand = rng.uniform(-s, s, size=(4 * n_points, 3))
+    while len(pts) < _WEDGE_POLYTOPE_POINTS:
+        cand = rng.uniform(-s, s, size=(4 * _WEDGE_POLYTOPE_POINTS, 3))
         cand = cand[np.linalg.norm(cand, axis=1) <= s]
         cand = cand[wedge.contains(cand)]
         pts.extend(cand)
-    pts = np.asarray(pts[:n_points])
+    pts = np.asarray(pts[:_WEDGE_POLYTOPE_POINTS])
     return build_hull(pts), wedge
 
 
-def random_special_instance(rng: np.random.Generator, n: int = 2,
-                            tip_offset: float = 0.01):
+def random_special_instance(rng: np.random.Generator, n: int = _LEMMA4_N):
     """Times 0 = t_0 < ... < t_{2n+1} = 1, a Brownian skeleton at those times
-    and a wedge tip placed within tip_offset of one skeleton point, so both
-    stated hypotheses hold with very high probability."""
+    and a wedge tip placed within _SPECIAL_TIP_OFFSET of one skeleton point,
+    so both stated hypotheses hold with very high probability."""
     t = np.sort(np.concatenate([[0.0, 1.0], rng.random(2 * n)]))
     pb = brownian(rng, 1, time_steps(t), 2)[0, 1:]
     k = int(rng.integers(t.size))
-    w0 = pb[k] + rng.uniform(-tip_offset, tip_offset, size=2)
+    w0 = pb[k] + rng.uniform(-_SPECIAL_TIP_OFFSET, _SPECIAL_TIP_OFFSET, size=2)
     return t, pb, w0
 
 
@@ -96,10 +105,10 @@ def suite_spitzer(config: EstimatorConfig):
     return checks
 
 
-def suite_campbell(config: EstimatorConfig, alphas=(10.0, 20.0)):
+def suite_campbell(config: EstimatorConfig):
     """Mean facet count vs intensity-integral estimator: CI overlap."""
     checks = []
-    for alpha in alphas:
+    for alpha in _CAMPBELL_ALPHAS:
         lhs, rhs = mc.campbell_check(alpha, 2, config)
         checks.append(_check(f"campbell(alpha={alpha:g})", lhs.overlaps(rhs),
                              lhs_mean=lhs.mean, lhs_ci=[lhs.ci_low, lhs.ci_high],
@@ -133,7 +142,7 @@ def suite_lemma8(config: EstimatorConfig):
 
 
 def suite_lemma3(config: EstimatorConfig, instances: int = 1000,
-                 kappas=(0.3, 0.8, 1.5), s: float = 1.0):
+                 kappas=(0.3, 0.8, 1.5)):
     """Discordant-pair existence on random polytope-in-wedge instances."""
     rng = stream(config.master_seed, _TAG_LEMMA3, 0)
     per = max(1, instances // len(kappas))
@@ -144,17 +153,17 @@ def suite_lemma3(config: EstimatorConfig, instances: int = 1000,
         built = 0
         while built < per:
             try:
-                poly, wedge = random_wedge_polytope(rng, kappa, s)
+                poly, wedge = random_wedge_polytope(rng, kappa)
             except DegeneracyError:
                 continue
             built += 1
             try:
-                w = find_discordant(poly, wedge, kappa, s)
+                w = find_discordant(poly, wedge, kappa, _LEMMA3_RADIUS)
             except LemmaViolationError:
                 violations += 1
                 continue
             ok = (w.angle >= kappa / 16.0
-                  and w.tip_distance <= lemma3_constant(kappa) * s
+                  and w.tip_distance <= lemma3_constant(kappa) * _LEMMA3_RADIUS
                   and abs(angle(poly.normals[w.facet_i], poly.normals[w.facet_j])
                           - w.angle) <= 1e-9)
             bad_witness += 0 if ok else 1
@@ -165,16 +174,16 @@ def suite_lemma3(config: EstimatorConfig, instances: int = 1000,
     return checks
 
 
-def suite_lemma4(config: EstimatorConfig, instances: int = 10_000,
-                 alpha: float = 1e6, n: int = 2, M: float = 1.0):
+def suite_lemma4(config: EstimatorConfig, instances: int = 10_000):
     """Special-gap index: validity, exact re-verification, brute-force match."""
     rng = stream(config.master_seed, _TAG_LEMMA4, 0)
+    alpha, n = _LEMMA4_ALPHA, _LEMMA4_N
     none_count = mismatch = invalid = 0
     scale = alpha ** (1.0 / (10.0 * n))
     for lo in range(0, instances, _SPECIAL_ROWS):
         batch = [random_special_instance(rng, n)
                  for _ in range(min(_SPECIAL_ROWS, instances - lo))]
-        found = special_indices(*map(np.array, zip(*batch)), alpha, M, n)
+        found = special_indices(*map(np.array, zip(*batch)), alpha, _LEMMA4_M, n)
         for (t, pb, w0), j in zip(batch, found.tolist()):
             j = None if j < 0 else j
             if j != brute_force_special(t, pb, w0, alpha, n):
@@ -201,17 +210,17 @@ PROP6_GRID = (
     {"case": "interior-special", "rho": 0.3, "eps": 0.93},
     {"case": "edge-special", "rho": 0.3, "eps": 0.47},
 )
+_PROP6_ALPHA = math.e ** 20
 
 
-def prop6_monitor_case(spec: dict, config: EstimatorConfig,
-                       alpha: float = math.e ** 20):
+def prop6_monitor_case(spec: dict, config: EstimatorConfig):
     wedge = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=math.pi / 4.0)
     rho = spec["rho"]
     c, sn = math.cos(math.pi / 4.0), math.sin(math.pi / 4.0)
     d1 = np.array([rho * c, rho * sn])
     d2 = np.array([rho * c, -rho * sn])
     return mc.conditional_H_prob(spec["case"], wedge, 0.375, 0.625, d1, d2,
-                                 alpha, config, eps=spec["eps"])
+                                 _PROP6_ALPHA, config, eps=spec["eps"])
 
 
 # log alpha grid for the assembled decay bound (n = 2, kappa = pi/2): its log

@@ -22,8 +22,8 @@ from bmhull.cli import main as cli_main
 from bmhull.estimate import EstimatorConfig, stream
 from bmhull.hulls import build_hull, euler_characteristic_3d
 from bmhull.integrals import log_final_assembly
-from bmhull.rain import generate_rain, level
-from bmhull.paths import TimeGrid, sample_brownian
+from bmhull.paths import brownian, time_steps
+from bmhull.rain import coupled_levels
 from bmhull.wedges import Wedge2D
 
 
@@ -141,17 +141,16 @@ def test_acceptance_8_hull_invariants():
     mono_bad = 0
     for i in range(50):
         r2 = stream(108, 2, i)
-        rain = generate_rain(30.0, r2)
-        top = level(rain, 30.0)
-        grid = TimeGrid(top.times)
-        path = sample_brownian(2, grid, r2)
+        _, level_sets = coupled_levels(r2, (5.0, 10.0, 20.0, 30.0))
+        times = level_sets[-1]
+        points = brownian(r2, 1, time_steps(times), 2)[0, 1:]
         hulls = {}
-        for a in (5.0, 10.0, 20.0):
-            mask = np.isin(grid.times, level(rain, a).times)
+        for a, level_times in zip((5.0, 10.0, 20.0), level_sets):
+            mask = np.isin(times, level_times)
             if mask.sum() < 3:
                 continue
             try:
-                hulls[a] = build_hull(path.points[mask])
+                hulls[a] = build_hull(points[mask])
             except ValueError:
                 continue
         for a_lo, a_hi in ((5.0, 10.0), (10.0, 20.0), (5.0, 20.0)):

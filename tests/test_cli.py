@@ -179,7 +179,15 @@ def test_inputs_outside_the_library_domain_are_usage_errors():
              (["sweep", "r-complement", "--values", "-1"],
               "Invalid value for '--values': alpha must be > 1"),
              (["sweep", "za-integrals", "--values", "0.5"],
-              "Invalid value for '--values': a must be in (0, 1/e)")]
+              "Invalid value for '--values': a must be in (0, 1/e)"),
+             # rejected before any draw; a large finite level would draw
+             # that many rain points
+             (["simulate", "--alphas", "nan"],
+              "Invalid value for '--alphas': need one or more levels >= 0"),
+             (["simulate", "--alphas", "inf"],
+              "Invalid value for '--alphas': lam value too large"),
+             (["simulate", "--alphas", "1e300"],
+              "Invalid value for '--alphas': lam value too large")]
     for args, message in cases:
         r = run(args)  # an exception other than click's exit would propagate
         assert r.exit_code == 2 and message in r.output, args

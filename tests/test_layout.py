@@ -26,9 +26,13 @@ covering window is clipped on one side only, was recorded while the covering
 event still drew and sorted each replica's whole level set.  Every covering
 call of the estimator cases returns True, so the `level_covered` case calls
 the covering kernel directly, at radii where the covering event fails as well
-as where it holds.  The `simulate degenerate hulls` documents, whose level
-points span no hull, were recorded while `simulate` still drew through the
-`Rain` and `PathSample` classes and serialised hulls with `Polytope.to_json`.
+as where it holds.  The `samplers` case and the `simulate` artifacts were
+recorded while a path, a rain and a level set were objects (`PathSample`,
+`Rain`, `RainLevel`) that serialised themselves, and a hull document went
+through `Polytope.to_json`; the case now serialises the kernels' arrays,
+and `simulate` writes its artifacts from arrays, to the same bytes.  The
+`simulate degenerate hulls` documents, whose level points span no hull,
+were recorded before that change.
 
 A deliberate change to the draw order bumps `estimate.STREAM_LAYOUT`,
 re-records the digests of the estimates it changes, and only those, and
@@ -61,8 +65,8 @@ from bmhull.cli import main
 from bmhull.estimate import CHUNK, STREAM_LAYOUT, EstimatorConfig, stream
 from bmhull.hulls import SimplexTimes
 from bmhull.integrals import measure_Za_complement, phi
-from bmhull.paths import PathSample, TimeGrid, bridge, sample_brownian
-from bmhull.rain import RainLevel, level_covered, level_times
+from bmhull.paths import bridge, brownian, time_steps
+from bmhull.rain import level_covered, level_times
 from bmhull.wedges import Wedge2D, find_discordant, special_indices
 
 CFG = EstimatorConfig(replicas=300, master_seed=0, grid_points_per_unit_time=64)
@@ -116,16 +120,23 @@ def _lemma3_witnesses():
     return json.dumps(out)
 
 
+def _path_json(times, points):
+    return json.dumps({"dim": points.shape[1], "times": times.tolist(),
+                       "points": points.tolist()})
+
+
 def _samplers():
-    grid = TimeGrid(np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.0]))
-    bm = sample_brownian(3, grid, stream(0, 301, 0))
-    off = sample_brownian(2, TimeGrid(np.array([0.25, 0.5, 1.0])), stream(0, 302, 0))
-    br = PathSample(grid, bridge(stream(0, 303, 0), 1, grid.times, [0.1, -0.2],
-                                 [0.3, 0.4])[0], 2)
-    lv = RainLevel(20.0, np.unique(level_times(stream(0, 304, 0), 20.0)))
+    times = np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.0])
+    bm = brownian(stream(0, 301, 0), 1, time_steps(times), 3)[0, 1:]
+    bm[0] = 0.0  # the path at time 0, as simulate writes it
+    off_times = np.array([0.25, 0.5, 1.0])
+    off = brownian(stream(0, 302, 0), 1, time_steps(off_times), 2)[0, 1:]
+    br = bridge(stream(0, 303, 0), 1, times, [0.1, -0.2], [0.3, 0.4])[0]
+    lv = np.unique(level_times(stream(0, 304, 0), 20.0))
     t, pb, w0 = verify.random_special_instance(stream(0, 305, 0))
     special = json.dumps([t.tolist(), pb.tolist(), w0.tolist()])
-    return "\n".join([bm.to_json(), off.to_json(), br.to_json(), lv.to_json(), special])
+    return "\n".join([_path_json(times, bm), _path_json(off_times, off), _path_json(times, br),
+                      json.dumps({"alpha": 20.0, "times": lv.tolist()}), special])
 
 
 def _level_covered():

@@ -6,32 +6,15 @@ import pytest
 from bmhull import paths
 from bmhull.estimate import stream
 from bmhull.integrals import phi
-from bmhull.paths import (TimeGrid, bridge, brownian, modulus_ok, sample_brownian,
-                          time_steps)
-
-
-def test_timegrid_validation():
-    with pytest.raises(ValueError):
-        TimeGrid(np.array([0.2, 0.1]))
-    with pytest.raises(ValueError):
-        TimeGrid(np.array([-0.1, 0.5]))
-    with pytest.raises(ValueError):
-        TimeGrid(np.array([]))
-    g = TimeGrid(np.linspace(0.0, 1.0, 10))
-    assert g.times[0] == 0.0 and g.times[-1] == 1.0 and len(g) == 10
+from bmhull.paths import bridge, brownian, modulus_ok, time_steps
 
 
 def test_brownian_marginals():
     """B(1) ~ N(0,1) per coordinate and Cov(B(s),B(t)) = min(s,t)."""
-    grid = TimeGrid(np.array([0.0, 0.3, 0.7, 1.0]))
-    rng = stream(7, 201, 0)
+    dts = time_steps(np.array([0.0, 0.3, 0.7, 1.0]))
     n = 20000
-    b3 = np.empty(n)
-    b7 = np.empty(n)
-    b1 = np.empty(n)
-    for i in range(n):
-        p = sample_brownian(1, grid, rng)
-        b3[i], b7[i], b1[i] = p.points[1, 0], p.points[2, 0], p.points[3, 0]
+    p = brownian(stream(7, 201, 0), n, dts, 1)[:, 1:, 0]
+    b3, b7, b1 = p[:, 1], p[:, 2], p[:, 3]
     assert abs(b1.mean()) < 4 / math.sqrt(n)
     assert b1.var() == pytest.approx(1.0, abs=0.05)
     assert np.mean(b3 * b7) == pytest.approx(0.3, abs=0.03)
@@ -39,12 +22,11 @@ def test_brownian_marginals():
 
 
 def test_brownian_starts_at_zero():
-    grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
-    p = sample_brownian(3, grid, stream(1, 202, 0))
-    assert np.all(p.points[0] == 0.0)
-    # grid not containing 0: first point is B(t_0), variance t_0
-    grid2 = TimeGrid(np.array([0.25, 0.5]))
-    vals = [sample_brownian(1, grid2, stream(1, 203, i)).points[0, 0] for i in range(4000)]
+    p = brownian(stream(1, 202, 0), 1, time_steps(np.array([0.0, 0.5, 1.0])), 3)[0]
+    assert np.all(p[:2] == 0.0)  # the origin, and the path at time 0
+    # times not starting at 0: the first point is B(t_0), variance t_0
+    dts = time_steps(np.array([0.25, 0.5]))
+    vals = [brownian(stream(1, 203, i), 1, dts, 1)[0, 1, 0] for i in range(4000)]
     assert np.var(vals) == pytest.approx(0.25, abs=0.03)
 
 
@@ -134,15 +116,3 @@ def test_modulus_ok_degenerate_shapes():
     times = np.array([0.5])
     assert modulus_ok(np.zeros((3, 1, 2)), times, 10.0, 2).all()
     assert modulus_ok(np.zeros((0, 5, 2)), np.linspace(0, 1, 5), 10.0, 2).shape == (0,)
-
-
-def test_serialization_roundtrip():
-    grid = TimeGrid(np.array([0.0, 0.25, 1.0]))
-    path = sample_brownian(3, grid, stream(2, 211, 0))
-    csv_text = path.to_csv()
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "t,x_1,x_2,x_3"
-    assert len(lines) == 4
-    import json
-    doc = json.loads(path.to_json())
-    assert doc["dim"] == 3 and len(doc["points"]) == 3

@@ -7,8 +7,8 @@ name in the defining module outside its own definition, a name imported
 with `from .module import name`, or `module.name` after `from . import
 module`.  Comments, docstrings and the re-exports of `bmhull/__init__.py`
 are not uses.  A method or property is used when some `.name` attribute
-access in the package's code spells its name.  This keeps wrappers that
-only tests call from growing back.
+access in the package's code spells its name, or when it is named below.
+This keeps wrappers that only tests call from growing back.
 """
 
 import ast
@@ -21,6 +21,10 @@ ORACLES = ("check_N", "euler_characteristic_3d", "final_assembly")
 # the samplers and estimators the package offers its callers without calling
 # them itself
 ENTRY_POINTS = ("bridge", "stay_prob_wedge", "bridge_stay_prob", "discordant_prob")
+# (class, member) pairs the package offers its callers without calling them
+# itself: the serialised estimate that the layout digests and the benchmark's
+# checks read
+MEMBER_ENTRY_POINTS = (("Estimate", "to_json"),)
 
 
 def _modules():
@@ -95,6 +99,10 @@ def test_public_members_are_used_by_the_package():
     trees = _modules()
     attrs = {node.attr for tree in trees.values() for node in ast.walk(tree)
              if isinstance(node, ast.Attribute)}
-    unused = sorted(f"{name}.{cls}.{member}" for name, tree in trees.items()
-                    for cls, member in _public_members(tree) if member not in attrs)
+    members = [(name, cls, member) for name, tree in trees.items()
+               for cls, member in _public_members(tree)]
+    unused = sorted(f"{name}.{cls}.{member}" for name, cls, member in members
+                    if member not in attrs and (cls, member) not in MEMBER_ENTRY_POINTS)
     assert unused == [], f"public methods no module of bmhull uses: {unused}"
+    # the list names only what still exists, so it cannot outlive it
+    assert set(MEMBER_ENTRY_POINTS) <= {(cls, member) for _, cls, member in members}
