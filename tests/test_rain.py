@@ -39,18 +39,6 @@ def test_level_mean_count():
     assert np.mean(direct) == pytest.approx(100.0, abs=3 * math.sqrt(100.0 / 2000) + 0.5)
 
 
-def test_coupled_levels_domain():
-    """Negative, NaN and missing levels are rejected before any draw; the
-    cap is the top level, or 1 below it."""
-    for alphas in ([-1.0], [5.0, -1.0], [float("nan")], []):
-        rng = stream(4, 304, 0)
-        with pytest.raises(ValueError, match="levels >= 0"):
-            coupled_levels(rng, alphas)
-        assert rng.random() == stream(4, 304, 0).random()
-    rain, (times,) = coupled_levels(stream(4, 304, 0), [0.0])
-    assert np.array_equal(times, [0.0, 1.0]) and rain[:, 1].max() <= 1.0
-
-
 def test_check_N_radius_one_always_covers():
     # phi(e)/e = 1: radius one covers [0,1] from the endpoints alone
     assert check_N(np.array([0.0, 1.0]), math.e)
