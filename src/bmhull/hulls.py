@@ -135,8 +135,8 @@ def facet_events(r_points, level_points, eps) -> tuple[np.ndarray, np.ndarray]:
     level point lies within eps[k] of one closed side of its affine span.
 
     Also returns each simplex's affine rank (see oriented_normals); the event
-    of a degenerate row is False.  Ragged level sets can be padded with a
-    simplex point, which lies on its hyperplane up to rounding.
+    of a degenerate row is False.  Ragged level sets can be padded with
+    repeats of one of the row's own level points, which changes no event.
     """
     r_pts = np.asarray(r_points, dtype=float)
     n, rank = oriented_normals(r_pts, r_pts[:, 0])

@@ -1,10 +1,11 @@
 """Deterministic scalar helpers and the simplex integrals with the gap restriction.
 
 Covers the slowly-varying scale function phi, the enlarged-wedge offset, the
-product bound for the restricted log-singular integral over [0,1]^{2n}, its
-quadrature cross-check, the Monte Carlo measure of the complement of the gap
-region on the double simplex, the pair-bound right-hand side, and the final
-closed-form assembly of the decay bound.
+exact mean of the Campbell facet count, the product bound for the restricted
+log-singular integral over [0,1]^{2n}, its quadrature cross-check, the Monte
+Carlo measure of the complement of the gap region on the double simplex, the
+pair-bound right-hand side, and the final closed-form assembly of the decay
+bound.
 """
 
 from __future__ import annotations
@@ -50,6 +51,38 @@ def phi(alpha: float) -> float:
 def enlargement(alpha: float) -> float:
     """Edge offset phi(alpha)^2 / sqrt(alpha) of the enlarged wedge."""
     return phi(alpha) ** 2 / math.sqrt(alpha)
+
+
+def campbell_mean(alpha: float) -> float:
+    """Exact mean of the rain-only edge count that both sides of
+    mc.campbell_check estimate in the plane:
+
+        sum_m Poisson(alpha; m) (2 H_n - 4 p_n + 2/n),   n = m + 1.
+
+    Given m rain points the path at the level times is a planar walk of n
+    steps with exchangeable, symmetric increments, so its hull has 2 H_n
+    edges on average (Baxter 1961), its first and last points are vertices
+    with probability p_n = 2 C(2n, n) 4^-n sum_{j <= n} 1/(2j - 1)
+    (Kabluchko, Vysotsky & Zaporozhets, GAFA 2017), and the edge between
+    them has probability 2/n.  The series is summed with lgamma weights
+    until its tail is below 1e-16.
+    """
+    if alpha <= 0.0:
+        raise ValueError("alpha must be > 0")
+    total = harmonic = odd = 0.0
+    central = 1.0  # C(2n, n) 4^-n
+    n = 0
+    while True:
+        n += 1
+        harmonic += 1.0 / n
+        odd += 1.0 / (2 * n - 1)
+        central *= (2 * n - 1) / (2 * n)
+        weight = math.exp((n - 1) * math.log(alpha) - alpha - math.lgamma(n))
+        total += weight * (2.0 * harmonic - 8.0 * central * odd + 2.0 / n)
+        # the terms lie in [0, 2 H_n] and 2 H_n <= 2 + 2 ln n grows slowly,
+        # while past n = 2 alpha each weight is at most half the one before
+        if n >= 2.0 * alpha and weight * (2.0 + 2.0 * math.log(n + 1)) < 1e-16:
+            return total
 
 
 def integral_Za_bound(a: float, n: int) -> float:

@@ -16,12 +16,12 @@ floating point.  Convex wedges apply the correction per edge independently
 (documented over-correction near the tip); non-convex (reflex) wedges fall
 back to plain grid indicators, where the correction is invalid.
 
-The facet estimators decide many replicas per call of the stacked kernels of
-hulls and wedges: discordant_prob draws its paths with paths.brownian in
-blocks of at most _PATH_BLOCK numbers, and campbell_check's indicator side
-draws replica by replica and decides _DECIDE_ROWS replicas at once on
-padded level-point arrays.  brownian draws replica by replica, so neither
-changes the draw order, and memory stays O(block), not O(replicas x steps).
+The facet estimators draw and decide a block of replicas per call of the
+batched kernels, so memory stays O(block), not O(replicas x steps):
+discordant_prob draws its paths in blocks of at most _PATH_BLOCK numbers,
+which paths.brownian draws replica by replica, so the blocks keep the draw
+order; both sides of campbell_check draw _DECIDE_ROWS replicas per block,
+with one rain.level_times and one brownian call.
 
 The regularity estimators (conditional_H_prob, prob_R_complement) decide
 each replica's covering event with rain.level_covered, which usually settles
@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .estimate import Estimate, EstimatorConfig, from_weights, run_chunks, scaled
+from .estimate import Estimate, EstimatorConfig, from_weights, run_chunks
 from .hulls import (SimplexTimes, count_q, facet_events, merged_times, oriented_normals,
                     row_dot)
 from .integrals import enlargement, phi, rhs_bound
@@ -52,7 +52,9 @@ _TAG_CAMPBELL_RHS = 6
 _TAG_DISCORDANT = 7
 _TAG_FIT_BASE = 800
 
-# replicas whose facet geometry is decided at once
+# replicas whose facet geometry is decided at once; campbell_check also
+# draws its replicas in blocks of this many, so, like CHUNK, it is part of
+# the stream layout
 _DECIDE_ROWS = 256
 # numbers (points x coordinates) in one block of discordant_prob's paths:
 # 15 paths at grid 1024, whose temporaries keep peak RSS within 1 MB
@@ -306,9 +308,14 @@ def campbell_check(alpha: float, n_dim: int, config: EstimatorConfig):
     """Two estimators of the mean facet count of the approximating polytope:
 
     lhs: direct mean facet count over (path, rain) replicas;
-    rhs: alpha^n * vol(simplex) * P(facet event at a uniform simplex point).
+    rhs: alpha^n * vol(simplex) * P(facet event at a uniform simplex point),
+    the mean of the facet-event indicators weighted by alpha^n / n!.
 
-    Returns (lhs, rhs) Estimates; the identity makes their CIs overlap.
+    Both sides draw _DECIDE_ROWS replicas at a time: the lhs a block of level
+    sets and their paths, the rhs a block of simplex times, then of level
+    sets, then the paths at their merged times.  Returns (lhs, rhs)
+    Estimates; the identity makes their CIs overlap, and both estimate
+    integrals.campbell_mean(alpha).
     """
     if n_dim != 2:
         raise ValueError("n_dim = 2 only (cost)")
@@ -317,45 +324,41 @@ def campbell_check(alpha: float, n_dim: int, config: EstimatorConfig):
 
     def lhs_kernel(rng, sz):
         counts = np.zeros(sz)
-        for i in range(sz):
-            times = level_times(rng, alpha)
-            pts = brownian(rng, 1, time_steps(times), n_dim)[0, 1:]
-            try:
-                counts[i] = count_q(times, pts, region=_rain_tuple)
-            except ValueError:
-                pass  # degenerate (too few rain points): zero facets
+        for lo in range(0, sz, _DECIDE_ROWS):
+            times, m = level_times(rng, alpha, min(_DECIDE_ROWS, sz - lo))
+            pts = brownian(rng, len(m), time_steps(times), n_dim)[:, 1:]
+            for i, (t, p, k) in enumerate(zip(times, pts, m.tolist()), start=lo):
+                try:
+                    counts[i] = count_q(t[:k + 2], p[:k + 2], region=_rain_tuple)
+                except ValueError:
+                    pass  # degenerate (too few rain points): zero facets
         return counts
 
     def rhs_kernel(rng, sz):
-        hits = np.zeros(sz)
+        hits = np.zeros(sz, dtype=bool)
         for lo in range(0, sz, _DECIDE_ROWS):
-            draws = []
-            for _ in range(min(_DECIDE_ROWS, sz - lo)):
-                r = np.sort(rng.random(n_dim))
-                all_t = np.concatenate([r, level_times(rng, alpha)])
-                order = np.argsort(all_t, kind="stable")
-                pts = np.empty((all_t.size, n_dim))
-                pts[order] = brownian(rng, 1, time_steps(all_t[order]), n_dim)[0, 1:]
-                draws.append(pts)
-            simplex = np.array([p[:n_dim] for p in draws])
-            # level sets padded with the simplex's first point, which lies on
-            # its hyperplane up to rounding, far inside eps
-            level = simplex[:, :1].repeat(max(map(len, draws)) - n_dim, axis=1)
-            for k, p in enumerate(draws):
-                level[k, :len(p) - n_dim] = p[n_dim:]
-            eps = 1e-12 * np.maximum(1.0, [np.abs(p).max() for p in draws])
+            rows = min(_DECIDE_ROWS, sz - lo)
+            r = np.sort(rng.random((rows, n_dim)), axis=1)
+            all_t = np.concatenate([r, level_times(rng, alpha, rows)[0]], axis=1)
+            order = np.argsort(all_t, axis=1, kind="stable")
+            path = brownian(rng, rows, time_steps(np.take_along_axis(all_t, order, axis=1)),
+                            n_dim)[:, 1:]
+            # the path at all_t: simplex points first, then the level points,
+            # whose pads repeat B(1), one of the row's own level points
+            pts = np.empty_like(path)
+            pts[np.arange(rows)[:, None], order] = path
+            eps = 1e-12 * np.maximum(1.0, np.abs(pts).max(axis=(1, 2)))
             # an affinely dependent simplex is no facet: its event is False
-            hits[lo:lo + len(draws)] = facet_events(simplex, level, eps)[0]
+            hits[lo:lo + rows] = facet_events(pts[:, :n_dim], pts[:, n_dim:], eps)[0]
         return hits
 
+    extra = {"alpha": alpha, "estimand": "mean_facet_count"}
     lhs = from_weights(run_chunks(config, _TAG_CAMPBELL_LHS, lhs_kernel), config,
-                       clamp01=False, extra={"alpha": alpha, "estimand": "mean_facet_count"})
+                       clamp01=False, extra=extra)
     # the indicator side is cheaper and noisier
-    raw = from_weights(run_chunks(config, _TAG_CAMPBELL_RHS, rhs_kernel,
-                                  replicas=config.replicas * 4), config,
-                       extra={"alpha": alpha, "estimand": "facet_event_rate"})
-    vol_simplex = 1.0 / math.factorial(n_dim)
-    rhs = scaled(raw, alpha ** n_dim * vol_simplex)
+    hits = run_chunks(config, _TAG_CAMPBELL_RHS, rhs_kernel, replicas=config.replicas * 4)
+    rhs = from_weights(hits * (alpha ** n_dim / math.factorial(n_dim)), config,
+                       clamp01=False, extra=dict(extra))
     return lhs, rhs
 
 

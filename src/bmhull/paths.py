@@ -25,33 +25,36 @@ _SCAN_ELEMS = _BLOCK_ELEMS // 64
 
 
 def brownian(rng: np.random.Generator, n_rep: int, dts: np.ndarray, dim: int) -> np.ndarray:
-    """Brownian paths from the origin, of shape (n_rep, len(dts) + 1, dim):
-    row 0 is 0.0 and row k adds the first k independent increments, of
-    variances dts[:k].
+    """Brownian paths from the origin, of shape (n_rep, n + 1, dim): row 0 is
+    0.0 and row k adds the first k independent increments, of variances
+    dts[..., :k].  dts is one grid of n steps, (n,), that every replica
+    shares, or one grid per replica, (n_rep, n).
 
     Normals are drawn replica by replica in row blocks, so the draw sequence
-    (and hence the result) does not depend on the block size.
+    (and hence the result) does not depend on the block size, and replica k
+    of an (n_rep, n) grid is what a 1-d call with dts[k] would draw next.
     """
-    n = dts.size
+    n = dts.shape[-1]
     # per-coordinate scales of one flattened path, so that scaling runs as
     # one contiguous loop per path
-    sd = np.sqrt(dts).repeat(dim)
+    sd = np.sqrt(dts).repeat(dim, axis=-1)
     out = np.empty((n_rep, n + 1, dim))
     out[:, 0] = 0.0
-    block = max(1, _BLOCK_ELEMS // max(sd.size, 1))
+    block = max(1, _BLOCK_ELEMS // max(n * dim, 1))
     for lo in range(0, n_rep, block):
         hi = min(lo + block, n_rep)
-        inc = rng.standard_normal((hi - lo, sd.size))
-        inc *= sd
+        inc = rng.standard_normal((hi - lo, n * dim))
+        inc *= sd if sd.ndim == 1 else sd[lo:hi]
         np.cumsum(inc.reshape(hi - lo, n, dim), axis=1, out=out[lo:hi, 1:])
     return out
 
 
 def time_steps(times: np.ndarray) -> np.ndarray:
-    """Steps from time 0 through the sorted times, t_0 - 0, t_1 - t_0, ...: the
-    dts of brownian for a path from B(0) realised at the times."""
+    """Steps from time 0 through the sorted times along the last axis, t_0 - 0,
+    t_1 - t_0, ...: the dts of brownian for paths from B(0) realised at the
+    times."""
     dts = times.copy()
-    dts[1:] -= times[:-1]
+    dts[..., 1:] -= times[..., :-1]
     return dts
 
 

@@ -15,6 +15,12 @@ import numpy as np
 from .integrals import phi
 
 
+# The rain holds about max level points, 16 bytes each, and a path drawn at
+# its times 8 dim bytes more per point; a level of 1e9 would take 16 GB for
+# the rain alone, so coupled_levels refuses levels above this before drawing.
+_MAX_LEVEL = 1e6
+
+
 def coupled_levels(rng: np.random.Generator, alphas):
     """One rain realisation and its nested level sets at the levels alphas.
 
@@ -22,11 +28,14 @@ def coupled_levels(rng: np.random.Generator, alphas):
     cap = max(top level, 1): Poisson(cap) points, their x coordinates drawn
     before their y coordinates.  Returns the (m, 2) rain points (x, y) and,
     for each level in sorted order, the sorted level times: the x of the
-    points with y <= alpha, plus the pinned times 0 and 1.
+    points with y <= alpha, plus the pinned times 0 and 1.  Levels outside
+    [0, _MAX_LEVEL] are refused before anything is drawn.
     """
     levels = sorted(alphas)
     if not levels or not all(a >= 0.0 for a in levels):
         raise ValueError("need one or more levels >= 0")
+    if levels[-1] > _MAX_LEVEL:
+        raise ValueError(f"levels above {_MAX_LEVEL:g} are not supported")
     cap = max(levels[-1], 1.0)
     m = rng.poisson(cap)
     rain = np.column_stack([rng.random(m), rng.random(m) * cap])
@@ -34,11 +43,24 @@ def coupled_levels(rng: np.random.Generator, alphas):
                   for a in levels]
 
 
-def level_times(rng: np.random.Generator, alpha: float) -> np.ndarray:
-    """Sorted level times of a direct Poisson(alpha) level set on [0,1]:
-    Poisson(alpha) uniform times plus the pinned times 0 and 1."""
-    m = rng.poisson(alpha)
-    return np.sort(np.concatenate([rng.random(m), (0.0, 1.0)]))
+def level_times(rng: np.random.Generator, alpha: float, rows: int):
+    """Sorted level times of rows direct Poisson(alpha) level sets on [0,1],
+    each Poisson(alpha) uniform times plus the pinned times 0 and 1.
+
+    Draws poisson(alpha, rows), then random(m.sum()), the uniforms of row k
+    after those of the rows before it.  Returns the times, (rows, m.max() +
+    2), and the counts m, (rows,): row k of the times holds 0, its m[k]
+    sorted uniforms and 1, then repeats of 1.0, so times[k, :m[k] + 2] is
+    its level set.
+    """
+    m = rng.poisson(alpha, rows)
+    times = np.ones((rows, m.max(initial=0) + 2))
+    times[:, 0] = 0.0
+    cols = np.arange(times.shape[1])
+    # a boolean mask fills row-major, so each row receives its own uniforms
+    times[(cols >= 1) & (cols <= m[:, None])] = rng.random(m.sum())
+    times.sort(axis=1)
+    return times, m
 
 
 def level_covered(rng: np.random.Generator, alpha: float, a: float, b: float,

@@ -15,7 +15,7 @@ import numpy as np
 from . import mc
 from .estimate import EstimatorConfig, from_weights, run_chunks, stream
 from .hulls import build_hull, DegeneracyError
-from .integrals import (integral_Za_bound, integral_Za_quadrature,
+from .integrals import (campbell_mean, integral_Za_bound, integral_Za_quadrature,
                         measure_Za_complement, log_final_assembly)
 from .paths import brownian, time_steps
 from .wedges import (AmbientWedge, LemmaViolationError, Wedge2D, angle,
@@ -30,6 +30,8 @@ _SPECIAL_ROWS = 256
 
 SPITZER_CASES = ((math.pi / 2.0, 1.0), (math.pi / 4.0, 2.0), (3.0 * math.pi / 8.0, 4.0 / 3.0))
 _CAMPBELL_ALPHAS = (10.0, 20.0)
+# standard errors by which each Campbell side may miss the exact mean
+_CAMPBELL_Z = 4.0
 # lemma 3: vertices of a random polytope lie within _LEMMA3_RADIUS of the
 # wedge tip, and each polytope spans _WEDGE_POLYTOPE_POINTS random points
 _LEMMA3_RADIUS = 1.0
@@ -106,13 +108,18 @@ def suite_spitzer(config: EstimatorConfig):
 
 
 def suite_campbell(config: EstimatorConfig):
-    """Mean facet count vs intensity-integral estimator: CI overlap."""
+    """Mean facet count vs intensity-integral estimator: each side within
+    _CAMPBELL_Z standard errors of the exact mean, and CI overlap."""
     checks = []
     for alpha in _CAMPBELL_ALPHAS:
         lhs, rhs = mc.campbell_check(alpha, 2, config)
-        checks.append(_check(f"campbell(alpha={alpha:g})", lhs.overlaps(rhs),
-                             lhs_mean=lhs.mean, lhs_ci=[lhs.ci_low, lhs.ci_high],
-                             rhs_mean=rhs.mean, rhs_ci=[rhs.ci_low, rhs.ci_high]))
+        exact = campbell_mean(alpha)
+        lhs_z = (lhs.mean - exact) / lhs.std_error
+        rhs_z = (rhs.mean - exact) / rhs.std_error
+        passed = abs(lhs_z) <= _CAMPBELL_Z and abs(rhs_z) <= _CAMPBELL_Z and lhs.overlaps(rhs)
+        checks.append(_check(f"campbell(alpha={alpha:g})", passed, exact_mean=exact,
+                             lhs_mean=lhs.mean, lhs_ci=[lhs.ci_low, lhs.ci_high], lhs_z=lhs_z,
+                             rhs_mean=rhs.mean, rhs_ci=[rhs.ci_low, rhs.ci_high], rhs_z=rhs_z))
     return checks
 
 

@@ -7,7 +7,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from bmhull import STREAM_LAYOUT, verify
+from bmhull import STREAM_LAYOUT, cli, verify
 from bmhull.cli import main
 
 E1 = repr(math.exp(-1.0))
@@ -169,7 +169,15 @@ def test_out_of_range_settings_are_usage_errors():
         assert r.exit_code == 2 and message in r.output, args
 
 
-def test_inputs_outside_the_library_domain_are_usage_errors():
+class _NoDraws:
+    """A generator stand-in that fails the test on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew with {name}")
+
+
+def test_inputs_outside_the_library_domain_are_usage_errors(monkeypatch):
+    monkeypatch.setattr(cli, "stream", lambda *args: _NoDraws())
     seed = "Invalid value for '--seed': -1 is not in the range x>=0"
     dim = "Invalid value for '--dim': 0 is not in the range x>=1"
     cases = [(["simulate", "--seed", "-1"], seed),
@@ -181,13 +189,15 @@ def test_inputs_outside_the_library_domain_are_usage_errors():
              (["sweep", "za-integrals", "--values", "0.5"],
               "Invalid value for '--values': a must be in (0, 1/e)"),
              # rejected before any draw; a large finite level would draw
-             # that many rain points
+             # that many rain points, 16 GB of them at 1e9
              (["simulate", "--alphas", "nan"],
               "Invalid value for '--alphas': need one or more levels >= 0"),
              (["simulate", "--alphas", "inf"],
-              "Invalid value for '--alphas': lam value too large"),
+              "Invalid value for '--alphas': levels above 1e+06 are not supported"),
              (["simulate", "--alphas", "1e300"],
-              "Invalid value for '--alphas': lam value too large")]
+              "Invalid value for '--alphas': levels above 1e+06 are not supported"),
+             (["simulate", "--alphas", "1e9"],
+              "Invalid value for '--alphas': levels above 1e+06 are not supported")]
     for args, message in cases:
         r = run(args)  # an exception other than click's exit would propagate
         assert r.exit_code == 2 and message in r.output, args

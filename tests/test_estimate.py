@@ -6,8 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from bmhull.estimate import (CHUNK, EstimatorConfig, chunk_sizes, from_weights,
-                             scaled, stream)
+from bmhull.estimate import CHUNK, EstimatorConfig, chunk_sizes, from_weights, stream
 
 
 def test_chunk_sizes_layout():
@@ -69,13 +68,9 @@ def test_ci_calibration():
     assert 0.92 <= cover / trials <= 0.98
 
 
-def test_scaled_and_serialization():
+def test_estimate_to_json():
     cfg = EstimatorConfig(replicas=100)
     est = from_weights(np.linspace(0, 1, 100), cfg, extra={"k": 1})
-    s = scaled(est, 3.0)
-    assert s.mean == pytest.approx(3 * est.mean)
-    assert s.std_error == pytest.approx(3 * est.std_error)
-    assert s.extra["scale_factor"] == 3.0
     assert '"mean"' in est.to_json()
 
 

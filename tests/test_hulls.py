@@ -226,7 +226,7 @@ def test_simplex_times_and_merge():
         SimplexTimes(np.array([0.2, 1.2]))
 
 
-def test_serialization_and_eps():
+def test_polytope_arrays_and_eps():
     poly = build_hull(SQUARE)
     assert poly.dim == 2 and poly.simplices.shape == (4, 2)
     assert poly.normals.shape == (4, 2) and poly.offsets.shape == (4,)

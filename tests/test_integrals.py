@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bmhull.estimate import EstimatorConfig
-from bmhull.integrals import (ZaRegion, enlargement, final_assembly,
+from bmhull.integrals import (ZaRegion, campbell_mean, enlargement, final_assembly,
                               integral_Za_bound, integral_Za_quadrature,
                               log_final_assembly, measure_Za_complement, phi,
                               rhs_bound)
@@ -188,3 +188,16 @@ def test_log_final_assembly_domain():
         log_final_assembly(0.0, 1.0)
     with pytest.raises(ValueError):
         log_final_assembly(-1.0, 1.0)
+
+
+def test_campbell_mean_values():
+    """The exact Campbell mean at the suite's levels, and its small-alpha
+    limit: walks of one or two steps have no rain-only edge, and of three
+    steps (two rain points) the middle one is a hull edge with probability
+    1/2, so the mean is about exp(-alpha) alpha^2 / 4."""
+    assert campbell_mean(10.0) == pytest.approx(3.1923029, abs=1e-7)
+    assert campbell_mean(20.0) == pytest.approx(4.8748935, abs=1e-7)
+    a = 1e-3
+    assert campbell_mean(a) == pytest.approx(math.exp(-a) * a * a / 4.0, rel=1e-2)
+    with pytest.raises(ValueError):
+        campbell_mean(0.0)

@@ -43,7 +43,10 @@ now step their live replicas time-major.  The two `include_R="always"`
 cases of `conditional_H_prob` kept their digests: their enlarged wedge is
 so wide that no replica leaves it, so the bridge steps draw what
 `paths.bridge` drew.  The `alpha=1e10` case, where replicas do leave, was
-recorded at layout 2.
+recorded at layout 2.  Layout 3 re-recorded `campbell_check` alone, whose
+two sides now draw a block of replicas at a time through the batched
+`rain.level_times` and `paths.brownian`; the `samplers` case calls the
+batched `level_times` for one row, which draws what the one-set form drew.
 
 To print the current digests: `python tests/test_layout.py`, or
 `python tests/test_layout.py NAME ...` for the named cases alone.
@@ -132,7 +135,7 @@ def _samplers():
     off_times = np.array([0.25, 0.5, 1.0])
     off = brownian(stream(0, 302, 0), 1, time_steps(off_times), 2)[0, 1:]
     br = bridge(stream(0, 303, 0), 1, times, [0.1, -0.2], [0.3, 0.4])[0]
-    lv = np.unique(level_times(stream(0, 304, 0), 20.0))
+    lv = level_times(stream(0, 304, 0), 20.0, 1)[0][0]
     t, pb, w0 = verify.random_special_instance(stream(0, 305, 0))
     special = json.dumps([t.tolist(), pb.tolist(), w0.tolist()])
     return "\n".join([_path_json(times, bm), _path_json(off_times, off), _path_json(times, br),
@@ -247,13 +250,13 @@ CASES = {
         lambda: _simulate_hulls(2, 2, "0,5") + "\n" + _simulate_hulls(1, 2, "0,5"),
 }
 
-EXPECTED_LAYOUT = 2
+EXPECTED_LAYOUT = 3
 
 EXPECTED = {
     'bridge_stay_prob':
         'd2bd5113840b08cc093473cfa26af72e019292fcaf71f50b51cd8be09be2d245',
     'campbell_check':
-        'db52581e07d3477d77ff488f46d4e1672e58f704d920e707a3b06b90a051bce4',
+        '10ac9071421b4a7d6ff1dc4bcbe77a86cb97654511156e026cc3bb0ac1dd2965',
     'conditional_H_prob(always)':
         'f33de889221898fc760470446b1d6b64c7540589a3fc2868189af6dc00c44761',
     'conditional_H_prob(always, alpha=1e5)':

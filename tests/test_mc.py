@@ -8,7 +8,7 @@ from scipy import stats
 from bmhull import mc
 from bmhull.estimate import EstimatorConfig, stream
 from bmhull.hulls import SimplexTimes
-from bmhull.integrals import enlargement
+from bmhull.integrals import campbell_mean, enlargement
 from bmhull.wedges import Wedge2D
 
 HALF_PLANE = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=math.pi / 2)
@@ -221,6 +221,15 @@ def test_campbell_overlap():
         mc.campbell_check(100.0, 2, cfg(replicas=200))
     with pytest.raises(ValueError):
         mc.campbell_check(10.0, 3, cfg(replicas=200))
+
+
+@pytest.mark.parametrize("alpha", [10.0, 20.0])
+def test_campbell_sides_match_exact_mean(alpha):
+    """Both sides of the Campbell check estimate the exact mean rain-only
+    edge count, integrals.campbell_mean, within 4 standard errors."""
+    exact = campbell_mean(alpha)
+    for est in mc.campbell_check(alpha, 2, cfg(replicas=4000, seed=11)):
+        assert abs(est.mean - exact) <= 4 * est.std_error, (est.mean, exact, est.std_error)
 
 
 def test_discordant_prob_reports_bound():

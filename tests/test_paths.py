@@ -30,6 +30,21 @@ def test_brownian_starts_at_zero():
     assert np.var(vals) == pytest.approx(0.25, abs=0.03)
 
 
+@pytest.mark.parametrize("block_elems", [20_000_000, 7])
+def test_brownian_row_grids_match_one_row_calls(block_elems, monkeypatch):
+    """Per-row steps (rows, n) give, byte for byte, the rows that 1-d calls
+    draw one after another on one stream, whatever the row blocks."""
+    monkeypatch.setattr(paths, "_BLOCK_ELEMS", block_elems)
+    rng = stream(2, 204, 0)
+    times = np.sort(rng.random((30, 6)), axis=1)
+    times[::4, :2] = 0.0  # zero steps, as padded level sets have
+    dts = time_steps(times)
+    batch = brownian(stream(2, 205, 0), 30, dts, 3)
+    rng = stream(2, 205, 0)
+    rows = np.concatenate([brownian(rng, 1, row, 3) for row in dts])
+    assert batch.tobytes() == rows.tobytes()
+
+
 def test_bridge_endpoints_and_variance():
     br = bridge(stream(3, 204, 0), 4000, np.array([0.0, 0.5, 1.0]), [0.0, 0.0],
                 [0.0, 0.0])

@@ -9,7 +9,7 @@ from bmhull.paths import brownian, modulus_ok, time_steps
 from bmhull.rain import check_N, coupled_levels, covered, level_covered, level_times
 
 
-def test_generate_rain_counts_and_ranges():
+def test_coupled_levels_rain_counts_and_ranges():
     rng = stream(1, 301, 0)
     counts = []
     for _ in range(2000):
@@ -35,8 +35,23 @@ def test_level_mean_count():
     # thinning: level alpha keeps Poisson(alpha) of the rain points on average
     sizes = [times.size - 2 for times in level_sets[:3]]
     assert sizes[0] <= sizes[1] <= sizes[2]
-    direct = [np.unique(level_times(stream(3, 304, i), 100.0)).size - 2 for i in range(2000)]
+    _, direct = level_times(stream(3, 304, 0), 100.0, 2000)
     assert np.mean(direct) == pytest.approx(100.0, abs=3 * math.sqrt(100.0 / 2000) + 0.5)
+
+
+def test_level_times_rows_are_padded_level_sets():
+    """Row k of the batched level sets is 0, m[k] sorted uniforms and 1,
+    padded with 1.0; the uniforms are drawn row after row, after the counts."""
+    times, m = level_times(stream(4, 305, 0), 3.0, 400)
+    assert times.shape == (400, m.max() + 2) and m.min() == 0
+    assert np.all(np.diff(times, axis=1) >= 0.0) and np.all(times[:, 0] == 0.0)
+    rng = stream(4, 305, 0)
+    counts = rng.poisson(3.0, 400)
+    u = np.split(rng.random(counts.sum()), np.cumsum(counts)[:-1])
+    assert np.array_equal(m, counts)
+    for row, k, uk in zip(times, m, u):
+        assert np.array_equal(row[1:k + 1], np.sort(uk))
+        assert np.all(row[k + 1:] == 1.0)
 
 
 def test_check_N_radius_one_always_covers():
@@ -79,7 +94,7 @@ def test_dense_approximation_surrogate():
     hits = 0
     for i in range(40):
         rng = stream(6, 306, i)
-        lv = np.unique(level_times(rng, alpha))
+        lv = level_times(rng, alpha, 1)[0][0]
         grid = np.unique(np.concatenate([lv, np.linspace(0.0, 1.0, 200)]))
         path = brownian(rng, 1, time_steps(grid), 2)[:, 1:]
         if not (check_N(lv, alpha) and modulus_ok(path, grid, alpha, 2)[0]):

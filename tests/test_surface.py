@@ -8,6 +8,9 @@ with `from .module import name`, or `module.name` after `from . import
 module`.  Comments, docstrings and the re-exports of `bmhull/__init__.py`
 are not uses.  A method or property is used when some `.name` attribute
 access in the package's code spells its name, or when it is named below.
+Where several public classes define a member of that name, an access counts
+only for the receiver's class, which must resolve from the enclosing
+functions: a parameter annotation `x: C` or an assignment `x = C(...)`.
 This keeps wrappers that only tests call from growing back.
 """
 
@@ -25,6 +28,9 @@ ENTRY_POINTS = ("bridge", "stay_prob_wedge", "bridge_stay_prob", "discordant_pro
 # itself: the serialised estimate that the layout digests and the benchmark's
 # checks read
 MEMBER_ENTRY_POINTS = (("Estimate", "to_json"),)
+# (class, member) oracles: the brute-force containment that tests compare
+# facet-level decisions with
+MEMBER_ORACLES = (("Polytope", "contains"),)
 
 
 def _modules():
@@ -95,14 +101,86 @@ def _public_members(tree):
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
 
 
+def _class_name(node):
+    """The class that an annotation or a called name spells: `C` or
+    `module.C`; None for anything else."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(fn):
+    """The nodes of a function's own code, not of the functions and classes
+    nested in it."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _bindings(fn):
+    """Names whose class fn's own code fixes: parameters annotated `C` and
+    names assigned `C(...)`."""
+    params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+    bound = {a.arg: _class_name(a.annotation) for a in params if a.annotation is not None}
+    for node in _own_nodes(fn):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            bound.update((t.id, _class_name(node.value.func)) for t in node.targets
+                         if isinstance(t, ast.Name))
+    return bound
+
+
+def _receiver_uses(tree, shared):
+    """(class, member) of each `x.member` access in tree whose member the
+    classes shared[member] all define, with x's class bound in the enclosing
+    functions (inner bindings win); also the accesses whose receiver does
+    not resolve to one of those classes."""
+    used, unresolved = set(), []
+
+    def visit(node, bound):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _FUNCTIONS):
+                visit(child, {**bound, **_bindings(child)})
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in shared:
+                owner = bound.get(child.value.id) if isinstance(child.value, ast.Name) else None
+                if owner in shared[child.attr]:
+                    used.add((owner, child.attr))
+                else:
+                    unresolved.append(f"{ast.unparse(child)} (line {child.lineno})")
+            visit(child, bound)
+
+    visit(tree, {})
+    return used, unresolved
+
+
 def test_public_members_are_used_by_the_package():
     trees = _modules()
-    attrs = {node.attr for tree in trees.values() for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute)}
     members = [(name, cls, member) for name, tree in trees.items()
                for cls, member in _public_members(tree)]
+    owners = {}
+    for _, cls, member in members:
+        owners.setdefault(member, set()).add(cls)
+    shared = {member: classes for member, classes in owners.items() if len(classes) > 1}
+    attrs = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    resolved, unresolved = set(), []
+    for name, tree in trees.items():
+        used, missed = _receiver_uses(tree, shared)
+        resolved |= used
+        unresolved += [f"{name}: {m}" for m in missed]
+    assert unresolved == [], f"receivers of shared member names that do not resolve: {unresolved}"
+    listed = MEMBER_ENTRY_POINTS + MEMBER_ORACLES
     unused = sorted(f"{name}.{cls}.{member}" for name, cls, member in members
-                    if member not in attrs and (cls, member) not in MEMBER_ENTRY_POINTS)
+                    if ((cls, member) not in resolved if member in shared
+                        else member not in attrs) and (cls, member) not in listed)
     assert unused == [], f"public methods no module of bmhull uses: {unused}"
-    # the list names only what still exists, so it cannot outlive it
-    assert set(MEMBER_ENTRY_POINTS) <= {(cls, member) for _, cls, member in members}
+    # the lists name only what still exists, so they cannot outlive it
+    assert set(listed) <= {(cls, member) for _, cls, member in members}
