@@ -21,8 +21,9 @@ CHUNK = 16384
 # Version of the draw order and estimator arithmetic: the same seed and the
 # same layout give byte-identical outputs.  1 was the seed layout; 2 steps
 # the wedge-stay estimators time-major over their live replicas; 3 draws
-# campbell_check's replicas a block at a time.
-STREAM_LAYOUT = 3
+# campbell_check's replicas a block at a time; 4 steps a half-plane in its
+# distance to the edge.
+STREAM_LAYOUT = 4
 
 
 @dataclass(frozen=True)

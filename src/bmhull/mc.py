@@ -12,9 +12,13 @@ state at the first step its weight reaches 0, so its memory is O(replicas)
 rather than O(replicas x steps).  Half-plane constraints use the exact
 per-step Brownian-bridge boundary crossing correction
 1 - exp(-2 d_k d_{k+1} / dt), so half-plane estimators are unbiased up to
-floating point.  Convex wedges apply the correction per edge independently
-(documented over-correction near the tip); non-convex (reflex) wedges fall
-back to plain grid indicators, where the correction is invalid.
+floating point.  That weight reads only the signed distance d to the edge,
+a 1-d Brownian motion or bridge, so a half-plane is stepped in d alone, one
+normal per replica-step, unless conditional_H_prob asks for whole planar
+paths for its R conjunct.  Convex wedges apply the correction per edge
+independently (documented over-correction near the tip); non-convex
+(reflex) wedges fall back to plain grid indicators, where the correction is
+invalid.
 
 The facet estimators draw and decide a block of replicas per call of the
 batched kernels, so memory stays O(block), not O(replicas x steps):
@@ -74,46 +78,64 @@ def _stay_weights(rng: np.random.Generator, n_rep: int, wedge: Wedge2D,
     outside (reflex ones).  A start on or outside the boundary draws
     nothing.  offset pushes both edges outward (the enlarged wedge W').
 
+    A half-plane has one edge, and its weight reads only the signed distance
+    d = x.n + c to it: a 1-d Brownian motion from start.n + c, or a 1-d
+    bridge pinned at end.n + c.  Unless out is given, its state is the
+    (replicas,) distances, so each step draws one normal per live replica.
+
     out, shape (n_rep, len(times), 2), receives the points of the replicas
     still live at each time; the rows of replicas with nonzero weight are
     whole paths.
     """
-    edges = []
+    start = np.asarray(start, dtype=float)
+    edges = []  # (inner unit normal, offset) of each edge line
     if wedge.convex:
         normals = wedge.edge_normals()
-        if abs(float(normals[0] @ normals[1]) - 1.0) < 1e-12:
-            normals = normals[:1]  # half-plane: single constraint
         edges = list(zip(normals, offset - normals @ wedge.tip))
-    start = np.asarray(start, dtype=float)
-    # signed distances to the edges, one 1-d array per edge once stepping
-    d = [float(start @ n_e) + c for n_e, c in edges]
+        if float(normals[0] @ normals[1]) > 1.0 - 1e-12:
+            edges = edges[:1]  # half-plane: its two edges are one line
+    flat = len(edges) == 1 and out is None
+    if flat:
+        (n_e, c), = edges
+        start = start @ n_e + c
+        if end is not None:
+            end = np.asarray(end, dtype=float) @ n_e + c
+
+    def dist(x):  # signed distances of the state x to the edges
+        return [x] if flat else [x @ n_e + c for n_e, c in edges]
+
+    d = dist(start)
     w = np.zeros(n_rep)
     inside = min(d) > 0.0 if edges else wedge.membership(start, tol=offset)[0]
     if not inside:
         return w  # every replica starts on or outside the boundary
     pin = None if end is None else (times[-1], end)
     live = np.arange(n_rep)
-    x = np.tile(start, (n_rep, 1))
+    x = np.full((n_rep,) + start.shape, start)
     wl = np.ones(n_rep)
     if out is not None:
         out[:, 0] = start
     for k in range(1, times.size):
-        step(rng, x, times[k - 1], times[k], x, pin)
+        # a half-plane's state is also its distances d, still needed after the step
+        x = step(rng, x, times[k - 1], times[k], np.empty_like(x) if flat else x, pin)
         if edges:
             scale = -2.0 / (times[k] - times[k - 1])
             keep = np.ones(live.size, dtype=bool)
-            for e, (n_e, c) in enumerate(edges):
-                d_new = x @ n_e + c
-                f = -np.expm1(d[e] * d_new * scale)  # 1 - exp(-2 d_k d_{k+1} / dt)
+            d_new = dist(x)
+            for d_e, dn in zip(d, d_new):
+                f = np.multiply(d_e, dn)
+                f *= scale
+                np.negative(np.expm1(f, out=f), out=f)  # 1 - exp(-2 d_k d_{k+1} / dt)
                 keep &= f > 0.0
                 wl *= f
-                d[e] = d_new
+            d = d_new
         else:
             keep = wedge.membership(x, tol=offset)
         if not keep.all():
             i = np.flatnonzero(keep)
-            live, x, wl = live[i], x.take(i, axis=0), wl[i]
+            live, wl = live[i], wl[i]
             d = [d_e[i] for d_e in d]
+            x = d[0] if flat else x.take(i, axis=0)
         if out is not None:
             out[live, k] = x
         if not live.size:

@@ -60,9 +60,9 @@ def time_steps(times: np.ndarray) -> np.ndarray:
 
 def step(rng: np.random.Generator, x: np.ndarray, t0: float, t1: float,
          out: np.ndarray, pin=None) -> np.ndarray:
-    """One exact transition of the points x (replicas, dim) from time t0 to t1,
-    written to out (which may be x), drawing one standard normal Z per
-    coordinate.
+    """One exact transition of the points x, (replicas, dim), or of the 1-d
+    values x, (replicas,), from time t0 to t1, written to out (which may be
+    x), drawing one standard normal Z per coordinate.
 
     Brownian motion (pin None): x + sqrt(t1 - t0)*Z.  Bridge pinned at
     pin = (s2, b): mean x + frac*(b - x), frac = (t1 - t0)/(s2 - t0), plus

@@ -15,8 +15,8 @@ import numpy as np
 from . import mc
 from .estimate import EstimatorConfig, from_weights, run_chunks, stream
 from .hulls import build_hull, DegeneracyError
-from .integrals import (campbell_mean, integral_Za_bound, integral_Za_quadrature,
-                        measure_Za_complement, log_final_assembly)
+from .integrals import (campbell_mean, complement_Za_exact, integral_Za_bound,
+                        integral_Za_quadrature, measure_Za_complement, log_final_assembly)
 from .paths import brownian, time_steps
 from .wedges import (AmbientWedge, LemmaViolationError, Wedge2D, angle,
                      find_discordant, lemma3_constant, special_indices)
@@ -32,6 +32,8 @@ SPITZER_CASES = ((math.pi / 2.0, 1.0), (math.pi / 4.0, 2.0), (3.0 * math.pi / 8.
 _CAMPBELL_ALPHAS = (10.0, 20.0)
 # standard errors by which each Campbell side may miss the exact mean
 _CAMPBELL_Z = 4.0
+# standard errors by which the complement measure may miss its spacings law
+_LEMMA8_Z = 4.0
 # lemma 3: vertices of a random polytope lie within _LEMMA3_RADIUS of the
 # wedge tip, and each polytope spans _WEDGE_POLYTOPE_POINTS random points
 _LEMMA3_RADIUS = 1.0
@@ -124,7 +126,9 @@ def suite_campbell(config: EstimatorConfig):
 
 
 def suite_lemma8(config: EstimatorConfig):
-    """Restricted-integral equalities and the complement-measure pieces."""
+    """Restricted-integral equalities, the single-constraint measure, and the
+    complement measure within _LEMMA8_Z standard errors of its exact
+    spacings law."""
     checks = []
     for a in (math.exp(-1.0), math.exp(-2.0)):
         for n in (1, 2):
@@ -139,12 +143,13 @@ def suite_lemma8(config: EstimatorConfig):
                        config)
     checks.append(_check("single_constraint_measure", abs(est.mean - a) <= 3 * est.std_error,
                          estimate=est.mean, target=a, std_error=est.std_error))
-    # complement measure trend: roughly linear in a, generous constant
-    m1 = measure_Za_complement(0.01, 2, config)
-    m2 = measure_Za_complement(0.005, 2, config)
-    checks.append(_check("complement_measure_linear_trend",
-                         m2.mean <= m1.mean and m1.mean <= 25 * 0.01,
-                         at_a_001=m1.mean, at_a_0005=m2.mean, cap=25 * 0.01))
+    # the complement measure against its exact spacings law
+    for a in (0.01, 0.005):
+        est = measure_Za_complement(a, 2, config)
+        exact = complement_Za_exact(a, 2)
+        z = (est.mean - exact) / est.std_error
+        checks.append(_check(f"complement_measure_exact(a={a:g})", abs(z) <= _LEMMA8_Z,
+                             estimate=est.mean, exact=exact, std_error=est.std_error, z=z))
     return checks
 
 

@@ -8,7 +8,8 @@ from bmhull.estimate import stream
 from bmhull.hulls import (DegeneracyError, SimplexTimes, build_hull, count_q, default_eps,
                           euler_characteristic_3d, facet_events, merged_times,
                           oriented_normals)
-from bmhull.paths import brownian
+from bmhull.paths import brownian, time_steps
+from bmhull.rain import level_times
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
 
@@ -214,6 +215,34 @@ def test_build_hull_mean_facets_exact_law(d):
         counts[i] = len(build_hull(brownian(rng, 1, np.diff(times), d)[0]).simplices)
     se = counts.std(ddof=1) / math.sqrt(reps)
     assert abs(counts.mean() - exact) <= 4 * se
+
+
+def _mean_facets_poisson(alpha, d):
+    """The exact law _mean_facets_exact mixed over m ~ Poisson(alpha) rain
+    points, n = m + 1 steps, as integrals.campbell_mean mixes the planar
+    edge law: sum_m Poisson(alpha; m) 2 (d-1)! [n+1, d] / n!.  It starts at
+    m = d - 1, the fewest rain points whose walk spans a hull; the terms
+    grow like log(n)^(d-1), and the weights past m = 8 alpha are below 1e-40."""
+    return math.fsum(math.exp(m * math.log(alpha) - alpha - math.lgamma(m + 1))
+                     * _mean_facets_exact(m + 1, d) for m in range(d - 1, int(8 * alpha)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_build_hull_mean_facets_poisson_law(d):
+    """The path at 0, at Poisson(alpha) sorted uniform times and at 1, as
+    the Campbell check draws it: given m rain points it is the walk of
+    _mean_facets_exact with n = m + 1, so the mean facet count over the
+    Poisson count is _mean_facets_poisson.  A draw with too few points to
+    span a hull raises; at alpha = 20, P(m < d) is below 5e-7."""
+    alpha, reps = 20.0, 2000
+    exact = _mean_facets_poisson(alpha, d)
+    rng = stream(27, 413, d)
+    times, m = level_times(rng, alpha, reps)
+    pts = brownian(rng, reps, time_steps(times), d)[:, 1:]
+    counts = np.array([len(build_hull(p[:k + 2]).simplices)
+                       for p, k in zip(pts, m.tolist())])
+    se = counts.std(ddof=1) / math.sqrt(reps)
+    assert abs(counts.mean() - exact) <= 4 * se, (counts.mean(), exact, se)
 
 
 def test_simplex_times_and_merge():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bmhull.estimate import EstimatorConfig
-from bmhull.integrals import (ZaRegion, campbell_mean, enlargement, final_assembly,
-                              integral_Za_bound, integral_Za_quadrature,
+from bmhull.integrals import (ZaRegion, campbell_mean, complement_Za_exact, enlargement,
+                              final_assembly, integral_Za_bound, integral_Za_quadrature,
                               log_final_assembly, measure_Za_complement, phi,
                               rhs_bound)
 from bmhull.wedges import gamma_ak, lemma3_constant
@@ -84,6 +84,23 @@ def test_measure_complement_behaviour():
     assert again.mean == small.mean and again.std_error == small.std_error
     with pytest.raises(ValueError):
         measure_Za_complement(0.01, 1, cfg)
+
+
+@pytest.mark.parametrize("a", [0.01, 0.005])
+def test_measure_complement_matches_spacings_law(a):
+    """The merged times are the order statistics of 4 iid uniforms, so the
+    complement of Z_a has probability 1 - (1 - 5a)^4: 0.18549 at a = 0.01."""
+    exact = complement_Za_exact(a, 2)
+    assert exact == pytest.approx(1.0 - (1.0 - 5.0 * a) ** 4, rel=1e-12)
+    est = measure_Za_complement(a, 2, EstimatorConfig(replicas=40000, master_seed=7))
+    assert abs(est.mean - exact) <= 4 * est.std_error, (est.mean, exact, est.std_error)
+
+
+def test_complement_law_values():
+    assert complement_Za_exact(0.01, 2) == pytest.approx(0.18549375, rel=1e-12)
+    assert complement_Za_exact(0.3, 2) == 1.0  # no room for 5 spacings of 0.3
+    with pytest.raises(ValueError):
+        complement_Za_exact(0.5, 2)
 
 
 def _rhs_reference(t, alpha, kappa, n):

@@ -47,6 +47,15 @@ recorded at layout 2.  Layout 3 re-recorded `campbell_check` alone, whose
 two sides now draw a block of replicas at a time through the batched
 `rain.level_times` and `paths.brownian`; the `samplers` case calls the
 batched `level_times` for one row, which draws what the one-set form drew.
+Layout 4 re-recorded the two half-plane cases alone, `bridge_stay_prob` and
+`stay_prob_wedge(two chunks)`: the stepper now carries a half-plane's
+distance to its edge, a 1-d Brownian motion or bridge, and draws one normal
+per replica-step where it drew two.  The quadrant and reflex cases,
+`fit_exit_exponent` (a quadrant) and the four `conditional_H_prob` cases
+(quadrants too) kept their digests.  At the same layout
+`suite_lemma8` was re-recorded when `verify lemma8` replaced its trend
+check of the complement measure with checks against the exact spacings
+law; its draws are unchanged.
 
 To print the current digests: `python tests/test_layout.py`, or
 `python tests/test_layout.py NAME ...` for the named cases alone.
@@ -250,11 +259,11 @@ CASES = {
         lambda: _simulate_hulls(2, 2, "0,5") + "\n" + _simulate_hulls(1, 2, "0,5"),
 }
 
-EXPECTED_LAYOUT = 3
+EXPECTED_LAYOUT = 4
 
 EXPECTED = {
     'bridge_stay_prob':
-        'd2bd5113840b08cc093473cfa26af72e019292fcaf71f50b51cd8be09be2d245',
+        'f62771f4fbb4d94c8807a3ef0dac8f13983b4acd529271b8bd2caf6e2be3dedb',
     'campbell_check':
         '10ac9071421b4a7d6ff1dc4bcbe77a86cb97654511156e026cc3bb0ac1dd2965',
     'conditional_H_prob(always)':
@@ -306,11 +315,11 @@ EXPECTED = {
     'stay_prob_wedge(reflex)':
         'eb8a1344aff42a36e3de2dbeb070a18e605693da08383c2f8e45fc8f8027c877',
     'stay_prob_wedge(two chunks)':
-        '35d7aa26abdcbf54db64daf23957aa347737b37b20d4456452eaf3aa65e4b1af',
+        '7db87a399fc18fcf98751cab315825981f7ed384b328002e396db383615f1d2e',
     'suite_lemma4':
         '21a7b473d4d5b4da3bd4d05139bd0819d04afde6ca41ed3f15f4aed6b3b406eb',
     'suite_lemma8':
-        '94dc7fb337e9454815bdb4d36515e211cd94938ee0d280284cddf780e4861857',
+        'f83263b2081c7a0f076e22c3c2a46005b9a743ae24af17ff59892590d54ff4e0',
 }
 
 

@@ -9,6 +9,7 @@ from bmhull import mc
 from bmhull.estimate import EstimatorConfig, stream
 from bmhull.hulls import SimplexTimes
 from bmhull.integrals import campbell_mean, enlargement
+from bmhull.paths import bridge
 from bmhull.wedges import Wedge2D
 
 HALF_PLANE = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=math.pi / 2)
@@ -109,10 +110,49 @@ def test_stepper_fills_whole_paths_of_weighted_replicas():
     assert np.allclose(w[held], np.prod(-np.expm1(-cross), axis=(1, 2)), rtol=1e-12)
 
 
+def test_stepper_steps_a_half_plane_in_its_distance():
+    """Without out, a half-plane's state is the distance d = x.n + c to its
+    edge: the stepper draws what paths.bridge draws for the 1-d bridge from
+    start.n + c to end.n + c on the same stream, and each weight is the
+    crossing product along that bridge.  No replica leaves here, so the two
+    draw sequences stay in step."""
+    wedge = Wedge2D(tip=np.array([0.3, -0.7]), axis_angle=1.1, half_angle=math.pi / 2)
+    n_e = wedge.edge_normals()[0]
+    c = -float(n_e @ wedge.tip)
+    along = np.array([-n_e[1], n_e[0]])
+    a, b = wedge.tip + 1.2 * n_e + 0.4 * along, wedge.tip + 1.0 * n_e - 2.0 * along
+    times = np.linspace(0.25, 0.75, 5)
+    w = mc._stay_weights(stream(0, 1, 0), 400, wedge, times, a, b)
+    d = bridge(stream(0, 1, 0), 400, times, [a @ n_e + c], [b @ n_e + c])[..., 0]
+    assert np.all(d > 0.0)
+    assert w.min() < 0.5  # some replicas pass close to the edge
+    cross = 2.0 * d[:, :-1] * d[:, 1:] / np.diff(times)
+    assert np.allclose(w, np.prod(-np.expm1(-cross), axis=1), rtol=1e-12, atol=0.0)
+
+
+def test_half_plane_estimates_invariant_under_rigid_motion():
+    """Rotating and translating the half-plane, with the start and end moved
+    by the same map, leaves every distance, and so both estimates, as they
+    are up to rounding."""
+    angle, shift = 1.1, np.array([0.3, -0.7])
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    moved = Wedge2D(tip=shift, axis_angle=angle, half_angle=math.pi / 2)
+    a, b = np.array([0.5, 0.2]), np.array([0.3, -1.0])
+    c = cfg(replicas=2000, grid=64)
+    pairs = [(mc.stay_prob_wedge(HALF_PLANE, a, 1.0, c),
+              mc.stay_prob_wedge(moved, rot @ a + shift, 1.0, c)),
+             (mc.bridge_stay_prob(HALF_PLANE, a, b, c),
+              mc.bridge_stay_prob(moved, rot @ a + shift, rot @ b + shift, c))]
+    for ref, got in pairs:
+        assert 0.0 < ref.mean < 1.0
+        assert got.mean == pytest.approx(ref.mean, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("estimator", [
     lambda c: mc.stay_prob_wedge(QUADRANT, [1.0, 0.0], 1.0, c),
+    lambda c: mc.stay_prob_wedge(HALF_PLANE, [1.0, 0.0], 1.0, c),
     lambda c: mc.bridge_stay_prob(HALF_PLANE, [1.0, 0.0], [1.0, 0.0], c),
-], ids=["stay_prob_wedge", "bridge_stay_prob"])
+], ids=["stay_prob_wedge", "stay_prob_wedge(half-plane)", "bridge_stay_prob"])
 def test_memory_bounded_in_replicas(estimator):
     """The stepper holds O(replicas) state: at 2000 replicas x 8192 steps the
     whole paths would take 262 MB, and the traced peak stays below 16 MB."""
