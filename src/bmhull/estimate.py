@@ -22,8 +22,8 @@ CHUNK = 16384
 # same layout give byte-identical outputs.  1 was the seed layout; 2 steps
 # the wedge-stay estimators time-major over their live replicas; 3 draws
 # campbell_check's replicas a block at a time; 4 steps a half-plane in its
-# distance to the edge.
-STREAM_LAYOUT = 4
+# distance to the edge; 5 draws verify lemma4's instances a block at a time.
+STREAM_LAYOUT = 5
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from .hulls import (SimplexTimes, count_q, facet_events, merged_times, oriented_
                     row_dot)
 from .integrals import enlargement, phi, rhs_bound
 from .paths import brownian, modulus_ok, step, time_steps
-from .rain import level_covered, level_times
+from .rain import _MAX_LEVEL, level_covered, level_times
 from .wedges import Wedge2D, discordant_pairs, gamma_ak, half_space_events
 
 _TAG_STAY = 1
@@ -236,27 +236,35 @@ def conditional_H_prob(case: str, wedge: Wedge2D, s1: float, s2: float,
     """P(bridge pinned at (s1,d1),(s2,d2) stays in the enlarged wedge, jointly
     with the interval regularity event), by bridge simulation.
 
-    Preconditions per case: the stated endpoints lie on an edge of the base
-    wedge (distance to the enlarged half-space boundary exactly
-    phi(alpha)^2/sqrt(alpha)); special cases additionally need the long-gap
-    condition.  Violations raise with the failed inequality.
+    Preconditions: the projected wedge is convex, half_angle <= pi/2 (theta
+    = pi - 2*half_angle >= 0, the half-plane included); per case, the stated
+    endpoints lie on an edge of the base wedge (distance to the enlarged
+    half-space boundary exactly phi(alpha)^2/sqrt(alpha)); special cases
+    additionally need the long-gap condition.  Violations raise with the
+    failed inequality.
 
     include_R: "auto" simulates the rain/modulus conjunct only when
     alpha*(s2-s1) <= 1e5 (above that the rain is unsimulably dense and its
     failure probability is far below any reported digit; the estimate is then
-    the conservative upper value P(H_i | S)).  "always"/"never" force it.
+    the conservative upper value P(H_i | S)).  "always"/"never" force it;
+    "always" refuses alpha*(s2-s1) above rain._MAX_LEVEL before drawing, as
+    each replica's covering draw grows with it.
     """
     if case not in _CASES:
         raise ValueError(f"case must be one of {_CASES}")
     if include_R not in ("auto", "always", "never"):
         raise ValueError("include_R must be auto, always or never")
     if not wedge.convex:
-        raise ValueError("the projected wedge must be convex (theta > 0)")
+        raise ValueError("the projected wedge must be convex "
+                         "(half_angle <= pi/2, the half-plane included)")
     d1 = np.asarray(d1, dtype=float).reshape(2)
     d2 = np.asarray(d2, dtype=float).reshape(2)
     gap = s2 - s1
     if gap <= 0.0:
         raise ValueError("need s1 < s2")
+    if include_R == "always" and alpha * gap > _MAX_LEVEL:
+        raise ValueError(f"include_R='always' needs alpha*(s2-s1) <= {_MAX_LEVEL:g}, "
+                         f"got {alpha * gap:.4g}")
     normals = wedge.edge_normals()
     tol = 1e-9
     on_edge = [bool(np.min(np.abs((d - wedge.tip) @ normals.T)) <= tol) for d in (d1, d2)]

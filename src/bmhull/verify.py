@@ -61,32 +61,33 @@ def random_wedge_polytope(rng: np.random.Generator, kappa: float, s: float = _LE
     u1 = np.array([math.sin(half), 0.0, math.cos(half)])
     u2 = np.array([-math.sin(half), 0.0, math.cos(half)])
     wedge = AmbientWedge(tip=np.zeros(3), u1=u1, u2=u2)
-    pts = []
-    while len(pts) < _WEDGE_POLYTOPE_POINTS:
+    blocks, have = [], 0
+    while have < _WEDGE_POLYTOPE_POINTS:
         cand = rng.uniform(-s, s, size=(4 * _WEDGE_POLYTOPE_POINTS, 3))
         cand = cand[np.linalg.norm(cand, axis=1) <= s]
-        cand = cand[wedge.contains(cand)]
-        pts.extend(cand)
-    pts = np.asarray(pts[:_WEDGE_POLYTOPE_POINTS])
-    return build_hull(pts), wedge
+        blocks.append(cand[wedge.contains(cand)])
+        have += len(blocks[-1])
+    return build_hull(np.concatenate(blocks)[:_WEDGE_POLYTOPE_POINTS]), wedge
 
 
-def random_special_instance(rng: np.random.Generator, n: int = _LEMMA4_N):
-    """Times 0 = t_0 < ... < t_{2n+1} = 1, a Brownian skeleton at those times
-    and a wedge tip placed within _SPECIAL_TIP_OFFSET of one skeleton point,
-    so both stated hypotheses hold with very high probability."""
-    t = np.sort(np.concatenate([[0.0, 1.0], rng.random(2 * n)]))
-    pb = brownian(rng, 1, time_steps(t), 2)[0, 1:]
-    k = int(rng.integers(t.size))
-    w0 = pb[k] + rng.uniform(-_SPECIAL_TIP_OFFSET, _SPECIAL_TIP_OFFSET, size=2)
-    return t, pb, w0
+def random_special_instance(rng: np.random.Generator, rows: int, n: int = _LEMMA4_N):
+    """rows instances: times 0 = t_0 < ... < t_{2n+1} = 1, (rows, 2n+2), a
+    Brownian skeleton at them, (rows, 2n+2, 2), and a tip within
+    _SPECIAL_TIP_OFFSET (per coordinate) of one of its own skeleton points,
+    (rows, 2), so both stated hypotheses hold with very high probability.
+    Each draw covers all rows: inner times, normals, points, tip offsets."""
+    t = np.pad(np.sort(rng.random((rows, 2 * n)), axis=1), ((0, 0), (1, 1)),
+               constant_values=(0.0, 1.0))
+    pb = brownian(rng, rows, time_steps(t), 2)[:, 1:]
+    k = rng.integers(2 * n + 2, size=rows)
+    off = rng.uniform(-_SPECIAL_TIP_OFFSET, _SPECIAL_TIP_OFFSET, size=(rows, 2))
+    return t, pb, pb[np.arange(rows), k] + off
 
 
 def brute_force_special(t, pb, w0, alpha: float, n: int):
-    """Independent plain-loop scan for the smallest qualifying gap index."""
-    t = np.asarray(t, dtype=float)
-    pb = np.atleast_2d(np.asarray(pb, dtype=float))
-    w0 = np.asarray(w0, dtype=float)
+    """Independent plain-loop scan of one instance for the smallest
+    qualifying gap index, or None; on plain float rows (an array's
+    .tolist()) math.dist reads Python floats."""
     scale = alpha ** (1.0 / (10.0 * n))
     for j in range(2 * n + 1):
         dj = math.dist(pb[j], w0)
@@ -193,10 +194,9 @@ def suite_lemma4(config: EstimatorConfig, instances: int = 10_000):
     none_count = mismatch = invalid = 0
     scale = alpha ** (1.0 / (10.0 * n))
     for lo in range(0, instances, _SPECIAL_ROWS):
-        batch = [random_special_instance(rng, n)
-                 for _ in range(min(_SPECIAL_ROWS, instances - lo))]
-        found = special_indices(*map(np.array, zip(*batch)), alpha, _LEMMA4_M, n)
-        for (t, pb, w0), j in zip(batch, found.tolist()):
+        block = random_special_instance(rng, min(_SPECIAL_ROWS, instances - lo), n)
+        found = special_indices(*block, alpha, _LEMMA4_M, n)
+        for t, pb, w0, j in zip(*(x.tolist() for x in block), found.tolist()):
             j = None if j < 0 else j
             if j != brute_force_special(t, pb, w0, alpha, n):
                 mismatch += 1

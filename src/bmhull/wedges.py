@@ -12,6 +12,7 @@ straight from a point's distances to the two hyperplanes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -172,6 +173,15 @@ def gamma_ak(alpha: float, kappa: float) -> float:
     return lemma3_constant(kappa) * enlargement(alpha)
 
 
+@functools.lru_cache(maxsize=None)
+def _facet_pairs(n: int):
+    """Read-only indices of the pairs i < j of n facets, in row-major order."""
+    pairs = np.triu_indices(n, k=1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
 def find_discordant(poly: Polytope, wedge: AmbientWedge, kappa: float,
                     s: float) -> DiscordantWitness:
     """Exhaustive facet-pair search for a discordant witness on a polytope
@@ -206,7 +216,7 @@ def find_discordant(poly: Polytope, wedge: AmbientWedge, kappa: float,
     normals, offsets = poly.normals, poly.offsets
     cosines = np.clip(normals @ normals.T, -1.0, 1.0)
     # pairs i < j in row-major order, stably ranked by decreasing angle
-    iu, ju = np.triu_indices(len(normals), k=1)
+    iu, ju = _facet_pairs(len(normals))
     angles = np.arccos(cosines[iu, ju])
     rank = np.argsort(-angles, kind="stable")
     iu, ju, angles = iu[rank].tolist(), ju[rank].tolist(), angles[rank].tolist()

@@ -55,7 +55,12 @@ per replica-step where it drew two.  The quadrant and reflex cases,
 (quadrants too) kept their digests.  At the same layout
 `suite_lemma8` was re-recorded when `verify lemma8` replaced its trend
 check of the complement measure with checks against the exact spacings
-law; its draws are unchanged.
+law; its draws are unchanged.  Layout 5 re-recorded `special_index
+indices` alone: `verify.random_special_instance` draws a block of instances
+per call, each draw (inner times, normals, skeleton points, tip offsets)
+for all its rows at once, where it drew one instance after another.  The
+`samplers` case held because one row draws the bytes of one instance, and
+`suite_lemma4` held because its report carries only counts.
 
 To print the current digests: `python tests/test_layout.py`, or
 `python tests/test_layout.py NAME ...` for the named cases alone.
@@ -115,8 +120,7 @@ def _special_indices():
     parameters, None where no index qualifies: pins the index itself, where
     the suite's digest pins only counts."""
     rng = stream(0, 307, 0)
-    insts = [verify.random_special_instance(rng) for _ in range(500)]
-    found = special_indices(*map(np.array, zip(*insts)), 1e6, 1.0, 2)
+    found = special_indices(*verify.random_special_instance(rng, 500), 1e6, 1.0, 2)
     return json.dumps([None if j < 0 else j for j in found.tolist()])
 
 
@@ -145,7 +149,7 @@ def _samplers():
     off = brownian(stream(0, 302, 0), 1, time_steps(off_times), 2)[0, 1:]
     br = bridge(stream(0, 303, 0), 1, times, [0.1, -0.2], [0.3, 0.4])[0]
     lv = level_times(stream(0, 304, 0), 20.0, 1)[0][0]
-    t, pb, w0 = verify.random_special_instance(stream(0, 305, 0))
+    t, pb, w0 = (x[0] for x in verify.random_special_instance(stream(0, 305, 0), 1))
     special = json.dumps([t.tolist(), pb.tolist(), w0.tolist()])
     return "\n".join([_path_json(times, bm), _path_json(off_times, off), _path_json(times, br),
                       json.dumps({"alpha": 20.0, "times": lv.tolist()}), special])
@@ -259,7 +263,7 @@ CASES = {
         lambda: _simulate_hulls(2, 2, "0,5") + "\n" + _simulate_hulls(1, 2, "0,5"),
 }
 
-EXPECTED_LAYOUT = 4
+EXPECTED_LAYOUT = 5
 
 EXPECTED = {
     'bridge_stay_prob':
@@ -309,7 +313,7 @@ EXPECTED = {
     'simulate hulls(dim=3)':
         '096492d84c53fdc0e682e1c308397328b77ab57225e34704c3c45d7c7d32c720',
     'special_index indices':
-        '8976f2fd4ae7a0d41b23114a38954ab3dc7de30d8445f196103c10360ed570ff',
+        '6d2ac2d672a66f1cdcd5885df21b8553777419456e1eed390f6a4d5d4f23824d',
     'stay_prob_wedge(convex)':
         '52f18a793e57773edc1e782ac92fe7d547d09c49a4055311d38836bf7a10ca78',
     'stay_prob_wedge(reflex)':

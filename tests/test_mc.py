@@ -220,6 +220,24 @@ def test_conditional_H_preconditions():
                               math.e ** 20, cfg(replicas=200))
 
 
+def test_conditional_H_always_refuses_dense_rain(monkeypatch):
+    """include_R="always" refuses alpha*(s2-s1) above rain._MAX_LEVEL before
+    anything is drawn: at alpha = 1e9 on [0.3, 0.7] each replica's covering
+    draw would read about 8e7 uniforms.  At the cap itself it goes on to
+    draw."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(mc, "run_chunks", no_draws)
+    d1, d2 = [0.0, 0.2], [0.0, -0.4]
+    with pytest.raises(ValueError, match=r"alpha\*\(s2-s1\) <= 1e\+06"):
+        mc.conditional_H_prob("interior", HALF_PLANE, 0.3, 0.7, d1, d2, 1e9,
+                              cfg(replicas=3000), include_R="always")
+    with pytest.raises(AssertionError, match="drew"):
+        mc.conditional_H_prob("interior", HALF_PLANE, 0.25, 0.75, d1, d2, 2e6,
+                              cfg(replicas=3000), include_R="always")
+
+
 def test_conditional_H_estimates():
     wedge = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=math.pi / 4)
     d1, d2 = _edge_points(0.5)

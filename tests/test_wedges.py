@@ -6,7 +6,8 @@ import pytest
 from bmhull.estimate import stream
 from bmhull.hulls import build_hull
 from bmhull.integrals import enlargement
-from bmhull.verify import brute_force_special, random_special_instance, random_wedge_polytope
+from bmhull.verify import (_SPECIAL_TIP_OFFSET, brute_force_special, random_special_instance,
+                           random_wedge_polytope)
 from bmhull.wedges import (AmbientWedge, HypothesisError, LemmaViolationError,
                            Wedge2D, angle, discordant_pairs, find_discordant,
                            half_space_events, lemma3_constant, special_indices)
@@ -291,19 +292,32 @@ def test_special_index_none_case():
     assert brute_force_special(t, pb, w0, alpha, n) is None
 
 
+def test_random_special_instance_rows():
+    """One batched call draws rows with times pinned at 0 and 1 and strictly
+    increasing, and each tip within _SPECIAL_TIP_OFFSET (per coordinate) of
+    a point of its own row's skeleton."""
+    t, pb, w0 = random_special_instance(stream(37, 509, 0), 300)
+    assert t.shape == (300, 6) and pb.shape == (300, 6, 2) and w0.shape == (300, 2)
+    assert np.all(t[:, 0] == 0.0) and np.all(t[:, -1] == 1.0)
+    assert np.all(np.diff(t, axis=1) > 0.0)
+    near = np.abs(pb - w0[:, None]).max(axis=2) <= _SPECIAL_TIP_OFFSET
+    assert near.any(axis=1).all()
+
+
 def test_special_indices_rows_against_brute_force():
-    rng = stream(36, 508, 0)
     alpha, n = 1e6, 2
-    insts = [random_special_instance(rng, n) for _ in range(300)]
+    t, pb, w0 = random_special_instance(stream(36, 508, 0), 300, n)
     # a last row whose points are all far from its tip: no index qualifies
     ang = np.linspace(0, 2 * math.pi, 6, endpoint=False)
-    insts.append((np.array([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]),
-                  np.column_stack([np.cos(ang), np.sin(ang)]), np.zeros(2)))
-    t, pb, w0 = (np.array(x) for x in zip(*insts))
+    t = np.vstack([t, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]])
+    pb = np.concatenate([pb, np.column_stack([np.cos(ang), np.sin(ang)])[None]])
+    w0 = np.vstack([w0, np.zeros(2)])
     got = special_indices(t, pb, w0, alpha, 1e6, n)
     assert got.shape == (301,)
-    for k, (tk, pbk, w0k) in enumerate(insts):
-        want = brute_force_special(tk, pbk, w0k, alpha, n)
+    for k in range(301):
+        # the oracle reads plain float rows as it reads array rows
+        want = brute_force_special(t[k].tolist(), pb[k].tolist(), w0[k].tolist(), alpha, n)
+        assert brute_force_special(t[k], pb[k], w0[k], alpha, n) == want, k
         assert got[k] == (-1 if want is None else want), k
     assert got[-1] == -1 and np.all(got[:-1] >= 0)
     # the first failing row is named, with the hypotheses it broke
