@@ -28,9 +28,12 @@ order; both sides of campbell_check draw _DECIDE_ROWS replicas per block,
 with one rain.level_times and one brownian call.
 
 The regularity estimators (conditional_H_prob, prob_R_complement) decide
-each replica's covering event with rain.level_covered, which usually settles
-it from a prefix of the level set and skips the rest of its draws, leaving
-the boolean and the stream that drawing and checking the whole set leaves.
+each replica's modulus event with paths.modulus_ok, which passes most
+replicas by the bounding boxes of windows of the path rather than by
+scanning every lag, and its covering event with rain.level_covered, which
+usually settles it from a prefix of the level set and skips the rest of its
+draws by moving the Philox counter.  Both leave the booleans, and the stream,
+that checking every pair and drawing and checking the whole level set leave.
 """
 
 from __future__ import annotations

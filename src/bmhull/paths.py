@@ -20,8 +20,8 @@ from .integrals import phi
 # soft cap on the normals drawn in one block of brownian()
 _BLOCK_ELEMS = 20_000_000
 # soft cap on the points of one row block of modulus_ok(), small enough that
-# the block's lag temporaries stay in cache
-_SCAN_ELEMS = _BLOCK_ELEMS // 64
+# the block, its window tables and its lag temporaries stay in cache
+_SCAN_ELEMS = 1 << 16
 
 
 def brownian(rng: np.random.Generator, n_rep: int, dts: np.ndarray, dim: int) -> np.ndarray:
@@ -102,45 +102,83 @@ def modulus_ok(points: np.ndarray, times: np.ndarray, alpha: float, n_dim: int) 
     """Modulus event per replica, points (replicas, m, dim) at the m sorted
     times: for every grid pair, |B(t2)-B(t1)| <= sqrt(t2-t1)*phi(alpha) + alpha^{-2n-1}.
 
-    The scan runs lag by lag over row blocks of at most _SCAN_ELEMS points,
-    each copied coordinate-major.  At lag l it compares each pair's squared
+    The scan runs over row blocks of at most _SCAN_ELEMS points, each copied
+    coordinate-major, and over the lags in dyadic ranges (w/2, w], w = 1, 2,
+    4, ... capped at m - 1.  A pair at lag l is compared through its squared
     displacement disp2, the sum of d*d over the coordinates in order, with
-    lim_l = (sqrt(gap)*phi + slack)**2.  A replica leaves the scan once it
-    fails, or once diag2 <= lim_l.min(), where diag2, the squared diagonal of
-    its bounding box, sums ext*ext with ext = max - min in the same order.
-    This prune is exact in floating point, so the booleans are those of the
-    full scan:
+    lim_l = (sqrt(gap)*phi + slack)**2.  Before each range a replica leaves
+    the scan when diag2 <= lim_lo.min(), with lim_lo the limit of the range's
+    smallest lag and diag2 the squared diagonal of the replica's bounding
+    box, which sums ext*ext with ext = max - min in the same order.  Of the
+    rest, a replica passes the whole range unscanned when the largest
+    squared diagonal of its windows of w + 1 consecutive points is <=
+    lim_lo.min(): every pair at lag l <= w lies in such a window.  The
+    window extrema of width w come from those of width w/2, one maximum and
+    one minimum of two shifted copies, so they cost about as much as one lag.
+    The other replicas scan the range's lags one by one, and leave at their
+    first failing lag or once diag2 <= lim_l.min().  The prunes are exact in
+    floating point, so the booleans are those of the full scan:
 
     - rounding is monotone, so |fl(p_j - p_i)| <= fl(max - min) in each
-      coordinate, and so are the squares and their sums: disp2 <= diag2 for
-      every pair of the replica;
+      coordinate, and so are the squares and their sums: disp2 is at most
+      the squared diagonal of any window (or box) that holds the pair;
     - for sorted times fl(t[i+l+1] - t[i]) >= fl(t[i+l] - t[i]), so the
       smallest gap, and with it lim_l.min(), never decreases as l grows.
 
-    Hence diag2 <= lim_l.min() means every pair at lag l and beyond passes.
-    conditional_H_prob draws rain only for the replicas that pass, so a
-    single flipped boolean would shift its stream.
+    Hence a bound <= lim_lo.min() means every pair it holds at lag lo and
+    beyond passes.  The window tables double a block's memory: at 2**16
+    points a block of 257-point planar paths holds 127 replicas in 0.5 MB,
+    1.6 MB with its tables.  conditional_H_prob draws rain only for the
+    replicas that pass, so a single flipped boolean would shift its stream.
     """
     slack = alpha ** (-2 * n_dim - 1)
     ph = phi(alpha)
     n_rep, m, dim = points.shape
     ok = np.ones(n_rep, dtype=bool)
     rows = max(1, _SCAN_ELEMS // max(m * dim, 1))
+
+    def lim(lag):
+        return (np.sqrt(times[lag:] - times[:-lag]) * ph + slack) ** 2
+
     for lo in range(0, n_rep, rows):
         # (dim, rows, m): each lag difference runs over contiguous rows
         cols = np.ascontiguousarray(points[lo:lo + rows].transpose(2, 0, 1))
         diag2 = _sum_squares(c.max(axis=1) - c.min(axis=1) for c in cols)
         live = np.arange(lo, lo + cols.shape[1])  # undecided replicas of the block
-        for lag in range(1, m):
-            lim = (np.sqrt(times[lag:] - times[:-lag]) * ph + slack) ** 2
-            disp2 = _sum_squares(c[:, lag:] - c[:, :-lag] for c in cols)
-            fail = ~np.all(disp2 <= lim, axis=1)
+        fail = np.zeros(live.size, dtype=bool)
+        # extrema of the windows [i, i + w] over the live rows
+        wmax, wmin, w = cols, cols, 0
+        while w < m - 1:
+            top = min(2 * w, m - 1) if w else 1
+            lim_lo = lim(w + 1).min()
+            # failed replicas leave, and so do those whose box fits
+            keep = ~fail & (diag2 > lim_lo)
+            if not keep.all():
+                live, diag2 = live[keep], diag2[keep]
+                cols, wmax, wmin = cols[:, keep], wmax[:, keep], wmin[:, keep]
+                if not live.size:
+                    break
+            shift = top - w
+            wmax = np.maximum(wmax[..., :-shift], wmax[..., shift:])
+            wmin = np.minimum(wmin[..., :-shift], wmin[..., shift:])
+            wide2 = _sum_squares(mx - mn for mx, mn in zip(wmax, wmin)).max(axis=1)
+            # the replicas whose windows do not fit scan the range's lags,
+            # and leave the scan at a failing lag or once their box fits
+            scan = np.flatnonzero(wide2 > lim_lo)
+            sub, sub2 = cols[:, scan], diag2[scan]
+            fail = np.zeros(live.size, dtype=bool)
+            for lag in range(w + 1, top + 1):
+                if not scan.size:
+                    break
+                lim_l = lim(lag)
+                disp2 = _sum_squares(c[:, lag:] - c[:, :-lag] for c in sub)
+                bad = ~np.all(disp2 <= lim_l, axis=1)
+                fail[scan[bad]] = True
+                go = ~(bad | (sub2 <= lim_l.min()))
+                if not go.all():
+                    scan, sub, sub2 = scan[go], sub[:, go], sub2[go]
             ok[live[fail]] = False
-            stay = ~(fail | (diag2 <= lim.min()))
-            if not stay.any():
-                break
-            if not stay.all():
-                live, cols, diag2 = live[stay], cols[:, stay], diag2[stay]
+            w = top
     return ok
 
 

@@ -22,6 +22,9 @@ from .integrals import phi
 # set it covers.
 _MAX_LEVEL = 1e6
 
+# skips of at most this many words draw them rather than read Philox's state
+_DRAW_SKIP = 64
+
 
 def coupled_levels(rng: np.random.Generator, alphas):
     """One rain realisation and its nested level sets at the levels alphas.
@@ -88,28 +91,59 @@ def level_covered(rng: np.random.Generator, alpha: float, a: float, b: float,
       ulps of 1, for any radius above 1e-9 (phi(alpha)/alpha is 1.2e-8 at
       alpha = 1e10, whose level set does not fit in memory).
 
-    The unread doubles are then skipped with random_raw: Philox's random()
-    reads one 64-bit word per double.  Otherwise the remaining m - k are
+    The m - k unread doubles are then skipped by _skip_doubles, which on a
+    Philox stream moves the counter past them (see there) and on any other
+    generator draws and discards them.  Otherwise the remaining m - k are
     drawn, random(k) then random(m - k) giving the values random(m) gives,
-    and covered decides on the whole level set.
+    and covered decides on the whole level set.  So does a window of zero
+    width (nb = 0), which holds no buckets.
     """
     span = hi - lo
     m = rng.poisson(alpha * span)
     nb = math.ceil(span / (radius * (1.0 - 1e-6)))
-    k = min(m, math.ceil(nb * (math.log(nb) + 4.0)))
+    k = min(m, math.ceil(nb * (math.log(max(nb, 1)) + 4.0)))
     u = rng.random(k)
     # nb buckets need nb times, so hit is never larger than the level set
-    if m >= nb and lo <= a and b <= hi:
+    if 0 < nb <= m and lo <= a and b <= hi:
         hit = np.zeros(nb, dtype=bool)
         # u <= 1 - 2**-53, and nb 2**-53 is at least half the spacing of the
         # doubles below nb, so u * nb rounds below nb: the index is < nb
         hit[(u * nb).astype(np.intp)] = True
         if hit.all():
-            rng.bit_generator.random_raw(m - k, output=False)
+            _skip_doubles(rng, m - k)
             return True
     pts = lo + span * np.concatenate([u, rng.random(m - k)])
     ends = [x for x in (0.0, 1.0) if lo <= x <= hi]
     return covered(np.sort(np.concatenate([pts, ends])), a, b, radius)
+
+
+def _skip_doubles(rng: np.random.Generator, n: int) -> None:
+    """Leave rng in the state that n calls of random() leave, without making
+    the doubles where the generator allows it.
+
+    Philox's random() reads one 64-bit word per double, and Philox is counter
+    based: it makes its words in blocks of 4, one block per counter value,
+    and buffers the block it last made.  So the skip uses up the words left
+    in the buffer, moves the counter past q whole blocks with advance(q),
+    which empties the buffer, and draws the remaining (n - left) mod 4 words
+    with random_raw.  advance also clears the buffered half word that a
+    32-bit draw leaves (has_uint32), so a stream holding one draws its n
+    words with random_raw instead, as does a skip of at most _DRAW_SKIP
+    words, for which reading the state costs more than it saves.  Other
+    generators draw and discard the doubles: MT19937 reads two 32-bit words
+    per double, so one random_raw word per double would skip too few.
+    """
+    bg = rng.bit_generator
+    if not isinstance(bg, np.random.Philox):
+        rng.random(n)
+        return
+    if n > _DRAW_SKIP:
+        state = bg.state
+        if not state["has_uint32"]:
+            q, rem = divmod(n - (4 - state["buffer_pos"]), 4)
+            bg.advance(q)
+            n = rem
+    bg.random_raw(n, output=False)
 
 
 def covered(times: np.ndarray, a: float, b: float, radius: float) -> bool:

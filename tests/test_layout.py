@@ -60,7 +60,10 @@ indices` alone: `verify.random_special_instance` draws a block of instances
 per call, each draw (inner times, normals, skeleton points, tip offsets)
 for all its rows at once, where it drew one instance after another.  The
 `samplers` case held because one row draws the bytes of one instance, and
-`suite_lemma4` held because its report carries only counts.
+`suite_lemma4` held because its report carries only counts.  Layout 5 held,
+with no digest re-recorded, when `rain.level_covered` began to skip its
+unread draws by advancing the Philox counter and `paths.modulus_ok` began to
+pass replicas by the bounding boxes of dyadic windows of their paths.
 
 To print the current digests: `python tests/test_layout.py`, or
 `python tests/test_layout.py NAME ...` for the named cases alone.

@@ -87,12 +87,28 @@ def _drift(times, alpha, n_dim, dim, over):
     return (v * (times - times[0]))[:, None] * u
 
 
+def _failing_pairs(path, times, alpha, n_dim):
+    """The (i, j) grid pairs of one path, (m, dim), that break the bound."""
+    slack = alpha ** (-2 * n_dim - 1)
+    ph = phi(alpha)
+    return [(i, j) for i in range(times.size) for j in range(i + 1, times.size)
+            if ((path[j] - path[i]) ** 2).sum() > (math.sqrt(times[j] - times[i]) * ph + slack) ** 2]
+
+
+# lags at the top and just past the top of the dyadic lag ranges (w/2, w]
+_PLANTED_LAGS = (2, 3, 4, 5, 8, 9, 16, 17, 64, 65)
+
+
 @pytest.mark.parametrize("scan_elems", [None, 2000])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_modulus_ok_matches_all_pairs(dim, scan_elems, monkeypatch):
     """The pruned lag scan gives the booleans of the brute-force scan of all
-    pairs, on uniform and irregular grids, from all-fail to all-pass alpha;
-    scan_elems=2000 forces row blocks of 5 to 15 replicas."""
+    pairs, on uniform and irregular grids, from all-fail to all-pass alpha,
+    and on their first m = 1, 2, 3 times; scan_elems=2000 forces row blocks
+    of 5 to 15 replicas.  Planted rows break a single pair at a lag at the
+    top or the bottom of a dyadic lag range, and one row's window bound
+    exceeds the limit of the range's smallest lag while no pair fails, so
+    only the scan of the range's lags can pass it."""
     if scan_elems is not None:
         monkeypatch.setattr(paths, "_SCAN_ELEMS", scan_elems)
     rng = stream(21, 213, dim)
@@ -104,9 +120,30 @@ def test_modulus_ok_matches_all_pairs(dim, scan_elems, monkeypatch):
         pts[7, -1] += 4.0
         pts[8] = _drift(times, 20.0, 2, dim, over=True)
         pts[9] = _drift(times, 20.0, 2, dim, over=False)
+        if times is not irregular:
+            # a drift over times[i:i+lag+1], held still before and after it,
+            # breaks the pair (i, i+lag) alone
+            for row, lag in enumerate(_PLANTED_LAGS, start=10):
+                i = 40 if lag < 64 else 20
+                seg = _drift(times[i:i + lag + 1], 20.0, 2, dim, over=True)
+                pts[row] = seg[np.clip(np.arange(times.size) - i, 0, lag)]
+                assert _failing_pairs(pts[row], times, 20.0, 2) == [(i, i + lag)]
+        else:
+            # a jump just inside the limit of the widest step: its width-2
+            # windows exceed the smallest lag-2 limit, yet no pair fails
+            k = int(np.argmax(np.diff(times)))
+            jump = 0.99 * (math.sqrt(times[k + 1] - times[k]) * phi(20.0) + 20.0 ** -5)
+            pts[10] = 0.0
+            pts[10, k + 1:] = jump / math.sqrt(dim)
+            lim2 = (np.sqrt(times[2:] - times[:-2]) * phi(20.0) + 20.0 ** -5) ** 2
+            assert ((pts[10, k + 1] ** 2).sum() > lim2.min()
+                    and not _failing_pairs(pts[10], times, 20.0, 2))
         for alpha in (1.5, 3.0, 5.0, 20.0, 100.0):
             got = modulus_ok(pts, times, alpha, 2)
             assert np.array_equal(got, _modulus_ok_brute(pts, times, alpha, 2))
+            for m in (1, 2, 3):
+                got = modulus_ok(pts[:, :m], times[:m], alpha, 2)
+                assert np.array_equal(got, _modulus_ok_brute(pts[:, :m], times[:m], alpha, 2))
         frac = {a: modulus_ok(pts, times, a, 2).mean() for a in (1.5, 5.0, 100.0)}
         assert frac[1.5] < 0.15 and 0.1 < frac[5.0] < 0.9 and frac[100.0] > 0.98
         ok20 = modulus_ok(pts, times, 20.0, 2)

@@ -6,7 +6,8 @@ import pytest
 from bmhull.estimate import stream
 from bmhull.integrals import enlargement, phi
 from bmhull.paths import brownian, modulus_ok, time_steps
-from bmhull.rain import check_N, coupled_levels, covered, level_covered, level_times
+from bmhull.rain import (_skip_doubles, check_N, coupled_levels, covered, level_covered,
+                         level_times)
 
 
 def test_coupled_levels_rain_counts_and_ranges():
@@ -116,34 +117,90 @@ def _window_covered(rng, alpha, a, b, radius, lo, hi):
     return covered(np.sort(np.concatenate([pts, ends])), a, b, radius)
 
 
+def _twins(bit_generator, key):
+    """Two generators in the same state: the estimators' Philox stream, or
+    another numpy bit generator seeded alike."""
+    if bit_generator is np.random.Philox:
+        return stream(7, 307, key), stream(7, 307, key)
+    ss = np.random.SeedSequence(entropy=7, spawn_key=(307, key))
+    return np.random.Generator(bit_generator(ss)), np.random.Generator(bit_generator(ss))
+
+
+def _assert_same_next_draws(rng, twin):
+    assert rng.random() == twin.random()
+    assert rng.standard_normal() == twin.standard_normal()
+    assert rng.poisson(3.0) == twin.poisson(3.0)
+    assert rng.random(dtype=np.float32) == twin.random(dtype=np.float32)
+
+
 @pytest.mark.parametrize("alpha", [3.0, 20.0, 100.0, 2e4, 1e5])
 def test_level_covered_matches_whole_level_set(alpha):
     """Same boolean, and the same stream afterwards, as drawing and checking
     the whole level set, on the estimators' windows [max(0, a - r),
     min(1, b + r)] (interior, [0,1], clipped at 0, clipped at 1) and on two
     windows that leave one end of [a,b] uncovered; the second radius makes
-    coverage a coin flip, so both outcomes and the exact fallback occur."""
+    coverage a coin flip, so both outcomes and the exact fallback occur.
+    Philox skips the unread draws by its counter; PCG64 and SFC64 read one
+    64-bit word per double and MT19937 two 32-bit words, and all three
+    draw the skipped doubles."""
     radii = (phi(alpha) / alpha, math.log(alpha / math.log(2.0)) / (2.0 * alpha))
-    seen = set()
-    for j, (a, b, lo_, hi_) in enumerate([(0.375, 0.625, None, None), (0.0, 1.0, None, None),
-                                          (0.01, 0.3, None, None), (0.9, 1.0, None, None),
-                                          (0.375, 0.625, 0.45, None),
-                                          (0.375, 0.625, None, 0.55)]):
-        for i, r in enumerate(radii):
-            lo = max(0.0, a - r) if lo_ is None else lo_
-            hi = min(1.0, b + r) if hi_ is None else hi_
-            rng, twin = stream(7, 307, 10 * j + i), stream(7, 307, 10 * j + i)
-            for _ in range(30):
-                got = level_covered(rng, alpha, a, b, r, lo, hi)
-                assert got == _window_covered(twin, alpha, a, b, r, lo, hi)
-                assert rng.random() == twin.random()
-                seen.add(got)
-    assert seen == {True, False}
+    for bit_generator in (np.random.Philox, np.random.PCG64, np.random.SFC64,
+                          np.random.MT19937):
+        seen = set()
+        for j, (a, b, lo_, hi_) in enumerate([(0.375, 0.625, None, None), (0.0, 1.0, None, None),
+                                              (0.01, 0.3, None, None), (0.9, 1.0, None, None),
+                                              (0.375, 0.625, 0.45, None),
+                                              (0.375, 0.625, None, 0.55)]):
+            for i, r in enumerate(radii):
+                lo = max(0.0, a - r) if lo_ is None else lo_
+                hi = min(1.0, b + r) if hi_ is None else hi_
+                rng, twin = _twins(bit_generator, 10 * j + i)
+                for _ in range(30):
+                    got = level_covered(rng, alpha, a, b, r, lo, hi)
+                    assert got == _window_covered(twin, alpha, a, b, r, lo, hi)
+                    assert rng.random() == twin.random()
+                    seen.add(got)
+                _assert_same_next_draws(rng, twin)
+        assert seen == {True, False}
+
+
+@pytest.mark.parametrize("a,b,lo,expected", [(0.0, 0.0, 0.0, True), (0.5, 0.5, 0.5, False),
+                                             (1.0, 1.0, 1.0, True)])
+def test_level_covered_zero_width_window(a, b, lo, expected):
+    """A window of zero width holds no buckets; covered decides it from the
+    pinned ends it holds, and the stream moves on as the whole draw does."""
+    rng, twin = stream(7, 309, 0), stream(7, 309, 0)
+    got = level_covered(rng, 10.0, a, b, 0.1, lo, lo)
+    assert got == _window_covered(twin, 10.0, a, b, 0.1, lo, lo) == expected
+    _assert_same_next_draws(rng, twin)
+
+
+@pytest.mark.parametrize("pos", [0, 1, 2, 3, 4])
+def test_skip_doubles_matches_random_raw(pos):
+    """The Philox counter skip leaves the state that drawing the words
+    leaves, from every buffer position, for skips around the cutoff and
+    around multiples of the 4-word block, and with a buffered half word
+    (has_uint32, after a float32 draw)."""
+    for n in (0, 1, 5, 63, 64, 65, 66, 67, 68, 69, 127, 128, 129, 1000, 1001, 1002, 1003):
+        for half_word in (False, True):
+            rng, twin = stream(7, 310, n), stream(7, 310, n)
+            for g in (rng, twin):
+                g.random(4)  # make and read a whole block
+                if half_word:
+                    g.random(dtype=np.float32)
+                state = g.bit_generator.state
+                state["buffer_pos"] = pos
+                g.bit_generator.state = state
+            assert rng.bit_generator.state["has_uint32"] == half_word
+            _skip_doubles(rng, n)
+            twin.bit_generator.random_raw(n, output=False)
+            _assert_same_next_draws(rng, twin)
 
 
 class _GivenDraws:
     """Generator stand-in that returns m from poisson and then the given
-    uniforms; random_raw skips them as Philox does."""
+    uniforms; its bit generator, itself, is no Philox, so level_covered skips
+    unread uniforms by drawing them."""
 
     def __init__(self, m, u):
         self.m, self.u, self.pos = m, np.asarray(u, dtype=float), 0
@@ -155,9 +212,6 @@ class _GivenDraws:
     def random(self, size):
         self.pos += size
         return self.u[self.pos - size:self.pos]
-
-    def random_raw(self, size, output=True):
-        self.pos += size
 
 
 def test_level_covered_largest_uniform_lands_in_last_bucket():
