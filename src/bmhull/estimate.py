@@ -22,8 +22,10 @@ CHUNK = 16384
 # same layout give byte-identical outputs.  1 was the seed layout; 2 steps
 # the wedge-stay estimators time-major over their live replicas; 3 draws
 # campbell_check's replicas a block at a time; 4 steps a half-plane in its
-# distance to the edge; 5 draws verify lemma4's instances a block at a time.
-STREAM_LAYOUT = 5
+# distance to the edge; 5 draws verify lemma4's instances a block at a time;
+# 6 draws the covering event only as far as it reads, a block of rows at a
+# time.
+STREAM_LAYOUT = 6
 
 
 @dataclass(frozen=True)

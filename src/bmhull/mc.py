@@ -30,10 +30,11 @@ with one rain.level_times and one brownian call.
 The regularity estimators (conditional_H_prob, prob_R_complement) decide
 each replica's modulus event with paths.modulus_ok, which passes most
 replicas by the bounding boxes of windows of the path rather than by
-scanning every lag, and its covering event with rain.level_covered, which
-usually settles it from a prefix of the level set and skips the rest of its
-draws by moving the Philox counter.  Both leave the booleans, and the stream,
-that checking every pair and drawing and checking the whole level set leave.
+scanning every lag, and the covering event of the replicas that pass it
+with one rain.level_covered call per chunk, which settles most rows from a
+prefix of their level sets and draws the rest only for the rows the prefix
+leaves undecided.  Both decide exactly what checking every pair and drawing
+and checking the whole level set decide.
 """
 
 from __future__ import annotations
@@ -239,12 +240,12 @@ def conditional_H_prob(case: str, wedge: Wedge2D, s1: float, s2: float,
     """P(bridge pinned at (s1,d1),(s2,d2) stays in the enlarged wedge, jointly
     with the interval regularity event), by bridge simulation.
 
-    Preconditions: the projected wedge is convex, half_angle <= pi/2 (theta
-    = pi - 2*half_angle >= 0, the half-plane included); per case, the stated
-    endpoints lie on an edge of the base wedge (distance to the enlarged
-    half-space boundary exactly phi(alpha)^2/sqrt(alpha)); special cases
-    additionally need the long-gap condition.  Violations raise with the
-    failed inequality.
+    Preconditions: 0 <= s1 < s2 <= 1; the projected wedge is convex,
+    half_angle <= pi/2 (theta = pi - 2*half_angle >= 0, the half-plane
+    included); per case, the stated endpoints lie on an edge of the base
+    wedge (distance to the enlarged half-space boundary exactly
+    phi(alpha)^2/sqrt(alpha)); special cases additionally need the long-gap
+    condition.  Violations raise with the failed inequality.
 
     include_R: "auto" simulates the rain/modulus conjunct only when
     alpha*(s2-s1) <= 1e5 (above that the rain is unsimulably dense and its
@@ -262,9 +263,10 @@ def conditional_H_prob(case: str, wedge: Wedge2D, s1: float, s2: float,
                          "(half_angle <= pi/2, the half-plane included)")
     d1 = np.asarray(d1, dtype=float).reshape(2)
     d2 = np.asarray(d2, dtype=float).reshape(2)
+    if not 0.0 <= s1 < s2 <= 1.0:
+        raise ValueError(f"need 0 <= s1 < s2 <= 1, where the level set lives, "
+                         f"got [{s1:.4g}, {s2:.4g}]")
     gap = s2 - s1
-    if gap <= 0.0:
-        raise ValueError("need s1 < s2")
     if include_R == "always" and alpha * gap > _MAX_LEVEL:
         raise ValueError(f"include_R='always' needs alpha*(s2-s1) <= {_MAX_LEVEL:g}, "
                          f"got {alpha * gap:.4g}")
@@ -295,8 +297,7 @@ def conditional_H_prob(case: str, wedge: Wedge2D, s1: float, s2: float,
         if simulate_r:
             held = np.flatnonzero(w)
             ok = modulus_ok(paths[held], times, alpha, n_dim)
-            for j in np.flatnonzero(ok):
-                ok[j] = level_covered(rng, alpha, s1, s2, radius, lo, hi)
+            ok[ok] = level_covered(rng, alpha, s1, s2, radius, int(ok.sum()), lo, hi)
             w[held] *= ok
         return w
 
@@ -321,9 +322,9 @@ def prob_R_complement(alpha: float, n_dim: int, config: EstimatorConfig) -> Esti
     radius = phi(alpha) / alpha
 
     def kernel(rng, sz):
-        y_ok = modulus_ok(brownian(rng, sz, dts, n_dim), times, alpha, n_dim)
-        n_ok = [level_covered(rng, alpha, 0.0, 1.0, radius) for _ in range(sz)]
-        return ~(y_ok & np.array(n_ok))
+        ok = modulus_ok(brownian(rng, sz, dts, n_dim), times, alpha, n_dim)
+        ok[ok] = level_covered(rng, alpha, 0.0, 1.0, radius, int(ok.sum()))
+        return ~ok
 
     w = run_chunks(config, _TAG_RCOMP, kernel)
     return from_weights(w, config, extra={"alpha": alpha, "n_dim": n_dim,

@@ -22,8 +22,10 @@ from .integrals import phi
 # set it covers.
 _MAX_LEVEL = 1e6
 
-# skips of at most this many words draw them rather than read Philox's state
-_DRAW_SKIP = 64
+# prefix times that one block of level_covered's rows draws at most (a row
+# draws its whole prefix however long); larger blocks, whose temporaries pass
+# glibc's mmap threshold, page-fault more and run slower
+_COVER_BLOCK = 1 << 13
 
 
 def coupled_levels(rng: np.random.Generator, alphas):
@@ -69,16 +71,18 @@ def level_times(rng: np.random.Generator, alpha: float, rows: int):
 
 
 def level_covered(rng: np.random.Generator, alpha: float, a: float, b: float,
-                  radius: float, lo: float = 0.0, hi: float = 1.0) -> bool:
-    """Covering event of [a,b] at radius by a direct Poisson(alpha) level set
-    on the window [lo, hi] within [0,1]: Poisson(alpha (hi - lo)) uniform
-    times plus whichever of the pinned times 0 and 1 lie in [lo, hi].
+                  radius: float, rows: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    """Covering events of [a,b] at radius by rows independent direct
+    Poisson(alpha) level sets on the window [lo, hi] within [0,1], each
+    Poisson(alpha (hi - lo)) uniform times plus whichever of the pinned times
+    0 and 1 lie in [lo, hi].  Returns (rows,) booleans, covered's decision on
+    each row's whole level set.  A radius <= 0 is refused before drawing.
 
-    The decision is covered's, and rng ends in the state that drawing the
-    whole level set leaves, but most calls read only a prefix of the times.
-    Of the m times it draws the first k = min(m, nb (ln nb + 4)), where the
-    nb = ceil((hi - lo) / (radius (1 - 1e-6))) equal buckets of [lo, hi] are
-    each no wider than radius (1 - 1e-6).  When [lo, hi] holds [a,b] and
+    The nb = ceil((hi - lo) / (radius (1 - 1e-6))) equal buckets of [lo, hi]
+    are each no wider than radius (1 - 1e-6).  The rows go in blocks of
+    _COVER_BLOCK // max(kmax, 1) rows, at least one, with kmax = ceil(nb
+    (ln nb + 4)).  A block draws its counts m, then each row's first
+    k = min(m, kmax) times, row after row.  When [lo, hi] holds [a,b] and
     every bucket holds a prefix time, covered returns True on the whole
     level set:
 
@@ -91,59 +95,44 @@ def level_covered(rng: np.random.Generator, alpha: float, a: float, b: float,
       ulps of 1, for any radius above 1e-9 (phi(alpha)/alpha is 1.2e-8 at
       alpha = 1e10, whose level set does not fit in memory).
 
-    The m - k unread doubles are then skipped by _skip_doubles, which on a
-    Philox stream moves the counter past them (see there) and on any other
-    generator draws and discards them.  Otherwise the remaining m - k are
-    drawn, random(k) then random(m - k) giving the values random(m) gives,
-    and covered decides on the whole level set.  So does a window of zero
-    width (nb = 0), which holds no buckets.
+    Only the rows whose prefix leaves them undecided then draw their other
+    m - k times, row after row, and covered decides on the whole level set;
+    so does every row of a window of zero width (nb = 0), which holds no
+    buckets.  Nothing unread is drawn.  Uniforms drawn after the prefixes are
+    iid whatever the prefixes decided, so each row's level set has the law of
+    a whole draw.
     """
+    if not radius > 0.0:
+        raise ValueError("radius must be > 0")
     span = hi - lo
-    m = rng.poisson(alpha * span)
     nb = math.ceil(span / (radius * (1.0 - 1e-6)))
-    k = min(m, math.ceil(nb * (math.log(max(nb, 1)) + 4.0)))
-    u = rng.random(k)
-    # nb buckets need nb times, so hit is never larger than the level set
-    if 0 < nb <= m and lo <= a and b <= hi:
-        hit = np.zeros(nb, dtype=bool)
-        # u <= 1 - 2**-53, and nb 2**-53 is at least half the spacing of the
-        # doubles below nb, so u * nb rounds below nb: the index is < nb
-        hit[(u * nb).astype(np.intp)] = True
-        if hit.all():
-            _skip_doubles(rng, m - k)
-            return True
-    pts = lo + span * np.concatenate([u, rng.random(m - k)])
+    kmax = math.ceil(nb * (math.log(max(nb, 1)) + 4.0))
+    buckets = nb > 0 and lo <= a and b <= hi
     ends = [x for x in (0.0, 1.0) if lo <= x <= hi]
-    return covered(np.sort(np.concatenate([pts, ends])), a, b, radius)
-
-
-def _skip_doubles(rng: np.random.Generator, n: int) -> None:
-    """Leave rng in the state that n calls of random() leave, without making
-    the doubles where the generator allows it.
-
-    Philox's random() reads one 64-bit word per double, and Philox is counter
-    based: it makes its words in blocks of 4, one block per counter value,
-    and buffers the block it last made.  So the skip uses up the words left
-    in the buffer, moves the counter past q whole blocks with advance(q),
-    which empties the buffer, and draws the remaining (n - left) mod 4 words
-    with random_raw.  advance also clears the buffered half word that a
-    32-bit draw leaves (has_uint32), so a stream holding one draws its n
-    words with random_raw instead, as does a skip of at most _DRAW_SKIP
-    words, for which reading the state costs more than it saves.  Other
-    generators draw and discard the doubles: MT19937 reads two 32-bit words
-    per double, so one random_raw word per double would skip too few.
-    """
-    bg = rng.bit_generator
-    if not isinstance(bg, np.random.Philox):
-        rng.random(n)
-        return
-    if n > _DRAW_SKIP:
-        state = bg.state
-        if not state["has_uint32"]:
-            q, rem = divmod(n - (4 - state["buffer_pos"]), 4)
-            bg.advance(q)
-            n = rem
-    bg.random_raw(n, output=False)
+    out = np.empty(rows, dtype=bool)
+    block = max(1, _COVER_BLOCK // max(kmax, 1))
+    for start in range(0, rows, block):
+        m = rng.poisson(alpha * span, min(block, rows - start))
+        k = np.minimum(m, kmax)
+        u = rng.random(k.sum())
+        done = np.zeros(m.size, dtype=bool)
+        # nb buckets need nb times, so hit is never larger than the prefixes
+        if buckets and nb <= m.max():
+            # u <= 1 - 2**-53, and nb 2**-53 is at least half the spacing of
+            # the doubles below nb, so u * nb rounds below nb: each row's
+            # buckets stay in its own nb entries of the flat hit
+            hit = np.zeros(m.size * nb, dtype=bool)
+            idx = (u * nb).astype(np.intp)
+            idx += np.repeat(np.arange(0, hit.size, nb), k)
+            hit[idx] = True
+            done = hit.reshape(m.size, nb).all(axis=1)
+        out[start:start + m.size] = done
+        first = np.cumsum(k) - k
+        for j in np.flatnonzero(~done):
+            times = np.concatenate([u[first[j]:first[j] + k[j]], rng.random(m[j] - k[j])])
+            out[start + j] = covered(np.sort(np.concatenate([lo + span * times, ends])),
+                                     a, b, radius)
+    return out
 
 
 def covered(times: np.ndarray, a: float, b: float, radius: float) -> bool:

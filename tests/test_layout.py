@@ -24,9 +24,9 @@ projects onto a segment, which the polygon test read as containing the
 ridge.  The `alpha=100, clipped at 0` case of `conditional_H_prob`, whose
 covering window is clipped on one side only, was recorded while the covering
 event still drew and sorted each replica's whole level set.  Every covering
-call of the estimator cases returns True, so the `level_covered` case calls
-the covering kernel directly, at radii where the covering event fails as well
-as where it holds.  The `samplers` case and the `simulate` artifacts were
+row of the estimator cases returns True, so the `level_covered` case calls
+the covering kernel directly, one call of 20 rows per window, at radii where
+the covering event fails as well as where it holds.  The `samplers` case and the `simulate` artifacts were
 recorded while a path, a rain and a level set were objects (`PathSample`,
 `Rain`, `RainLevel`) that serialised themselves, and a hull document went
 through `Polytope.to_json`; the case now serialises the kernels' arrays,
@@ -61,9 +61,13 @@ per call, each draw (inner times, normals, skeleton points, tip offsets)
 for all its rows at once, where it drew one instance after another.  The
 `samplers` case held because one row draws the bytes of one instance, and
 `suite_lemma4` held because its report carries only counts.  Layout 5 held,
-with no digest re-recorded, when `rain.level_covered` began to skip its
-unread draws by advancing the Philox counter and `paths.modulus_ok` began to
-pass replicas by the bounding boxes of dyadic windows of their paths.
+with no digest re-recorded, when `paths.modulus_ok` began to pass replicas
+by the bounding boxes of dyadic windows of their paths.  Layout 6
+re-recorded `level_covered` alone: the covering kernel decides a block of
+rows per call and draws a row's level set only as far as it reads it, where
+it drew one whole level set after another.  The estimator cases kept their
+digests: the covering draws are the last draws of each chunk's stream, and
+every covering row there still returns True.
 
 To print the current digests: `python tests/test_layout.py`, or
 `python tests/test_layout.py NAME ...` for the named cases alone.
@@ -159,11 +163,11 @@ def _samplers():
 
 
 def _level_covered():
-    """rain.level_covered's booleans on covering windows [max(0, a - r),
-    min(1, b + r)] that are interior, clipped at 0 and clipped at 1, at the
-    estimators' radius phi(alpha)/alpha, where the event nearly always
-    holds, and at a radius where it fails in about one call in five; then
-    one uniform, so a kernel that skips or overdraws part of the stream
+    """rain.level_covered's booleans, one call of 20 rows per covering window
+    [max(0, a - r), min(1, b + r)] that is interior, clipped at 0 or clipped
+    at 1, at the estimators' radius phi(alpha)/alpha, where the event nearly
+    always holds, and at a radius where it fails in about one row in five;
+    then one uniform, so a kernel that skips or overdraws part of the stream
     shows."""
     rng = stream(0, 308, 0)
     out = []
@@ -171,7 +175,7 @@ def _level_covered():
         for r in (phi(alpha) / alpha, math.log(alpha / math.log(2.0)) / (2.0 * alpha)):
             for a, b in ((0.375, 0.625), (0.0, 0.3), (0.7, 1.0)):
                 lo, hi = max(0.0, a - r), min(1.0, b + r)
-                out.append([level_covered(rng, alpha, a, b, r, lo, hi) for _ in range(20)])
+                out.append(level_covered(rng, alpha, a, b, r, 20, lo, hi).tolist())
     out.append(rng.random())
     return json.dumps(out)
 
@@ -266,7 +270,7 @@ CASES = {
         lambda: _simulate_hulls(2, 2, "0,5") + "\n" + _simulate_hulls(1, 2, "0,5"),
 }
 
-EXPECTED_LAYOUT = 5
+EXPECTED_LAYOUT = 6
 
 EXPECTED = {
     'bridge_stay_prob':
@@ -292,7 +296,7 @@ EXPECTED = {
     'fit_exit_exponent':
         '2d46935ad5d9ccc7ddf94877af450e5361c85609ec1726576f04a678908a73db',
     'level_covered':
-        '219aab2bde4825618e34fdf726c21244663e9ba9c1226ecf0c05ea2d2c82de43',
+        'ee0a7daff27c054040be60e710e8c939451f480a859beb17eaf3137d4762be16',
     'measure_Za_complement':
         '48d57fe0669efe2131b0f146c0ef363413f1e8fdc38c204bde98983a3667f749',
     'measure_Za_complement(two chunks)':

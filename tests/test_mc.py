@@ -238,6 +238,20 @@ def test_conditional_H_always_refuses_dense_rain(monkeypatch):
                               cfg(replicas=3000), include_R="always")
 
 
+@pytest.mark.parametrize("s1,s2", [(0.9, 1.3), (-0.3, 0.2)])
+def test_conditional_H_refuses_times_outside_unit_interval(monkeypatch, s1, s2):
+    """The level set lives on [0, 1], so a window reaching past either end
+    is refused before anything is drawn; its covering event would otherwise
+    read as a silent mean 0 with the R conjunct "simulated"."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(mc, "run_chunks", no_draws)
+    with pytest.raises(ValueError, match="0 <= s1 < s2 <= 1"):
+        mc.conditional_H_prob("interior", HALF_PLANE, s1, s2, [0.0, 0.2], [0.0, -0.4],
+                              100.0, cfg(replicas=200), include_R="always")
+
+
 def test_conditional_H_estimates():
     wedge = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=math.pi / 4)
     d1, d2 = _edge_points(0.5)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,7 @@ import pytest
 from bmhull.estimate import stream
 from bmhull.integrals import enlargement, phi
 from bmhull.paths import brownian, modulus_ok, time_steps
-from bmhull.rain import (_skip_doubles, check_N, coupled_levels, covered, level_covered,
-                         level_times)
+from bmhull.rain import check_N, coupled_levels, covered, level_covered, level_times
 
 
 def test_coupled_levels_rain_counts_and_ranges():
@@ -108,120 +108,141 @@ def test_dense_approximation_surrogate():
     assert hits > 0  # the event is typical at this alpha
 
 
-def _window_covered(rng, alpha, a, b, radius, lo, hi):
-    """Reference for level_covered: draw the whole level set on [lo, hi],
-    pinned ends included, sort it and let covered decide."""
-    m = rng.poisson(alpha * (hi - lo))
-    pts = lo + (hi - lo) * rng.random(m)
+def _given_rows(rng, alpha, a, b, r, lo, hi, rows):
+    """rows whole level sets on [lo, hi], each Poisson(alpha (hi - lo))
+    uniforms, with each row's prefix length k = min(m, nb (ln nb + 4)) and
+    whether the prefix leaves the row undecided: [lo, hi] misses [a,b], or
+    the prefix misses one of the nb buckets of [lo, hi]."""
+    nb = math.ceil((hi - lo) / (r * (1.0 - 1e-6)))
+    kmax = math.ceil(nb * (math.log(max(nb, 1)) + 4.0))
+    sets = [rng.random(m) for m in rng.poisson(alpha * (hi - lo), rows)]
+    k = [min(u.size, kmax) for u in sets]
+    undecided = [not (nb > 0 and lo <= a and b <= hi)
+                 or np.unique((u[:kj] * nb).astype(int)).size < nb
+                 for u, kj in zip(sets, k)]
+    return sets, k, undecided
+
+
+class _GivenDraws:
+    """Generator stand-in that serves given level sets in level_covered's
+    draw order: poisson(lam, size) returns the counts of the next size rows,
+    the first random call after it those rows' prefixes, row after row, and
+    each further call the other uniforms of the next undecided row among
+    them.  It checks each call's size and counts the uniforms it serves."""
+
+    def __init__(self, sets, k, undecided):
+        self.sets, self.k, self.undecided = sets, k, undecided
+        self.block, self.rest, self.drawn = range(0), None, 0
+
+    def poisson(self, lam, size):
+        self.block = range(self.block.stop, self.block.stop + size)
+        self.rest = None
+        return np.array([self.sets[j].size for j in self.block])
+
+    def random(self, size):
+        if self.rest is None:
+            out = np.concatenate([self.sets[j][:self.k[j]] for j in self.block] + [[]])
+            self.rest = iter([j for j in self.block if self.undecided[j]])
+        else:
+            j = next(self.rest)
+            out = self.sets[j][self.k[j]:]
+        assert out.size == size
+        self.drawn += size
+        return out
+
+
+def _whole_covered(u, a, b, r, lo, hi):
+    """covered on a whole level set: the uniforms u on [lo, hi] and whichever
+    of the pinned times 0 and 1 lie in [lo, hi]."""
     ends = [x for x in (0.0, 1.0) if lo <= x <= hi]
-    return covered(np.sort(np.concatenate([pts, ends])), a, b, radius)
+    return covered(np.sort(np.concatenate([lo + (hi - lo) * u, ends])), a, b, r)
 
 
-def _twins(bit_generator, key):
-    """Two generators in the same state: the estimators' Philox stream, or
-    another numpy bit generator seeded alike."""
-    if bit_generator is np.random.Philox:
-        return stream(7, 307, key), stream(7, 307, key)
-    ss = np.random.SeedSequence(entropy=7, spawn_key=(307, key))
-    return np.random.Generator(bit_generator(ss)), np.random.Generator(bit_generator(ss))
-
-
-def _assert_same_next_draws(rng, twin):
-    assert rng.random() == twin.random()
-    assert rng.standard_normal() == twin.standard_normal()
-    assert rng.poisson(3.0) == twin.poisson(3.0)
-    assert rng.random(dtype=np.float32) == twin.random(dtype=np.float32)
-
-
-@pytest.mark.parametrize("alpha", [3.0, 20.0, 100.0, 2e4, 1e5])
+@pytest.mark.parametrize("alpha", [3.0, 20.0, 100.0, 1e3, 2e4, 1e5])
 def test_level_covered_matches_whole_level_set(alpha):
-    """Same boolean, and the same stream afterwards, as drawing and checking
-    the whole level set, on the estimators' windows [max(0, a - r),
-    min(1, b + r)] (interior, [0,1], clipped at 0, clipped at 1) and on two
-    windows that leave one end of [a,b] uncovered; the second radius makes
-    coverage a coin flip, so both outcomes and the exact fallback occur.
-    Philox skips the unread draws by its counter; PCG64 and SFC64 read one
-    64-bit word per double and MT19937 two 32-bit words, and all three
-    draw the skipped doubles."""
+    """Each row's boolean is covered's on its whole level set, on the
+    estimators' windows [max(0, a - r), min(1, b + r)] (interior, [0,1],
+    clipped at 0, clipped at 1) and on two windows that leave one end of
+    [a,b] uncovered; the second radius makes coverage a coin flip, so both
+    outcomes and undecided prefixes occur.  The 30 rows make one block at
+    small alpha, three at alpha = 1e3 and 30 at 2e4 and 1e5.  The uniforms
+    drawn are exactly each row's prefix and the rest of the undecided rows."""
     radii = (phi(alpha) / alpha, math.log(alpha / math.log(2.0)) / (2.0 * alpha))
-    for bit_generator in (np.random.Philox, np.random.PCG64, np.random.SFC64,
-                          np.random.MT19937):
-        seen = set()
-        for j, (a, b, lo_, hi_) in enumerate([(0.375, 0.625, None, None), (0.0, 1.0, None, None),
-                                              (0.01, 0.3, None, None), (0.9, 1.0, None, None),
-                                              (0.375, 0.625, 0.45, None),
-                                              (0.375, 0.625, None, 0.55)]):
-            for i, r in enumerate(radii):
-                lo = max(0.0, a - r) if lo_ is None else lo_
-                hi = min(1.0, b + r) if hi_ is None else hi_
-                rng, twin = _twins(bit_generator, 10 * j + i)
-                for _ in range(30):
-                    got = level_covered(rng, alpha, a, b, r, lo, hi)
-                    assert got == _window_covered(twin, alpha, a, b, r, lo, hi)
-                    assert rng.random() == twin.random()
-                    seen.add(got)
-                _assert_same_next_draws(rng, twin)
-        assert seen == {True, False}
+    seen = set()
+    for j, (a, b, lo_, hi_) in enumerate([(0.375, 0.625, None, None), (0.0, 1.0, None, None),
+                                          (0.01, 0.3, None, None), (0.9, 1.0, None, None),
+                                          (0.375, 0.625, 0.45, None),
+                                          (0.375, 0.625, None, 0.55)]):
+        for i, r in enumerate(radii):
+            lo = max(0.0, a - r) if lo_ is None else lo_
+            hi = min(1.0, b + r) if hi_ is None else hi_
+            sets, k, undecided = _given_rows(stream(7, 307, 10 * j + i), alpha, a, b, r,
+                                             lo, hi, 30)
+            rng = _GivenDraws(sets, k, undecided)
+            got = level_covered(rng, alpha, a, b, r, len(sets), lo, hi)
+            want = [_whole_covered(u, a, b, r, lo, hi) for u in sets]
+            assert got.tolist() == want
+            assert rng.drawn == sum(k) + sum(u.size - kj for u, kj, und
+                                             in zip(sets, k, undecided) if und)
+            seen.update(want)
+    assert seen == {True, False}
+
+
+def test_level_covered_no_rows_draws_nothing():
+    rng, twin = stream(7, 309, 1), stream(7, 309, 1)
+    assert level_covered(rng, 100.0, 0.375, 0.625, 0.05, 0, 0.3, 0.7).shape == (0,)
+    assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.1, math.nan])
+def test_level_covered_refuses_radius_not_positive(radius):
+    """No bucket is narrower than a radius <= 0, so the call is refused
+    before anything is drawn."""
+    rng, twin = stream(7, 309, 2), stream(7, 309, 2)
+    with pytest.raises(ValueError, match="radius must be > 0"):
+        level_covered(rng, 10.0, 0.2, 0.3, radius, 5)
+    assert rng.random() == twin.random()
 
 
 @pytest.mark.parametrize("a,b,lo,expected", [(0.0, 0.0, 0.0, True), (0.5, 0.5, 0.5, False),
                                              (1.0, 1.0, 1.0, True)])
 def test_level_covered_zero_width_window(a, b, lo, expected):
-    """A window of zero width holds no buckets; covered decides it from the
-    pinned ends it holds, and the stream moves on as the whole draw does."""
-    rng, twin = stream(7, 309, 0), stream(7, 309, 0)
-    got = level_covered(rng, 10.0, a, b, 0.1, lo, lo)
-    assert got == _window_covered(twin, 10.0, a, b, 0.1, lo, lo) == expected
-    _assert_same_next_draws(rng, twin)
-
-
-@pytest.mark.parametrize("pos", [0, 1, 2, 3, 4])
-def test_skip_doubles_matches_random_raw(pos):
-    """The Philox counter skip leaves the state that drawing the words
-    leaves, from every buffer position, for skips around the cutoff and
-    around multiples of the 4-word block, and with a buffered half word
-    (has_uint32, after a float32 draw)."""
-    for n in (0, 1, 5, 63, 64, 65, 66, 67, 68, 69, 127, 128, 129, 1000, 1001, 1002, 1003):
-        for half_word in (False, True):
-            rng, twin = stream(7, 310, n), stream(7, 310, n)
-            for g in (rng, twin):
-                g.random(4)  # make and read a whole block
-                if half_word:
-                    g.random(dtype=np.float32)
-                state = g.bit_generator.state
-                state["buffer_pos"] = pos
-                g.bit_generator.state = state
-            assert rng.bit_generator.state["has_uint32"] == half_word
-            _skip_doubles(rng, n)
-            twin.bit_generator.random_raw(n, output=False)
-            _assert_same_next_draws(rng, twin)
-
-
-class _GivenDraws:
-    """Generator stand-in that returns m from poisson and then the given
-    uniforms; its bit generator, itself, is no Philox, so level_covered skips
-    unread uniforms by drawing them."""
-
-    def __init__(self, m, u):
-        self.m, self.u, self.pos = m, np.asarray(u, dtype=float), 0
-        self.bit_generator = self
-
-    def poisson(self, lam):
-        return self.m
-
-    def random(self, size):
-        self.pos += size
-        return self.u[self.pos - size:self.pos]
+    """A window of zero width holds no buckets and no uniform times; covered
+    decides each row from the pinned ends it holds."""
+    got = level_covered(stream(7, 309, 0), 10.0, a, b, 0.1, 5, lo, lo)
+    assert got.tolist() == [expected] * 5
 
 
 def test_level_covered_largest_uniform_lands_in_last_bucket():
     # radius 0.4 on [0,1] gives nb = 3 buckets; u = 1 - 2**-53 is the
     # largest double random() returns
-    u = [0.1, 0.5, 1.0 - 2.0 ** -53]
-    rng = _GivenDraws(3, u)
-    assert level_covered(rng, 3.0, 0.0, 1.0, 0.4)
-    assert rng.pos == 3
-    assert covered(np.concatenate([[0.0], u, [1.0]]), 0.0, 1.0, 0.4)
+    u = np.array([0.1, 0.5, 1.0 - 2.0 ** -53])
+    rng = _GivenDraws([u], [3], [False])
+    assert level_covered(rng, 3.0, 0.0, 1.0, 0.4, 1).tolist() == [True]
+    assert rng.drawn == 3
+    assert _whole_covered(u, 0.0, 1.0, 0.4, 0.0, 1.0)
+
+
+def test_level_covered_memory_is_bounded_by_its_block():
+    """2048 rows at alpha = 1e5 on the conditional-H window draw about 2e7
+    uniforms, but a block of rows at a time: the traced peak of the call
+    stays within 2 MB (1.55 MB with blocks of at most 1 << 13 prefix times,
+    where a row, whose prefix holds 9052, is a block; 2.4 MB at 1 << 16 and
+    8 MB at 1 << 18).  The undecided rows' whole level sets, 25 000 times
+    each, set most of the peak.  A radius far below the spacing of the level
+    set, whose 1e8 buckets no row can fill, allocates none of them."""
+    alpha, a, b = 1e5, 0.375, 0.625
+    r = phi(alpha) / alpha
+    peaks = []
+    tracemalloc.start()
+    try:
+        for args in ((alpha, a, b, r, 2048, a - r, b + r), (10.0, 0.2, 0.3, 1e-9, 100)):
+            tracemalloc.reset_peak()
+            level_covered(stream(8, 310, 0), *args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 2 << 20 and peaks[1] < 1 << 20
 
 
 def _miss_prob(alpha, r, a, b):
@@ -252,6 +273,6 @@ def test_level_covered_rate_matches_closed_form(alpha, r, a, b, exact):
     lo, hi = max(0.0, a - r), min(1.0, b + r)
     rng = stream(8, 308, int(alpha))
     n = 20000
-    misses = sum(not level_covered(rng, alpha, a, b, r, lo, hi) for _ in range(n))
+    misses = int(np.count_nonzero(~level_covered(rng, alpha, a, b, r, n, lo, hi)))
     se = math.sqrt(p_miss * (1.0 - p_miss) / n)
     assert abs(misses / n - p_miss) <= 4.0 * se
