@@ -9,9 +9,10 @@ __version__ = "0.1.0"
 
 from .estimate import (CHUNK, STREAM_LAYOUT, Estimate, EstimatorConfig, chunk_sizes,
                        from_weights, run_chunks, stream)
-from .integrals import (ZaRegion, campbell_mean, complement_Za_exact, enlargement,
-                        final_assembly, integral_Za_bound, integral_Za_quadrature,
-                        log_final_assembly, measure_Za_complement, phi, rhs_bound)
+from .integrals import (ZaRegion, campbell_mean, complement_Za_exact, covering_miss_prob,
+                        enlargement, final_assembly, integral_Za_bound,
+                        integral_Za_quadrature, log_final_assembly, measure_Za_complement,
+                        phi, rhs_bound)
 from .paths import bridge, brownian, modulus_ok, step, time_steps
 from .rain import check_N, coupled_levels, covered, level_covered, level_times
 from .hulls import (DegeneracyError, Polytope, SimplexTimes, build_hull, count_q,

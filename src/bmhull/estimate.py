@@ -24,8 +24,9 @@ CHUNK = 16384
 # campbell_check's replicas a block at a time; 4 steps a half-plane in its
 # distance to the edge; 5 draws verify lemma4's instances a block at a time;
 # 6 draws the covering event only as far as it reads, a block of rows at a
-# time.
-STREAM_LAYOUT = 6
+# time; 7 integrates the covering event out of conditional_H_prob, which
+# multiplies its weights by the exact P(N) and draws no rain.
+STREAM_LAYOUT = 7
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Deterministic scalar helpers and the simplex integrals with the gap restriction.
 
 Covers the slowly-varying scale function phi, the enlarged-wedge offset, the
-exact mean of the Campbell facet count, the product bound for the restricted
-log-singular integral over [0,1]^{2n}, its quadrature cross-check, the Monte
-Carlo measure of the complement of the gap region on the double simplex and
-its exact spacings law, the pair-bound right-hand side, and the final
-closed-form assembly of the decay bound.
+exact mean of the Campbell facet count, the exact probability that a Poisson
+level set fails the covering event on a window, the product bound for the
+restricted log-singular integral over [0,1]^{2n}, its quadrature
+cross-check, the Monte Carlo measure of the complement of the gap region on
+the double simplex and its exact spacings law, the pair-bound right-hand
+side, and the final closed-form assembly of the decay bound.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from .estimate import Estimate, EstimatorConfig, from_weights, run_chunks
 
 _STREAM_ZA = 71
+_LOG_1E6 = math.log(1e6)
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,55 @@ def campbell_mean(alpha: float) -> float:
         # while past n = 2 alpha each weight is at most half the one before
         if n >= 2.0 * alpha and weight * (2.0 + 2.0 * math.log(n + 1)) < 1e-16:
             return total
+
+
+def covering_miss_prob(alpha: float, a: float, b: float, radius: float) -> float:
+    """Exact P(N^c): the probability that a Poisson(alpha) level set on the
+    window [lo, hi] = [max(0, a - r), min(1, b + r)], with whichever of the
+    pinned times 0 and 1 it holds, leaves some t in [a,b] farther than
+    r = radius from every time (rain.covered's event, failed).
+
+    On that window the event is a spacing of the L = hi - lo window longer
+    than 2r, so it is Whitworth's max-spacing law mixed over Poisson(lam)
+    counts, lam = alpha L and x = 2r/L:
+
+        sum_{k >= 1, kx < 1} (-1)^(k+1) e^(-k alpha 2r)
+            [y^k / k! + y^(k-1) / (k-1)!],   y = lam (1 - kx).
+
+    The terms are summed with lgamma weights relative to the largest so far,
+    so none overflows, and the sum stops once they are past their peak and
+    below 1e-17 of the partial sum (the series alternates).  Where the terms
+    dwarf the sum (largest term > 1e6 |sum|) the cancellation would eat the
+    digits, so that is refused; at the estimators' radius phi(alpha)/alpha
+    the first term leads, as alpha e^(-2 phi(alpha)) < 1 for every alpha > 1.
+    """
+    if not alpha > 0.0:
+        raise ValueError("alpha must be > 0")
+    if not radius > 0.0:
+        raise ValueError("radius must be > 0")
+    if not 0.0 <= a <= b <= 1.0:
+        raise ValueError("need 0 <= a <= b <= 1")
+    span = min(1.0, b + radius) - max(0.0, a - radius)
+    lam, x, c = alpha * span, 2.0 * radius / span, 2.0 * alpha * radius
+    top, acc, prev = -math.inf, 0.0, -math.inf  # sum = e^top acc
+    k = 1
+    while k * x < 1.0:
+        y = lam * (1.0 - k * x)
+        log_t = -k * c + (k - 1) * math.log(y) - math.lgamma(k) + math.log1p(y / k)
+        if log_t > top:
+            acc *= math.exp(top - log_t)
+            top = log_t
+        if top > _LOG_1E6:  # the sum is a probability, at most 1
+            break
+        acc += (-1.0) ** (k + 1) * math.exp(log_t - top)
+        if log_t < prev and math.exp(log_t - top) < 1e-17 * abs(acc):
+            break
+        prev = log_t
+        k += 1
+    if top > _LOG_1E6 or (top > -math.inf and 1e6 * abs(acc) < 1.0):
+        raise ValueError(f"the alternating series cancels: its largest term "
+                         f"e^{top:.4g} exceeds 1e6 times its sum")
+    return math.exp(top) * acc
 
 
 def integral_Za_bound(a: float, n: int) -> float:

@@ -30,11 +30,14 @@ with one rain.level_times and one brownian call.
 The regularity estimators (conditional_H_prob, prob_R_complement) decide
 each replica's modulus event with paths.modulus_ok, which passes most
 replicas by the bounding boxes of windows of the path rather than by
-scanning every lag, and the covering event of the replicas that pass it
-with one rain.level_covered call per chunk, which settles most rows from a
-prefix of their level sets and draws the rest only for the rows the prefix
-leaves undecided.  Both decide exactly what checking every pair and drawing
-and checking the whole level set decide.
+scanning every lag, exactly what checking every pair decides.  The covering
+event of the rain is independent of the path: conditional_H_prob integrates
+it out, multiplying each weight by its exact probability
+integrals.covering_miss_prob, and draws no rain; prob_R_complement decides
+it for the replicas that pass the modulus event with one
+rain.level_covered call per chunk, which settles most rows from a prefix of
+their level sets and draws the rest only for the rows the prefix leaves
+undecided, exactly what drawing and checking the whole level set decides.
 """
 
 from __future__ import annotations
@@ -46,9 +49,9 @@ import numpy as np
 from .estimate import Estimate, EstimatorConfig, from_weights, run_chunks
 from .hulls import (SimplexTimes, count_q, facet_events, merged_times, oriented_normals,
                     row_dot)
-from .integrals import enlargement, phi, rhs_bound
+from .integrals import covering_miss_prob, enlargement, phi, rhs_bound
 from .paths import brownian, modulus_ok, step, time_steps
-from .rain import _MAX_LEVEL, level_covered, level_times
+from .rain import level_covered, level_times
 from .wedges import Wedge2D, discordant_pairs, gamma_ak, half_space_events
 
 _TAG_STAY = 1
@@ -236,7 +239,7 @@ def prop6_rhs(case: str, gap: float, alpha: float, eps: float,
 def conditional_H_prob(case: str, wedge: Wedge2D, s1: float, s2: float,
                        d1, d2, alpha: float, config: EstimatorConfig,
                        eps: float = 0.5, n_dim: int = 2,
-                       include_R: str = "auto") -> Estimate:
+                       include_R: str = "always") -> Estimate:
     """P(bridge pinned at (s1,d1),(s2,d2) stays in the enlarged wedge, jointly
     with the interval regularity event), by bridge simulation.
 
@@ -247,17 +250,20 @@ def conditional_H_prob(case: str, wedge: Wedge2D, s1: float, s2: float,
     phi(alpha)^2/sqrt(alpha)); special cases additionally need the long-gap
     condition.  Violations raise with the failed inequality.
 
-    include_R: "auto" simulates the rain/modulus conjunct only when
-    alpha*(s2-s1) <= 1e5 (above that the rain is unsimulably dense and its
-    failure probability is far below any reported digit; the estimate is then
-    the conservative upper value P(H_i | S)).  "always"/"never" force it;
-    "always" refuses alpha*(s2-s1) above rain._MAX_LEVEL before drawing, as
-    each replica's covering draw grows with it.
+    include_R: "always" joins the regularity conjunct R = Y and N, the
+    modulus event Y of each bridge and the covering event N of the rain on
+    [s1, s2]; "never" leaves it out, for the conservative upper value
+    P(H_i | S).  The rain is independent of the path, so E[1{Y} 1{N} | path]
+    = 1{Y} P(N): each weight is multiplied by 1{Y} and by the exact
+    P(N) = 1 - integrals.covering_miss_prob(alpha, s1, s2, phi(alpha)/alpha),
+    one scalar per call, and no rain is drawn at any alpha.  The report's
+    r_conjunct reads "simulated" (Y simulated, N integrated out) or
+    "assumed".
     """
     if case not in _CASES:
         raise ValueError(f"case must be one of {_CASES}")
-    if include_R not in ("auto", "always", "never"):
-        raise ValueError("include_R must be auto, always or never")
+    if include_R not in ("always", "never"):
+        raise ValueError("include_R must be always or never")
     if not wedge.convex:
         raise ValueError("the projected wedge must be convex "
                          "(half_angle <= pi/2, the half-plane included)")
@@ -267,9 +273,6 @@ def conditional_H_prob(case: str, wedge: Wedge2D, s1: float, s2: float,
         raise ValueError(f"need 0 <= s1 < s2 <= 1, where the level set lives, "
                          f"got [{s1:.4g}, {s2:.4g}]")
     gap = s2 - s1
-    if include_R == "always" and alpha * gap > _MAX_LEVEL:
-        raise ValueError(f"include_R='always' needs alpha*(s2-s1) <= {_MAX_LEVEL:g}, "
-                         f"got {alpha * gap:.4g}")
     normals = wedge.edge_normals()
     tol = 1e-9
     on_edge = [bool(np.min(np.abs((d - wedge.tip) @ normals.T)) <= tol) for d in (d1, d2)]
@@ -286,19 +289,16 @@ def conditional_H_prob(case: str, wedge: Wedge2D, s1: float, s2: float,
             raise ValueError(f"special case needs s2-s1 >= {need:.4g}, got {gap:.4g}")
     n_steps = max(2, int(round(config.grid_points_per_unit_time * gap)))
     times = np.linspace(s1, s2, n_steps + 1)
-    simulate_r = include_R == "always" or (include_R == "auto" and alpha * gap <= 1e5)
+    simulate_r = include_R == "always"
     w_off = enlargement(alpha)
-    radius = phi(alpha) / alpha
-    lo, hi = max(0.0, s1 - radius), min(1.0, s2 + radius)
+    p_cover = 1.0 - covering_miss_prob(alpha, s1, s2, phi(alpha) / alpha)
 
     def kernel(rng, sz):
         paths = np.empty((sz, times.size, 2)) if simulate_r else None
         w = _stay_weights(rng, sz, wedge, times, d1, d2, w_off, out=paths)
         if simulate_r:
             held = np.flatnonzero(w)
-            ok = modulus_ok(paths[held], times, alpha, n_dim)
-            ok[ok] = level_covered(rng, alpha, s1, s2, radius, int(ok.sum()), lo, hi)
-            w[held] *= ok
+            w[held] *= modulus_ok(paths[held], times, alpha, n_dim) * p_cover
         return w
 
     rhs = prop6_rhs(case, gap, alpha, eps, theta, n_dim)

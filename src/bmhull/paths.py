@@ -128,9 +128,8 @@ def modulus_ok(points: np.ndarray, times: np.ndarray, alpha: float, n_dim: int) 
     Hence a bound <= lim_lo.min() means every pair it holds at lag lo and
     beyond passes.  The window tables double a block's memory: at 2**16
     points a block of 257-point planar paths holds 127 replicas in 0.5 MB,
-    1.6 MB with its tables.  The regularity estimators draw rain only for
-    the replicas that pass, so a single flipped boolean would shift their
-    streams.
+    1.6 MB with its tables.  prob_R_complement draws rain only for the
+    replicas that pass, so a single flipped boolean would shift its stream.
     """
     slack = alpha ** (-2 * n_dim - 1)
     ph = phi(alpha)

@@ -17,9 +17,7 @@ from .integrals import phi
 
 # The rain holds about max level points, 16 bytes each, and a path drawn at
 # its times 8 dim bytes more per point; a level of 1e9 would take 16 GB for
-# the rain alone, so coupled_levels refuses levels above this before drawing,
-# and so does mc.conditional_H_prob for the mean alpha*(s2-s1) of the level
-# set it covers.
+# the rain alone, so coupled_levels refuses levels above this before drawing.
 _MAX_LEVEL = 1e6
 
 # prefix times that one block of level_covered's rows draws at most (a row

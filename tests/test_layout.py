@@ -22,11 +22,11 @@ their bytes, and the other distances moved by at most 4.4e-14 relative.
 Witness 61 (kappa = 0.8) went from 0.0 to 8.42777574611598: its facet
 projects onto a segment, which the polygon test read as containing the
 ridge.  The `alpha=100, clipped at 0` case of `conditional_H_prob`, whose
-covering window is clipped on one side only, was recorded while the covering
-event still drew and sorted each replica's whole level set.  Every covering
-row of the estimator cases returns True, so the `level_covered` case calls
-the covering kernel directly, one call of 20 rows per window, at radii where
-the covering event fails as well as where it holds.  The `samplers` case and the `simulate` artifacts were
+covering window is clipped on one side only, was first recorded while the
+covering event still drew and sorted each replica's whole level set, and
+re-recorded at layout 7.  The `level_covered` case calls the covering kernel
+directly, one call of 20 rows per window, at radii where the covering event
+fails as well as where it holds.  The `samplers` case and the `simulate` artifacts were
 recorded while a path, a rain and a level set were objects (`PathSample`,
 `Rain`, `RainLevel`) that serialised themselves, and a hull document went
 through `Polytope.to_json`; the case now serialises the kernels' arrays,
@@ -67,7 +67,13 @@ re-recorded `level_covered` alone: the covering kernel decides a block of
 rows per call and draws a row's level set only as far as it reads it, where
 it drew one whole level set after another.  The estimator cases kept their
 digests: the covering draws are the last draws of each chunk's stream, and
-every covering row there still returns True.
+every covering row there still returns True.  Layout 7 re-recorded
+`conditional_H_prob(always, alpha=100, clipped at 0)` alone:
+`conditional_H_prob` now multiplies its weights by the exact covering
+probability P(N) and draws no rain, and that window's P(N^c) is 8.4e-7, so
+its weights moved.  The other `conditional_H_prob` cases held: at alpha = 3
+the pinned ends cover the window and at alpha = 1e5 P(N) rounds to 1, and
+no case drew anything after the covering draws.
 
 To print the current digests: `python tests/test_layout.py`, or
 `python tests/test_layout.py NAME ...` for the named cases alone.
@@ -233,7 +239,7 @@ CASES = {
     "prob_R_complement(alpha=100)": lambda: mc.prob_R_complement(100.0, 2, CFG).to_json(),
     "conditional_H_prob(always, alpha=1e5)": lambda: _conditional_h(1e5),
     # the covering window [max(0, s1 - r), min(1, s2 + r)] is clipped at 0
-    # only (r = 0.0855); every replica reaches the covering draws
+    # only (r = 0.0855), where P(N) = 1 - 8.4e-7 scales the weights
     "conditional_H_prob(always, alpha=100, clipped at 0)":
         lambda: _conditional_h(100.0, s1=0.05, s2=0.30),
     # the enlarged wedge is narrow here, so replicas leave it mid-bridge
@@ -270,7 +276,7 @@ CASES = {
         lambda: _simulate_hulls(2, 2, "0,5") + "\n" + _simulate_hulls(1, 2, "0,5"),
 }
 
-EXPECTED_LAYOUT = 6
+EXPECTED_LAYOUT = 7
 
 EXPECTED = {
     'bridge_stay_prob':
@@ -282,7 +288,7 @@ EXPECTED = {
     'conditional_H_prob(always, alpha=1e5)':
         'b1e7182d331326477e04cda9d25a3f060a5d2a854ec64445daa5815315fc0258',
     'conditional_H_prob(always, alpha=100, clipped at 0)':
-        '5e19a5c4557b9081ab5a5a9c1f9e96957ca8b89e42090972a8f8e71a843e856d',
+        'a60d7590891221b951e4b2cf15a55c2e790d609cf2d2bb951e98b452e9912352',
     'conditional_H_prob(never, alpha=1e10)':
         'b9c99f0d7fbcc1d524668e56b9a38deff92cdec0456116e0d93570999edb08c3',
     'discordant_prob':

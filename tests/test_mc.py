@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bmhull import mc
+from bmhull import mc, rain, verify
 from bmhull.estimate import EstimatorConfig, stream
 from bmhull.hulls import SimplexTimes
-from bmhull.integrals import campbell_mean, enlargement
-from bmhull.paths import bridge
+from bmhull.integrals import campbell_mean, covering_miss_prob, enlargement, phi
+from bmhull.paths import bridge, modulus_ok
 from bmhull.wedges import Wedge2D
 
 HALF_PLANE = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=math.pi / 2)
@@ -220,22 +220,59 @@ def test_conditional_H_preconditions():
                               math.e ** 20, cfg(replicas=200))
 
 
-def test_conditional_H_always_refuses_dense_rain(monkeypatch):
-    """include_R="always" refuses alpha*(s2-s1) above rain._MAX_LEVEL before
-    anything is drawn: at alpha = 1e9 on [0.3, 0.7] each replica's covering
-    draw would read about 8e7 uniforms.  At the cap itself it goes on to
-    draw."""
-    def no_draws(*args, **kwargs):
-        raise AssertionError("drew")
+def _no_rain(monkeypatch):
+    """Make every function of bmhull.rain, and mc's imports of them, raise."""
+    def drew(*args, **kwargs):
+        raise AssertionError("drew rain")
 
-    monkeypatch.setattr(mc, "run_chunks", no_draws)
-    d1, d2 = [0.0, 0.2], [0.0, -0.4]
-    with pytest.raises(ValueError, match=r"alpha\*\(s2-s1\) <= 1e\+06"):
-        mc.conditional_H_prob("interior", HALF_PLANE, 0.3, 0.7, d1, d2, 1e9,
-                              cfg(replicas=3000), include_R="always")
-    with pytest.raises(AssertionError, match="drew"):
-        mc.conditional_H_prob("interior", HALF_PLANE, 0.25, 0.75, d1, d2, 2e6,
-                              cfg(replicas=3000), include_R="always")
+    for name in ("coupled_levels", "level_times", "level_covered", "covered", "check_N"):
+        monkeypatch.setattr(rain, name, drew)
+    for name in ("level_times", "level_covered"):
+        monkeypatch.setattr(mc, name, drew)
+
+
+def test_conditional_H_dense_rain_runs_without_drawing_rain(monkeypatch):
+    """The covering event is integrated out, so alpha = 1e9 on [0.3, 0.7]
+    runs with the R conjunct and draws no rain, where the covering kernel
+    would read a prefix of about 8e7 uniforms per replica.  Its P(N) is 1
+    in double and the modulus event holds on every replica, so the estimate
+    is the half-plane bridge law 1 - exp(-2 w^2 / (s2 - s1)) of
+    test_bridge_stay_non_unit_gap."""
+    _no_rain(monkeypatch)
+    alpha, s1, s2 = 1e9, 0.3, 0.7
+    est = mc.conditional_H_prob("interior", HALF_PLANE, s1, s2, [0.0, 0.2], [0.0, -0.4],
+                                alpha, cfg(replicas=3000), include_R="always")
+    assert est.extra["r_conjunct"] == "simulated"
+    w = enlargement(alpha)
+    assert abs(est.mean - (1 - math.exp(-2.0 * w * w / (s2 - s1)))) <= 4 * est.std_error
+
+
+def test_conditional_H_integrates_the_covering_event_out(monkeypatch):
+    """With the rain unreachable, include_R="always" still runs, and where
+    every replica passes the modulus event its mean is P(N) times the
+    "never" mean: both step the same planar quadrant draws.  The window
+    [0, 0.3855] of [0.05, 0.30] at alpha = 100 is clipped at 0, where
+    P(N^c) = 8.4e-7."""
+    _no_rain(monkeypatch)
+    passed = []
+
+    def spy(*args):
+        ok = modulus_ok(*args)
+        passed.append(bool(ok.all()))
+        return ok
+
+    monkeypatch.setattr(mc, "modulus_ok", spy)
+    alpha, s1, s2 = 100.0, 0.05, 0.30
+    d1, d2 = _edge_points(0.5)
+    p_cover = 1.0 - covering_miss_prob(alpha, s1, s2, phi(alpha) / alpha)
+    assert 1.0 - p_cover == pytest.approx(8.4e-7, rel=0.01)
+    args = ("interior", QUADRANT, s1, s2, d1, d2, alpha, cfg(replicas=2000))
+    with_r = mc.conditional_H_prob(*args, include_R="always")
+    without = mc.conditional_H_prob(*args, include_R="never")
+    assert passed == [True]
+    assert with_r.extra["r_conjunct"] == "simulated"
+    assert with_r.mean == pytest.approx(p_cover * without.mean, rel=1e-12, abs=0.0)
+    assert with_r.mean != without.mean
 
 
 @pytest.mark.parametrize("s1,s2", [(0.9, 1.3), (-0.3, 0.2)])
@@ -258,7 +295,7 @@ def test_conditional_H_estimates():
     big = mc.conditional_H_prob("interior", wedge, 0.375, 0.625, d1, d2,
                                 math.e ** 20, cfg(replicas=2000))
     assert 0.0 <= big.mean <= 1.0
-    assert big.extra["r_conjunct"] == "assumed"  # rain too dense to simulate
+    assert big.extra["r_conjunct"] == "simulated"  # at any alpha: no rain is drawn
     small = mc.conditional_H_prob("interior", wedge, 0.375, 0.625, d1, d2,
                                   50.0, cfg(replicas=500))
     assert small.extra["r_conjunct"] == "simulated"
@@ -266,6 +303,25 @@ def test_conditional_H_estimates():
     small_h = mc.conditional_H_prob("interior", wedge, 0.375, 0.625, d1, d2,
                                     50.0, cfg(replicas=500), include_R="never")
     assert small.mean <= small_h.mean + 1e-12
+
+
+@pytest.mark.parametrize("spec", [s for s in verify.PROP6_GRID
+                                  if s["case"].startswith("interior")],
+                         ids=lambda s: s["case"])
+def test_prop6_monitor_matches_its_exact_law(spec):
+    """The Prop 6 monitor's quadrant has orthogonal edges, so its two edge
+    coordinates are independent bridges, from w to rho + w on one edge and
+    from rho + w to w on the other, w = enlargement(e^20), over the gap
+    1/4; the per-edge crossing correction is exact for each.  At e^20 P(N)
+    is 1 in double and the modulus event holds on every replica, so the
+    estimand is (1 - exp(-2 w (rho + w) / 0.25))^2: 0.82012 at rho = 0.5
+    and 0.69770 at rho = 0.3 (z = +0.73 and -0.85 here)."""
+    est = verify.prop6_monitor_case(spec, cfg(replicas=10000, seed=109))
+    w, rho = enlargement(math.e ** 20), spec["rho"]
+    exact = (1.0 - math.exp(-2.0 * w * (rho + w) / 0.25)) ** 2
+    assert exact == pytest.approx({0.5: 0.82012, 0.3: 0.69770}[rho], abs=5e-6)
+    assert est.extra["r_conjunct"] == "simulated"
+    assert abs(est.mean - exact) <= 4 * est.std_error
 
 
 def test_prob_R_complement_small_at_100():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bmhull.estimate import stream
-from bmhull.integrals import enlargement, phi
+from bmhull.integrals import covering_miss_prob, enlargement, phi
 from bmhull.paths import brownian, modulus_ok, time_steps
 from bmhull.rain import check_N, coupled_levels, covered, level_covered, level_times
 
@@ -245,22 +245,6 @@ def test_level_covered_memory_is_bounded_by_its_block():
     assert peaks[0] < 2 << 20 and peaks[1] < 1 << 20
 
 
-def _miss_prob(alpha, r, a, b):
-    """P(N^c) of a Poisson(alpha) level set on [lo, hi] = [max(0, a - r),
-    min(1, b + r)] at radius r: Whitworth's max-spacing law mixed over
-    m ~ Poisson(lambda), lambda = alpha L, x = 2r/L, summed over k >= 1
-    (the k = 0 term is 1):
-    sum_k (-1)^(k+1) e^(-2k alpha r) [(lambda(1-kx))^k/k! + (lambda(1-kx))^(k-1)/(k-1)!]."""
-    lo, hi = max(0.0, a - r), min(1.0, b + r)
-    lam, x = alpha * (hi - lo), 2.0 * r / (hi - lo)
-    total = 0.0
-    for k in range(1, int(1.0 / x) + 1):
-        y = lam * (1.0 - k * x)
-        total += (-1) ** (k + 1) * math.exp(-2.0 * k * alpha * r) * (
-            y ** k / math.factorial(k) + y ** (k - 1) / math.factorial(k - 1))
-    return total
-
-
 @pytest.mark.parametrize("alpha,r,a,b,exact", [
     (20.0, 0.08, 0.0, 1.0, 0.43481),
     (40.0, 0.05, 0.375, 0.625, 0.80656),
@@ -268,7 +252,7 @@ def _miss_prob(alpha, r, a, b):
     (100.0, 0.02, 0.6, 0.99, 0.46295),  # window clipped at 1
 ])
 def test_level_covered_rate_matches_closed_form(alpha, r, a, b, exact):
-    p_miss = _miss_prob(alpha, r, a, b)
+    p_miss = covering_miss_prob(alpha, a, b, r)
     assert 1.0 - p_miss == pytest.approx(exact, abs=5e-6)
     lo, hi = max(0.0, a - r), min(1.0, b + r)
     rng = stream(8, 308, int(alpha))
@@ -276,3 +260,40 @@ def test_level_covered_rate_matches_closed_form(alpha, r, a, b, exact):
     misses = int(np.count_nonzero(~level_covered(rng, alpha, a, b, r, n, lo, hi)))
     se = math.sqrt(p_miss * (1.0 - p_miss) / n)
     assert abs(misses / n - p_miss) <= 4.0 * se
+
+
+def test_covering_miss_prob_where_the_direct_sum_overflows():
+    """On the conditional-H window at alpha = 1e5 the terms' y**k overflow
+    a double long before k = floor(1/x) = 421, but their lgamma weights do
+    not: P(N^c) = 3.558e-22, led by the first term e^(-2 phi) (y + 1).  At
+    alpha = 1e10 it is about 1e-96, still positive."""
+    alpha = 1e5
+    r = phi(alpha) / alpha
+    y = alpha * (0.25 + 2.0 * r) - 2.0 * alpha * r
+    p = covering_miss_prob(alpha, 0.375, 0.625, r)
+    assert math.isfinite(p)
+    assert p == pytest.approx(3.558e-22, rel=1e-3)
+    assert p == pytest.approx(math.exp(-2.0 * phi(alpha)) * (y + 1.0), rel=1e-6)
+    tiny = covering_miss_prob(1e10, 0.375, 0.625, phi(1e10) / 1e10)
+    assert 0.0 < tiny < 1e-90
+
+
+def test_covering_miss_prob_window_within_reach_of_the_pinned_ends():
+    """A window no wider than 2r holds no spacing longer than 2r: at radius
+    0.2, [0, 0.1] is covered by the pinned time 0 alone, and [0.2, 0.9] by
+    the pinned ends at radius 0.6."""
+    assert covering_miss_prob(10.0, 0.0, 0.1, 0.2) == 0.0
+    assert covering_miss_prob(10.0, 0.2, 0.9, 0.6) == 0.0
+    assert covered(np.array([0.0, 1.0]), 0.2, 0.9, 0.6)
+
+
+def test_covering_miss_prob_refuses_cancellation_and_bad_arguments():
+    """At alpha = 1e3 and radius 1e-3 on [0, 1] the terms pass 1e6 while
+    their sum, a probability, is at most 1: the alternating series would
+    lose its digits."""
+    with pytest.raises(ValueError, match="cancels"):
+        covering_miss_prob(1e3, 0.0, 1.0, 1e-3)
+    for args in ((0.0, 0.2, 0.3, 0.1), (10.0, 0.2, 0.3, 0.0), (10.0, 0.3, 0.2, 0.1),
+                 (10.0, -0.1, 0.2, 0.1), (10.0, 0.2, 1.1, 0.1)):
+        with pytest.raises(ValueError):
+            covering_miss_prob(*args)
