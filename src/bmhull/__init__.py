@@ -15,8 +15,9 @@ from .integrals import (ZaRegion, campbell_mean, complement_Za_exact, covering_m
                         phi, rhs_bound)
 from .paths import bridge, brownian, modulus_ok, step, time_steps
 from .rain import check_N, coupled_levels, covered, level_covered, level_times
-from .hulls import (DegeneracyError, Polytope, SimplexTimes, build_hull, count_q,
-                    euler_characteristic_3d, facet_events, merged_times, oriented_normals)
+from .hulls import (DegeneracyError, Polytope, SimplexTimes, build_hull,
+                    euler_characteristic_3d, facet_events, merged_times, oriented_normals,
+                    planar_rain_facets)
 from .wedges import (AmbientWedge, DiscordantWitness, HypothesisError,
                      LemmaViolationError, Wedge2D, angle, discordant_pairs,
                      find_discordant, gamma_ak, half_space_events, lemma3_constant,

@@ -7,7 +7,9 @@ bookkeeping.  A Polytope is qhull's arrays: row k of `simplices`, `normals`
 and `offsets` is facet k, so every reader works on all facets at once.
 Brute-force half-space containment stays available as a test oracle.  The
 per-replica facet geometry runs stacked over a leading row axis
-(oriented_normals, facet_events), one row per replica.
+(oriented_normals, facet_events, planar_rain_facets), one row per replica;
+planar_rain_facets counts the rain edges of planar hulls by an angular-gap
+vertex test, without qhull.
 """
 
 from __future__ import annotations
@@ -171,12 +173,77 @@ def merged_times(r: SimplexTimes, s: SimplexTimes) -> np.ndarray:
     return np.sort(np.concatenate([r.r, s.r]))
 
 
-def count_q(level_times, level_points, region=None) -> int:
-    """Number of increasing n-tuples of level times whose simplex is a facet of
-    the hull of the level points; region maps the (facets, n) array of sorted
-    time tuples to a boolean row mask."""
-    poly = build_hull(np.asarray(level_points, dtype=float))
-    tuples = np.sort(np.asarray(level_times, dtype=float)[poly.simplices], axis=1)
-    if region is None:
-        return len(tuples)
-    return int(np.count_nonzero(region(tuples)))
+def planar_rain_facets(points, m) -> np.ndarray:
+    """Rain facet counts of planar hulls, one per row: row k of the (rows,)
+    result is the number of hull edges of P = points[k, :m[k] + 2] whose two
+    endpoints are both rain points, where P is B(0), the m[k] rain points
+    and B(1), as rain.level_times and paths.brownian give them; the columns
+    past m[k] + 2 are padding, whose values are never used.  A row without
+    rain counts 0.
+
+    Point i is a hull vertex iff the directions from P_i to the row's other
+    points leave an angular gap wider than pi.  With V the vertex count the
+    hull has V edges, two at each vertex, so the rain edges number
+    V - 2 [B(0) vertex] - 2 [B(1) vertex] + [B(0)B(1) edge], and B(0)B(1) is
+    an edge iff every rain point lies strictly on one side of its line.
+
+    A row with rain whose points have affine rank below 2, by the 1e-12
+    relative rule of oriented_normals, has no planar hull: DegeneracyError
+    names the row.  The rows are decided in sub-blocks of at most
+    _VERTEX_ELEMS rows x columns^2 angles.
+    """
+    pts = np.asarray(points, dtype=float)
+    m = np.asarray(m)
+    if pts.ndim != 3 or pts.shape[2] != 2 or m.shape != pts.shape[:1] \
+            or pts.shape[1] < m.max(initial=0) + 2:
+        raise ValueError("need (rows, columns, 2) points and (rows,) counts m "
+                         "with m + 2 <= columns")
+    rows, width = pts.shape[:2]
+    counts = np.zeros(rows, dtype=np.int64)
+    step = max(1, _VERTEX_ELEMS // (width * width))
+    for lo in range(0, rows, step):
+        counts[lo:lo + step] = _rain_facets_block(pts[lo:lo + step], m[lo:lo + step], lo)
+    return counts
+
+
+# angles (rows x columns^2) in one sub-block of planar_rain_facets: 10 rows
+# of a 256-row block at alpha = 20, ~39 columns wide, whose temporaries peak
+# near 0.4 MB; twice as many rows take twice the memory and run no faster
+_VERTEX_ELEMS = 1 << 14
+
+
+def _rain_facets_block(pts, m, first):
+    n = m + 2                        # points per row: B(0), the rain, B(1)
+    rows, w = len(n), int(n.max())
+    cols = np.arange(w)
+    valid = cols < n[:, None]
+    rain = (cols >= 1) & (cols <= m[:, None])
+    # NaN at the pads: every difference, angle and comparison they touch is
+    # NaN or False, and NaNs sort last; none of these raises a warning
+    x = np.where(valid, pts[:, :w, 0], np.nan)
+    y = np.where(valid, pts[:, :w, 1], np.nan)
+    dx, dy = x - x[:, :1], y - y[:, :1]
+    # oriented_normals' rank rule on the differences P - B(0), pads zeroed
+    wet = np.flatnonzero(m > 0)
+    diffs = np.where(valid[wet, 1:, None], np.stack([dx[wet, 1:], dy[wet, 1:]], axis=-1), 0.0)
+    s = np.linalg.svd(diffs, compute_uv=False)
+    scale = np.maximum(np.abs(diffs).max(axis=(1, 2)), 1e-300)
+    rank = np.count_nonzero(s > 1e-12 * scale[:, None], axis=1)
+    if np.any(rank < 2):
+        k = int(np.argmax(rank < 2))
+        raise DegeneracyError(f"row {first + wet[k]} has {m[wet[k]]} rain points "
+                              f"of affine rank {rank[k]} < 2", rank=int(rank[k]))
+    # ang[r, i, j]: direction from point i to point j of row r, NaN where j
+    # is i or a pad.  Point i is a vertex iff some gap between its sorted
+    # directions, or the wrap-around gap 2 pi - (max - min), exceeds pi
+    ang = np.arctan2(y[:, None, :] - y[:, :, None], x[:, None, :] - x[:, :, None])
+    ang.reshape(rows, -1)[:, ::w + 1] = np.nan
+    vertex = np.fmax.reduce(ang, axis=2) - np.fmin.reduce(ang, axis=2) < np.pi
+    ang.sort(axis=2)
+    vertex |= (np.diff(ang, axis=2) > np.pi).any(axis=2)
+    vertex &= valid
+    ends = np.arange(rows), n - 1
+    side = (x[ends] - x[:, 0])[:, None] * dy - (y[ends] - y[:, 0])[:, None] * dx
+    edge = np.all((side > 0.0) | ~rain, axis=1) | np.all((side < 0.0) | ~rain, axis=1)
+    count = vertex.sum(axis=1) - 2 * vertex[:, 0] - 2 * vertex[ends] + edge
+    return np.where(m > 0, count, 0)

@@ -25,7 +25,9 @@ batched kernels, so memory stays O(block), not O(replicas x steps):
 discordant_prob draws its paths in blocks of at most _PATH_BLOCK numbers,
 which paths.brownian draws replica by replica, so the blocks keep the draw
 order; both sides of campbell_check draw _DECIDE_ROWS replicas per block,
-with one rain.level_times and one brownian call.
+with one rain.level_times and one brownian call, and the lhs counts the
+block's facets with one hulls.planar_rain_facets call, a vertex test that
+builds no hull.
 
 The regularity estimators (conditional_H_prob, prob_R_complement) decide
 each replica's modulus event with paths.modulus_ok, which passes most
@@ -47,8 +49,8 @@ import math
 import numpy as np
 
 from .estimate import Estimate, EstimatorConfig, from_weights, run_chunks
-from .hulls import (SimplexTimes, count_q, facet_events, merged_times, oriented_normals,
-                    row_dot)
+from .hulls import (SimplexTimes, facet_events, merged_times, oriented_normals,
+                    planar_rain_facets, row_dot)
 from .integrals import covering_miss_prob, enlargement, phi, rhs_bound
 from .paths import brownian, modulus_ok, step, time_steps
 from .rain import level_covered, level_times
@@ -331,17 +333,13 @@ def prob_R_complement(alpha: float, n_dim: int, config: EstimatorConfig) -> Esti
                                           "lemma_bound": alpha ** (-2 * n_dim - 1)})
 
 
-def _rain_tuple(u: np.ndarray) -> np.ndarray:
-    """Row mask over sorted time tuples: only tuples of rain times count; the
-    pinned endpoint times 0 and 1 are not process points, so facets touching
-    them lie outside the open simplex."""
-    return (u[:, 0] > 0.0) & (u[:, -1] < 1.0)
-
-
 def campbell_check(alpha: float, n_dim: int, config: EstimatorConfig):
     """Two estimators of the mean facet count of the approximating polytope:
 
-    lhs: direct mean facet count over (path, rain) replicas;
+    lhs: direct mean facet count over (path, rain) replicas, the hull edges
+    joining two rain points, counted by hulls.planar_rain_facets' vertex
+    test without qhull; a replica with rain whose points are collinear
+    raises DegeneracyError rather than counting 0;
     rhs: alpha^n * vol(simplex) * P(facet event at a uniform simplex point),
     the mean of the facet-event indicators weighted by alpha^n / n!.
 
@@ -361,11 +359,7 @@ def campbell_check(alpha: float, n_dim: int, config: EstimatorConfig):
         for lo in range(0, sz, _DECIDE_ROWS):
             times, m = level_times(rng, alpha, min(_DECIDE_ROWS, sz - lo))
             pts = brownian(rng, len(m), time_steps(times), n_dim)[:, 1:]
-            for i, (t, p, k) in enumerate(zip(times, pts, m.tolist()), start=lo):
-                try:
-                    counts[i] = count_q(t[:k + 2], p[:k + 2], region=_rain_tuple)
-                except ValueError:
-                    pass  # degenerate (too few rain points): zero facets
+            counts[lo:lo + len(m)] = planar_rain_facets(pts, m)
         return counts
 
     def rhs_kernel(rng, sz):

@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from bmhull.estimate import stream
-from bmhull.hulls import (DegeneracyError, SimplexTimes, build_hull, count_q, default_eps,
+from bmhull.hulls import (DegeneracyError, SimplexTimes, build_hull, default_eps,
                           euler_characteristic_3d, facet_events, merged_times,
-                          oriented_normals)
+                          oriented_normals, planar_rain_facets)
 from bmhull.paths import brownian, time_steps
 from bmhull.rain import level_times
 
@@ -161,28 +162,125 @@ def test_facet_events_rows_against_hull_facets(d):
     assert not events[0] and rank[0] < d - 1
 
 
-def test_count_q_square_times():
-    times = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
-    assert count_q(times, SQUARE) == 4
-    got = count_q(times, SQUARE, region=lambda t: (t == 0.1).any(axis=1))
-    assert got == 2  # the two square edges meeting at vertex 0
+def _qhull_rain_facets(times, points, m):
+    """Oracle of planar_rain_facets: one qhull hull per row, counting the
+    edges whose sorted time pair lies inside (0, 1), i.e. joins two rain
+    points; the pinned times 0 and 1 are B(0) and B(1).  A row without rain
+    has no hull and counts 0."""
+    counts = []
+    for t, p, k in zip(times, points, np.asarray(m).tolist()):
+        if k == 0:
+            counts.append(0)
+            continue
+        pairs = np.sort(t[build_hull(p[:k + 2]).simplices], axis=1)
+        counts.append(int(np.count_nonzero((pairs[:, 0] > 0.0) & (pairs[:, 1] < 1.0))))
+    return np.array(counts)
 
 
-def test_count_q_region_sees_sorted_tuples():
-    times = np.array([0.4, 0.1, 0.3, 0.2])
-    seen = []
+# hand rows (B(0), rain..., B(1)) and their rain edge counts
+HAND_ROWS = [
+    ([[0.0, 0.0], [1.0, 0.0]], 0),                          # m = 0
+    ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 0),              # m = 1: a triangle
+    ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.2]], 1),  # m = 2, B(1) inside
+    ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], 0),  # m = 2, B(0)B(1) a diagonal
+    # the square with B(0)B(1) its left edge and the centre as rain
+    ([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [1.0, 1.0], [0.0, 1.0]], 1),
+    # the square with B(0)B(1) a diagonal and the centre, on it, as rain
+    ([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [1.0, 1.0]], 0),
+    # B(0) strictly inside the square, B(1) a corner
+    ([[0.5, 0.5], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]], 2),
+    # B(0) and B(1) strictly inside: every edge is a rain edge
+    ([[0.5, 0.5], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.25, 0.5]], 4),
+    # rain at the midpoints of the bottom and right edges, which are no
+    # vertices: their widest gaps are exactly pi, one the wrap-around gap
+    ([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 0.5], [1.0, 1.0], [0.0, 1.0]], 1),
+]
 
-    def region(tuples):
-        seen.append(tuples)
-        return np.ones(len(tuples), dtype=bool)
 
-    assert count_q(times, SQUARE[:4], region=region) == 4
-    (tuples,) = seen
-    assert tuples.shape == (4, 2)
-    assert np.array_equal(tuples, np.sort(tuples, axis=1))
-    # the square's edges, as sorted pairs of the times of their corners
-    assert sorted(map(tuple, tuples.tolist())) == [(0.1, 0.3), (0.1, 0.4),
-                                                   (0.2, 0.3), (0.2, 0.4)]
+def _hand_block(pad):
+    """HAND_ROWS as one block, padded with the point pad, their times and
+    counts."""
+    width = max(len(p) for p, _ in HAND_ROWS)
+    points = np.tile(np.asarray(pad, dtype=float), (len(HAND_ROWS), width, 1))
+    times = np.ones((len(HAND_ROWS), width))
+    for k, (p, _) in enumerate(HAND_ROWS):
+        points[k, :len(p)] = p
+        times[k, :len(p)] = np.linspace(0.0, 1.0, len(p))
+    m = np.array([len(p) - 2 for p, _ in HAND_ROWS])
+    return times, points, m, np.array([c for _, c in HAND_ROWS])
+
+
+def test_planar_rain_facets_square_times():
+    times, points, m, expected = _hand_block([0.0, 0.0])
+    assert np.array_equal(_qhull_rain_facets(times, points, m), expected)
+    assert np.array_equal(planar_rain_facets(points, m), expected)
+    for k in range(len(m)):  # one row at a time, and so one width per row
+        assert planar_rain_facets(points[k:k + 1, :m[k] + 2], m[k:k + 1]) == expected[k]
+
+
+@pytest.mark.parametrize("pad", [[50.0, -70.0], [0.5, 0.25], [np.inf, np.nan]],
+                         ids=["outside", "inside", "non-finite"])
+def test_planar_rain_facets_masks_pads(pad):
+    """The pad columns are never read: pads that would be hull vertices,
+    pads inside the hull and non-finite pads give the same counts, with no
+    warning."""
+    _, points, m, expected = _hand_block(pad)
+    assert np.array_equal(planar_rain_facets(points, m), expected)
+
+
+@pytest.mark.parametrize("alpha", [10.0, 20.0, 50.0])
+@pytest.mark.parametrize("seed", [3, 31])
+def test_planar_rain_facets_matches_qhull(alpha, seed):
+    """On 4000 level sets drawn as the Campbell check draws them, with the
+    pads rain.level_times and paths.brownian leave, the stacked vertex test
+    gives the qhull count of every row."""
+    rng = stream(seed, 414, int(alpha))
+    times, m = level_times(rng, alpha, 4000)
+    points = brownian(rng, len(m), time_steps(times), 2)[:, 1:]
+    assert np.array_equal(planar_rain_facets(points, m), _qhull_rain_facets(times, points, m))
+
+
+def test_planar_rain_facets_refuses_collinear_rows():
+    """A row with rain whose points have affine rank below 2 has no planar
+    hull; it is refused by name, not counted 0."""
+    _, points, m, _ = _hand_block([0.0, 0.0])
+    line = np.linspace(0.0, 1.0, points.shape[1])
+    planted = points.copy()
+    planted[4] = np.column_stack([line, 2.0 * line])  # m = 3 on one line
+    with pytest.raises(DegeneracyError, match="row 4 ") as info:
+        planar_rain_facets(planted, m)
+    assert info.value.rank == 1
+    # off the line by 1e-13 of the spread: rank 1 under the 1e-12 rule
+    planted[4, 2, 1] += 1e-13
+    with pytest.raises(DegeneracyError, match="row 4 "):
+        planar_rain_facets(planted, m)
+    # m = 1: three collinear points, which qhull refused and the lhs scored 0
+    planted = points[1:2].copy()
+    planted[0, 2] = [2.0, 0.0]
+    with pytest.raises(DegeneracyError, match="row 0 "):
+        planar_rain_facets(planted, m[1:2])
+    # without rain a row is 0 whatever its two points
+    assert planar_rain_facets(np.zeros((1, 2, 2)), np.array([0])) == 0
+    # a row whose level set is wider than its columns is refused
+    with pytest.raises(ValueError, match="m \\+ 2 <= columns"):
+        planar_rain_facets(points[:, :5], m)
+
+
+def test_planar_rain_facets_memory_bounded():
+    """The rows go in sub-blocks of at most _VERTEX_ELEMS angles: at
+    alpha = 50, the largest the Campbell check takes, this 256-row block is
+    71 columns wide, and its traced peak is 0.39 MB where one pass over all
+    rows would take 32 MB."""
+    rng = stream(31, 415)
+    times, m = level_times(rng, 50.0, 256)
+    points = brownian(rng, len(m), time_steps(times), 2)[:, 1:]
+    tracemalloc.start()
+    try:
+        planar_rain_facets(points, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6, peak
 
 
 def _mean_facets_exact(n, d):

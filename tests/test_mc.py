@@ -3,9 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy import stats
 
-from bmhull import mc, rain, verify
+from bmhull import hulls, mc, rain, verify
 from bmhull.estimate import EstimatorConfig, stream
 from bmhull.hulls import SimplexTimes
 from bmhull.integrals import campbell_mean, covering_miss_prob, enlargement, phi
@@ -358,6 +359,21 @@ def test_campbell_sides_match_exact_mean(alpha):
     exact = campbell_mean(alpha)
     for est in mc.campbell_check(alpha, 2, cfg(replicas=4000, seed=11)):
         assert abs(est.mean - exact) <= 4 * est.std_error, (est.mean, exact, est.std_error)
+
+
+def test_campbell_lhs_builds_no_hull(monkeypatch):
+    """The lhs counts facets with hulls.planar_rain_facets and calls no qhull:
+    with every hull builder raising it runs and gives the same estimates."""
+    before = [e.to_json() for e in mc.campbell_check(20.0, 2, cfg(replicas=600, seed=5))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("qhull called")
+
+    monkeypatch.setattr(hulls, "build_hull", refuse)
+    monkeypatch.setattr(hulls, "ConvexHull", refuse)
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", refuse)
+    after = [e.to_json() for e in mc.campbell_check(20.0, 2, cfg(replicas=600, seed=5))]
+    assert after == before
 
 
 def test_discordant_prob_reports_bound():
