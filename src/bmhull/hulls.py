@@ -5,6 +5,9 @@ Hull construction is delegated to qhull (scipy.spatial.ConvexHull); the module
 owns the orientation convention, the tolerance policy and the facet/time
 bookkeeping.  A Polytope is qhull's arrays: row k of `simplices`, `normals`
 and `offsets` is facet k, so every reader works on all facets at once.
+build_hulls takes a block of point sets, decides their affine ranks with one
+stacked SVD and their tolerances with one default_eps call, and runs qhull
+per row; build_hull is its one-row case.
 Brute-force half-space containment stays available as a test oracle.  The
 per-replica facet geometry runs stacked over a leading row axis
 (oriented_normals, facet_events, planar_rain_facets), one row per replica;
@@ -43,42 +46,72 @@ class Polytope:
         return bool(np.all(self.normals @ x <= self.offsets + tol))
 
 
-def _affine_rank(points: np.ndarray, eps: float) -> int:
-    centred = points - points.mean(axis=0)
-    s = np.linalg.svd(centred, compute_uv=False)
-    return int(np.sum(s > eps * max(1.0, s[0] if s.size else 1.0)))
-
-
-def default_eps(points: np.ndarray) -> float:
-    """1e-9 times the bounding-box diameter of the input."""
-    span = points.max(axis=0) - points.min(axis=0)
-    return 1e-9 * max(float(np.linalg.norm(span)), 1.0e-300)
+def default_eps(points):
+    """1e-9 times the bounding-box diameter of each (k, d) point set, over
+    any leading axes of points; a float for one (k, d) set."""
+    pts = np.asarray(points, dtype=float)
+    span = pts.max(axis=-2) - pts.min(axis=-2)
+    eps = 1e-9 * np.maximum(np.sqrt(row_dot(span, span)), 1.0e-300)
+    return float(eps) if eps.ndim == 0 else eps
 
 
 def build_hull(points) -> Polytope:
     """Convex hull with outward unit facet normals and containment tolerance
     default_eps(points); raises DegeneracyError when the input is not
-    full-dimensional."""
+    full-dimensional.  The one-row case of build_hulls."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array")
-    d = pts.shape[1]
+    hull = build_hulls(pts[None])[0]
+    if isinstance(hull, DegeneracyError):
+        raise hull
+    return hull
+
+
+def build_hulls(points) -> list:
+    """Convex hulls of a block of point sets, one per row of points,
+    (rows, k, d): row r of the result is the Polytope of points[r], whose
+    vertices are that row's view, or the DegeneracyError that build_hull
+    raises for it.
+
+    The rank gate runs on the whole block: one stacked SVD of the centred
+    rows gives each row's affine rank, and a singular value counts when it
+    exceeds 1e-12 times max(1, the row's largest).  A row of rank below d,
+    or a block of fewer than d + 1 points per row, is degenerate; qhull
+    runs on each remaining row, and a row it refuses (near-degenerate
+    inputs slip past the rank gate) is degenerate too.  One default_eps
+    call gives every row's tolerance.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 3:
+        raise ValueError("points must be a 3-d array")
+    k, d = pts.shape[1:]
     if d not in (2, 3, 4):
         raise ValueError("supported dimensions are 2, 3, 4")
-    rank = _affine_rank(pts, 1e-12)
-    if pts.shape[0] < d + 1:
-        raise DegeneracyError(f"need at least {d+1} points in dimension {d}", rank=rank)
-    if rank < d:
-        raise DegeneracyError(f"input has affine rank {rank} < {d}", rank=rank)
-    try:
-        hull = ConvexHull(pts)
-    except QhullError as exc:  # near-degenerate inputs slip past the rank gate
-        raise DegeneracyError(f"qhull failed: {exc}", rank=rank) from exc
-    n = hull.equations[:, :-1]
-    nn = np.sqrt(row_dot(n, n))
-    return Polytope(vertices=pts, simplices=hull.simplices, normals=n / nn[:, None],
-                    offsets=-hull.equations[:, -1] / nn, dim=d,
-                    eps_geom=default_eps(pts), hull_vertex_indices=hull.vertices)
+    s = np.linalg.svd(pts - pts.mean(axis=1, keepdims=True), compute_uv=False)
+    rank = np.count_nonzero(s > 1e-12 * np.maximum(1.0, s[:, :1]), axis=1).tolist()
+    if k < d + 1:
+        return [DegeneracyError(f"need at least {d+1} points in dimension {d}", rank=r)
+                for r in rank]
+    eps = default_eps(pts).tolist()
+    out = []
+    for p, r, e in zip(pts, rank, eps):
+        if r < d:
+            out.append(DegeneracyError(f"input has affine rank {r} < {d}", rank=r))
+            continue
+        try:
+            hull = ConvexHull(p)
+        except QhullError as exc:
+            err = DegeneracyError(f"qhull failed: {exc}", rank=r)
+            err.__cause__ = exc
+            out.append(err)
+            continue
+        n = hull.equations[:, :-1]
+        nn = np.sqrt(row_dot(n, n))
+        out.append(Polytope(vertices=p, simplices=hull.simplices, normals=n / nn[:, None],
+                            offsets=-hull.equations[:, -1] / nn, dim=d,
+                            eps_geom=e, hull_vertex_indices=hull.vertices))
+    return out
 
 
 def euler_characteristic_3d(poly: Polytope) -> int:

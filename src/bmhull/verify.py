@@ -4,6 +4,12 @@ Each suite function returns a list of check dicts with at least the keys
 "check", "passed" and the numbers that were compared; the CLI renders them and
 the acceptance tests consume them directly, so both always agree on what was
 verified.
+
+The generators draw a block of instances per call.  random_wedge_polytope
+rejects whole segments of candidate blocks at once and hulls the completed
+candidates together, drawing exactly what one instance at a time would
+draw; random_special_instance draws each quantity for all rows at once.
+The lemma3 and lemma4 suites generate and decide one block at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import numpy as np
 
 from . import mc
 from .estimate import EstimatorConfig, from_weights, run_chunks, stream
-from .hulls import build_hull, DegeneracyError
+from .hulls import build_hulls, DegeneracyError
 from .integrals import (campbell_mean, complement_Za_exact, integral_Za_bound,
                         integral_Za_quadrature, measure_Za_complement, log_final_assembly)
 from .paths import brownian, time_steps
@@ -38,6 +44,9 @@ _LEMMA8_Z = 4.0
 # wedge tip, and each polytope spans _WEDGE_POLYTOPE_POINTS random points
 _LEMMA3_RADIUS = 1.0
 _WEDGE_POLYTOPE_POINTS = 40
+# lemma 3: most candidate blocks drawn and masked at once, and most
+# instances generated and checked at once
+_WEDGE_SEGMENT = 64
 # lemma 4: level alpha, simplex size n and bound M of the special-gap index;
 # a random instance places the wedge tip within _SPECIAL_TIP_OFFSET of one
 # skeleton point
@@ -53,21 +62,47 @@ def _check(name, passed, **fields):
 
 # ------------------------------------------------------------- generators
 
-def random_wedge_polytope(rng: np.random.Generator, kappa: float, s: float = _LEMMA3_RADIUS):
-    """Random 3D polytope of _WEDGE_POLYTOPE_POINTS points inside an ambient
-    wedge of opening pi - kappa, with every vertex within distance s of the
-    tip (rejection from the ball)."""
+def random_wedge_polytope(rng: np.random.Generator, kappa: float, rows: int,
+                          s: float = _LEMMA3_RADIUS):
+    """rows random 3D polytopes, each the hull of _WEDGE_POLYTOPE_POINTS
+    points inside an ambient wedge of opening pi - kappa with every vertex
+    within distance s of the tip, and the wedge.
+
+    Each candidate rejects uniform points of the cube [-s, s]^3 outside the
+    ball or the wedge, taking them from fresh blocks of 4 x
+    _WEDGE_POLYTOPE_POINTS draws until it holds enough; the rest of its last
+    block is dropped.  The blocks come in segments of at most
+    min(rows still needed, _WEDGE_SEGMENT) blocks, masked a segment at a
+    time; every instance still needed takes at least one block, so no block
+    is drawn that the one-at-a-time loop would not draw.  The candidates
+    complete in a segment are hulled together (hulls.build_hulls), and a
+    degenerate one is skipped, its blocks spent."""
+    if not 0.0 < kappa < math.pi:
+        raise ValueError("kappa must be in (0, pi)")
     half = kappa / 2.0
     u1 = np.array([math.sin(half), 0.0, math.cos(half)])
     u2 = np.array([-math.sin(half), 0.0, math.cos(half)])
     wedge = AmbientWedge(tip=np.zeros(3), u1=u1, u2=u2)
-    blocks, have = [], 0
-    while have < _WEDGE_POLYTOPE_POINTS:
-        cand = rng.uniform(-s, s, size=(4 * _WEDGE_POLYTOPE_POINTS, 3))
-        cand = cand[np.linalg.norm(cand, axis=1) <= s]
-        blocks.append(cand[wedge.contains(cand)])
-        have += len(blocks[-1])
-    return build_hull(np.concatenate(blocks)[:_WEDGE_POLYTOPE_POINTS]), wedge
+    k = _WEDGE_POLYTOPE_POINTS
+    polys = []
+    carry = np.empty((0, 3))  # points of the candidate the last segment left open
+    while len(polys) < rows:
+        cand = rng.uniform(-s, s, size=(min(rows - len(polys), _WEDGE_SEGMENT), 4 * k, 3))
+        flat = cand.reshape(-1, 3)
+        keep = np.linalg.norm(flat, axis=1) <= s
+        keep[keep] = wedge.contains(flat[keep])
+        points = flat[keep]
+        ends = np.cumsum(keep.reshape(len(cand), -1).sum(axis=1)).tolist()
+        done, lo = [], 0
+        for hi in ends:
+            if len(carry) + hi - lo >= k:
+                done.append(np.concatenate([carry, points[lo:hi]])[:k])
+                carry, lo = carry[:0], hi
+        carry = np.concatenate([carry, points[lo:]])
+        if done:
+            polys += [p for p in build_hulls(np.stack(done))
+                      if not isinstance(p, DegeneracyError)]
+    return polys, wedge
 
 
 def random_special_instance(rng: np.random.Generator, rows: int, n: int = _LEMMA4_N):
@@ -156,7 +191,10 @@ def suite_lemma8(config: EstimatorConfig):
 
 def suite_lemma3(config: EstimatorConfig, instances: int = 1000,
                  kappas=(0.3, 0.8, 1.5)):
-    """Discordant-pair existence on random polytope-in-wedge instances."""
+    """Discordant-pair existence on random polytope-in-wedge instances,
+    generated and checked _WEDGE_SEGMENT at a time."""
+    if not all(0.0 < kappa < math.pi for kappa in kappas):
+        raise ValueError("every kappa must be in (0, pi)")
     rng = stream(config.master_seed, _TAG_LEMMA3, 0)
     per = max(1, instances // len(kappas))
     checks = []
@@ -164,22 +202,20 @@ def suite_lemma3(config: EstimatorConfig, instances: int = 1000,
         violations = 0
         bad_witness = 0
         built = 0
-        while built < per:
-            try:
-                poly, wedge = random_wedge_polytope(rng, kappa)
-            except DegeneracyError:
-                continue
-            built += 1
-            try:
-                w = find_discordant(poly, wedge, kappa, _LEMMA3_RADIUS)
-            except LemmaViolationError:
-                violations += 1
-                continue
-            ok = (w.angle >= kappa / 16.0
-                  and w.tip_distance <= lemma3_constant(kappa) * _LEMMA3_RADIUS
-                  and abs(angle(poly.normals[w.facet_i], poly.normals[w.facet_j])
-                          - w.angle) <= 1e-9)
-            bad_witness += 0 if ok else 1
+        for lo in range(0, per, _WEDGE_SEGMENT):
+            polys, wedge = random_wedge_polytope(rng, kappa, min(_WEDGE_SEGMENT, per - lo))
+            built += len(polys)
+            for poly in polys:
+                try:
+                    w = find_discordant(poly, wedge, kappa, _LEMMA3_RADIUS)
+                except LemmaViolationError:
+                    violations += 1
+                    continue
+                ok = (w.angle >= kappa / 16.0
+                      and w.tip_distance <= lemma3_constant(kappa) * _LEMMA3_RADIUS
+                      and abs(angle(poly.normals[w.facet_i], poly.normals[w.facet_j])
+                              - w.angle) <= 1e-9)
+                bad_witness += 0 if ok else 1
         checks.append(_check(f"discordant_existence(kappa={kappa:g})",
                              violations == 0 and bad_witness == 0,
                              instances=built, violations=violations,

@@ -187,8 +187,12 @@ def find_discordant(poly: Polytope, wedge: AmbientWedge, kappa: float,
     """Exhaustive facet-pair search for a discordant witness on a polytope
     confined to a wedge of opening pi - kappa whose tip is within distance s.
 
-    Order: decreasing normal angle, ties by smaller tip distance, pairs
-    with parallel or antiparallel normals (_ridge_norm) left out.
+    Order: the pairs i < j go in tie groups of decreasing normal angle;
+    with th the widest angle of the pairs left, a group is every pair left
+    whose angle a has th - a <= 1e-12, the test a full descending sort
+    would apply to its neighbours.  Inside a group candidates rank by
+    (tip distance, i, j); pairs with parallel or antiparallel normals
+    (_ridge_norm) are left out, and the search stops below kappa/16.
     Existence is guaranteed (with tip distance <= lemma3_constant(kappa) * s);
     failure to find one raises LemmaViolationError.
 
@@ -215,29 +219,23 @@ def find_discordant(poly: Polytope, wedge: AmbientWedge, kappa: float,
     m_bound = lemma3_constant(kappa) * s
     normals, offsets = poly.normals, poly.offsets
     cosines = np.clip(normals @ normals.T, -1.0, 1.0)
-    # pairs i < j in row-major order, stably ranked by decreasing angle
     iu, ju = _facet_pairs(len(normals))
     angles = np.arccos(cosines[iu, ju])
-    rank = np.argsort(-angles, kind="stable")
-    iu, ju, angles = iu[rank].tolist(), ju[rank].tolist(), angles[rank].tolist()
-
-    k = 0
-    while k < len(angles):
-        th = angles[k]
+    rest = angles.copy()  # the pairs of no group yet; a grouped pair reads -inf
+    while True:
+        th = float(rest.max(initial=-np.inf))
         if th < kappa / 16.0:
-            break  # sorted: nothing later can qualify
-        # ties in angle are broken by smaller tip distance
-        start = k
-        while k + 1 < len(angles) and abs(angles[k + 1] - th) <= 1e-12:
-            k += 1
-        k += 1
+            break  # every later group is narrower still
+        group = np.flatnonzero(th - rest <= 1e-12)
+        rest[group] = -np.inf
         cands = []
-        for g in range(start, k):
-            i, j = iu[g], ju[g]
+        for g in group.tolist():
+            i, j = int(iu[g]), int(ju[g])
             e_norm = float(_ridge_norm(normals[i], normals[j]))
             if e_norm > _PARALLEL_TOL:
                 top = float((poly.vertices[poly.simplices[i]] @ normals[j]).max())
-                cands.append((max(0.0, float(offsets[j]) - top) / e_norm, i, j, angles[g]))
+                cands.append((max(0.0, float(offsets[j]) - top) / e_norm, i, j,
+                              float(angles[g])))
         for td, i, j, th_ij in sorted(cands):
             if td <= m_bound:
                 return DiscordantWitness(facet_i=i, facet_j=j,

@@ -1,12 +1,15 @@
 import math
+import re
 import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.spatial import QhullError
 
+from bmhull import hulls
 from bmhull.estimate import stream
-from bmhull.hulls import (DegeneracyError, SimplexTimes, build_hull, default_eps,
+from bmhull.hulls import (DegeneracyError, SimplexTimes, build_hull, build_hulls, default_eps,
                           euler_characteristic_3d, facet_events, merged_times,
                           oriented_normals, planar_rain_facets)
 from bmhull.paths import brownian, time_steps
@@ -37,14 +40,66 @@ def test_simplex_hulls_all_dims():
 
 
 def test_degenerate_inputs():
+    """build_hull raises build_hulls' per-row errors, with their messages
+    and the row's affine rank."""
     line = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    with pytest.raises(DegeneracyError) as exc:
+    with pytest.raises(DegeneracyError, match=r"^input has affine rank 1 < 2$") as exc:
         build_hull(line)
     assert exc.value.rank == 1
-    with pytest.raises(DegeneracyError):
+    with pytest.raises(DegeneracyError, match=r"^need at least 3 points in dimension 2$"):
         build_hull(np.array([[0.0, 0.0], [1.0, 0.0]]))  # too few points
+    with pytest.raises(DegeneracyError, match=r"^need at least 4 points in dimension 3$") as exc:
+        build_hull(np.eye(3))
+    assert exc.value.rank == 2
+    assert all(isinstance(e, DegeneracyError) and e.rank == 2
+               for e in build_hulls(np.tile(np.eye(3), (3, 1, 1))))
     with pytest.raises(ValueError):
         build_hull(np.random.default_rng(0).random((10, 5)))  # unsupported dim
+    with pytest.raises(ValueError, match="dimensions"):
+        build_hulls(np.zeros((2, 8, 5)))
+    with pytest.raises(ValueError, match="2-d array"):
+        build_hull(np.zeros((1, 4, 3)))
+    with pytest.raises(ValueError, match="3-d array"):
+        build_hulls(np.zeros((4, 3)))
+
+
+def test_build_hull_qhull_failure(monkeypatch):
+    """A row qhull refuses past the rank gate raises DegeneracyError from
+    the QhullError, with the row's rank."""
+    def refuse(points):
+        raise QhullError("QH6154 initial simplex is flat")
+
+    monkeypatch.setattr(hulls, "ConvexHull", refuse)
+    with pytest.raises(DegeneracyError, match=r"^qhull failed: QH6154 initial simplex is flat$") \
+            as exc:
+        build_hull(SQUARE)
+    assert exc.value.rank == 2 and isinstance(exc.value.__cause__, QhullError)
+
+
+def test_build_hulls_mixed_rank_block():
+    """One block holding full, planar and collinear rows: each degenerate
+    row gets its rank, each full row the hull build_hull gives it alone,
+    and every tolerance is default_eps of its own row."""
+    rng = stream(22, 402, 0)
+    pts = rng.standard_normal((6, 12, 3)) * [[[1.0]], [[1e-3]], [[1e3]], [[1.0]], [[1.0]], [[5.0]]]
+    pts[1, :, 2] = 0.25                                # planar: rank 2
+    pts[3] = np.outer(np.linspace(0.0, 1.0, 12), [1.0, 2.0, 3.0])  # a line: rank 1
+    got = build_hulls(pts)
+    assert [e.rank for e in got if isinstance(e, DegeneracyError)] == [2, 1]
+    for row, poly in zip(pts, got):
+        if isinstance(poly, DegeneracyError):
+            with pytest.raises(DegeneracyError, match=re.escape(str(poly))):
+                build_hull(row)
+            continue
+        alone = build_hull(row)
+        assert np.array_equal(poly.vertices, row)
+        assert np.array_equal(poly.simplices, alone.simplices)
+        assert np.array_equal(poly.normals, alone.normals)
+        assert np.array_equal(poly.offsets, alone.offsets)
+        assert poly.eps_geom == alone.eps_geom == default_eps(row)
+        assert poly.eps_geom == 1e-9 * float(np.linalg.norm(row.max(axis=0) - row.min(axis=0)))
+        assert type(poly.eps_geom) is float
+    assert np.array_equal(default_eps(pts), [default_eps(row) for row in pts])
 
 
 def test_random_hulls_brute_force_containment():

@@ -143,9 +143,9 @@ def _lemma3_witnesses():
     rng = stream(0, 306, 0)
     out = []
     for kappa in (0.3, 0.8, 1.5):
-        for _ in range(40):
-            poly, wedge = verify.random_wedge_polytope(rng, kappa)
-            out.append(dataclasses.asdict(find_discordant(poly, wedge, kappa, 1.0)))
+        polys, wedge = verify.random_wedge_polytope(rng, kappa, 40)
+        out += [dataclasses.asdict(find_discordant(poly, wedge, kappa, 1.0))
+                for poly in polys]
     return json.dumps(out)
 
 

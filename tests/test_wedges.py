@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bmhull.estimate import stream
-from bmhull.hulls import build_hull
+from bmhull import verify
+from bmhull.estimate import EstimatorConfig, stream
+from bmhull.hulls import DegeneracyError, Polytope, build_hull
 from bmhull.integrals import enlargement
-from bmhull.verify import (_SPECIAL_TIP_OFFSET, brute_force_special, random_special_instance,
+from bmhull.verify import (_SPECIAL_TIP_OFFSET, _TAG_LEMMA3, _WEDGE_POLYTOPE_POINTS,
+                           _WEDGE_SEGMENT, brute_force_special, random_special_instance,
                            random_wedge_polytope)
-from bmhull.wedges import (AmbientWedge, HypothesisError, LemmaViolationError,
-                           Wedge2D, angle, discordant_pairs, find_discordant,
+from bmhull.wedges import (AmbientWedge, DiscordantWitness, HypothesisError,
+                           LemmaViolationError, Wedge2D, angle, discordant_pairs, find_discordant,
                            half_space_events, lemma3_constant, special_indices)
 
 
@@ -217,8 +220,8 @@ def test_find_discordant_preconditions():
 def test_find_discordant_random_instances():
     rng = stream(32, 502, 0)
     for kappa in (0.4, 1.2):
-        for _ in range(25):
-            poly, wedge = random_wedge_polytope(rng, kappa, s=1.0)
+        polys, wedge = random_wedge_polytope(rng, kappa, 25, s=1.0)
+        for poly in polys:
             w = find_discordant(poly, wedge, kappa, s=1.0)
             assert w.angle >= kappa / 16
             assert w.tip_distance <= lemma3_constant(kappa)
@@ -231,14 +234,290 @@ def test_find_discordant_tip_distance_against_ridge_oracle():
     once read 0 for witness 61, whose facet lies 8.43 from the ridge."""
     rng = stream(0, 306, 0)
     for kappa in (0.3, 0.8, 1.5):
-        for _ in range(40):
-            poly, wedge = random_wedge_polytope(rng, kappa)
+        polys, wedge = random_wedge_polytope(rng, kappa, 40)
+        for poly in polys:
             w = find_discordant(poly, wedge, kappa, 1.0)
             i, j = w.facet_i, w.facet_j
             want = _ridge_distance_oracle(poly.normals[i], poly.offsets[i],
                                           poly.normals[j], poly.offsets[j],
                                           poly.vertices[poly.simplices[i]]).min()
             assert w.tip_distance == pytest.approx(want, rel=1e-9, abs=1e-12), (kappa, i, j)
+
+
+def _argsort_discordant(poly, kappa, s):
+    """find_discordant's search by one full sort: every pair i < j stably
+    ranked by decreasing angle, scanned in tie groups of neighbours within
+    1e-12 of the group's first angle, each group ranked by (tip distance,
+    i, j).  An independent oracle for the ranking."""
+    m_bound = lemma3_constant(kappa) * s
+    normals, offsets = poly.normals, poly.offsets
+    iu, ju = np.triu_indices(len(normals), k=1)
+    angles = np.arccos(np.clip(normals @ normals.T, -1.0, 1.0)[iu, ju])
+    rank = np.argsort(-angles, kind="stable")
+    iu, ju, angles = iu[rank].tolist(), ju[rank].tolist(), angles[rank].tolist()
+    k = 0
+    while k < len(angles) and angles[k] >= kappa / 16.0:
+        th, start = angles[k], k
+        while k + 1 < len(angles) and abs(angles[k + 1] - th) <= 1e-12:
+            k += 1
+        k += 1
+        cands = []
+        for g in range(start, k):
+            i, j = iu[g], ju[g]
+            e = normals[j] - (normals[i] @ normals[j]) * normals[i]
+            e_norm = float(np.sqrt(e @ e))
+            if e_norm > 1e-9:
+                top = float((poly.vertices[poly.simplices[i]] @ normals[j]).max())
+                cands.append((max(0.0, float(offsets[j]) - top) / e_norm, i, j, angles[g]))
+        for td, i, j, th_ij in sorted(cands):
+            if td <= m_bound:
+                return DiscordantWitness(facet_i=i, facet_j=j, angle=th_ij, tip_distance=td)
+    raise LemmaViolationError("no witness")
+
+
+def _wedge(kappa):
+    half = kappa / 2.0
+    return AmbientWedge(tip=np.zeros(3), u1=np.array([math.sin(half), 0.0, math.cos(half)]),
+                        u2=np.array([-math.sin(half), 0.0, math.cos(half)]))
+
+
+def test_find_discordant_matches_sort_oracle_on_layout_and_suite_polytopes():
+    """The tie-group ranking against the full sort on the 120 polytopes the
+    layout digest pins and on the 999 polytopes of suite_lemma3 at seed 31,
+    drawn as the suite draws them."""
+    for rng, per in ((stream(0, 306, 0), 40), (stream(31, _TAG_LEMMA3, 0), 333)):
+        for kappa in (0.3, 0.8, 1.5):
+            for lo in range(0, per, _WEDGE_SEGMENT):
+                polys, wedge = random_wedge_polytope(rng, kappa, min(_WEDGE_SEGMENT, per - lo))
+                for poly in polys:
+                    assert (find_discordant(poly, wedge, kappa, 1.0)
+                            == _argsort_discordant(poly, kappa, 1.0))
+
+
+def test_find_discordant_ranks_past_a_group_without_ridge():
+    """In a box the widest group is the antiparallel face pairs, angle pi
+    exactly, which have no ridge; the witness comes from the next group,
+    the right angles, whose ties are exact."""
+    kappa = 1.0
+    box = np.array([[x, y, z] for x in (-0.125, 0.125) for y in (-0.125, 0.125)
+                    for z in (0.5, 0.75)])
+    poly = build_hull(box)
+    w = find_discordant(poly, _wedge(kappa), kappa, 1.0)
+    assert w == _argsort_discordant(poly, kappa, 1.0)
+    assert w.angle == math.pi / 2.0 and w.tip_distance == 0.0
+    cosines = poly.normals @ poly.normals.T
+    assert cosines.min() == -1.0  # the top group, at angle pi, is left out
+
+
+def _pair_angles(normals):
+    """The pair angles as find_discordant computes them."""
+    iu, ju = np.triu_indices(len(normals), k=1)
+    return np.arccos(np.clip(normals @ normals.T, -1.0, 1.0)[iu, ju])
+
+
+def test_find_discordant_ranks_exact_ties_by_tip_distance():
+    """An octagonal prism with alternating side lengths: its faces three
+    apart meet at exactly 3 pi/4, with tip distances that differ between
+    axis and diagonal faces.  Over eight rotations of its vertex order the
+    group's first pair by index is, at least once, not its nearest."""
+    kappa, a = 1.0, 0.25
+    octagon = [(1, a), (a, 1), (-a, 1), (-1, a), (-1, -a), (-a, -1), (a, -1), (1, -a)]
+    wedge = _wedge(kappa)
+    beaten = 0
+    for rot in range(8):
+        ring = octagon[rot:] + octagon[:rot]
+        poly = build_hull([[0.125 * x, 0.125 * y, z] for x, y in ring for z in (0.5, 0.75)])
+        w = find_discordant(poly, wedge, kappa, 1.0)
+        assert w == _argsort_discordant(poly, kappa, 1.0)
+        iu, ju = np.triu_indices(len(poly.normals), k=1)
+        tied = np.flatnonzero(_pair_angles(poly.normals) == w.angle)
+        assert len(tied) > 1  # exact ties, and the witness is one of them
+        beaten += (int(iu[tied[0]]), int(ju[tied[0]])) != (w.facet_i, w.facet_j)
+    assert beaten > 0
+
+
+def _boundary_normals(th0):
+    """Four normals at the corners of a square on the sphere around e_z,
+    whose diagonals (0, 1) and (2, 3) meet at angles th near th0 and a,
+    a the double nearest th - 1e-12; the square's sides are shorter.  The
+    search moves n3's smaller coordinate an ulp at a time, each step turning
+    the angle well under an ulp of a, until a lands on that double."""
+    for half in np.linspace(th0 / 2.0, th0 / 2.0 + 1e-3, 11).tolist():
+        x, z = math.sin(half), math.cos(half)
+        n3 = [0.0, math.sin(half - 1e-12), math.cos(half - 1e-12)]
+        k = 1 if n3[1] < n3[2] else 2
+        wider = 1.0 if k == 1 else -1.0  # the way that widens the angle (2, 3)
+        for _ in range(200):
+            normals = np.array([[-x, 0.0, z], [x, 0.0, z], [0.0, -x, z], n3])
+            angles = _pair_angles(normals)
+            a, want = angles[5], angles[0] - 1e-12
+            if a == want:
+                return normals
+            n3[k] = float(np.nextafter(n3[k], 2.0 * (wider if a < want else -wider)))
+    return None
+
+
+@pytest.mark.parametrize("th0, split", [(2.5, True), (0.9, False)])
+def test_find_discordant_group_boundary_is_the_sorted_scan(th0, split):
+    """Two facet pairs whose angles a < th are a rounded th - 1e-12 apart:
+    the sorted scan's test th - a <= 1e-12 splits them into two groups when
+    th - 1e-12 rounds down, as it does for every th in [2, 4), and joins
+    them when it rounds up, as for every th in [0.5, 1).  Split, the wider
+    pair wins although the narrower one touches its ridge; joined, the
+    narrower one wins.  A group test a >= th - 1e-12 would join them both
+    times, and a > th - 1e-12 would split them both times.  The polytope
+    is hand-built: four facets with chosen normals, offsets and vertices."""
+    kappa = 1.0
+    normals = _boundary_normals(th0)
+    assert normals is not None
+    angles = _pair_angles(normals)
+    th, a = angles[0], angles[5]
+    assert a == th - 1e-12 and a == angles[1:].max() and (th - a > 1e-12) == split
+    vertices = np.array([[0.0, 0.0, 0.5], [0.1, 0.0, 0.5], [0.0, 0.1, 0.5], [0.0, 0.0, 0.6]])
+    simplices = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+    offsets = np.zeros(4)
+    offsets[1] = (vertices[simplices[0]] @ normals[1]).max() + 0.3  # facet 0 short of ridge
+    offsets[3] = (vertices[simplices[2]] @ normals[3]).max()        # facet 2 touches it
+    poly = Polytope(vertices=vertices, simplices=simplices, normals=normals, offsets=offsets,
+                    dim=3, eps_geom=1e-9, hull_vertex_indices=np.arange(4))
+    w = find_discordant(poly, _wedge(kappa), kappa, 1.0)
+    assert w == _argsort_discordant(poly, kappa, 1.0)
+    if split:
+        assert (w.facet_i, w.facet_j, w.angle) == (0, 1, th) and w.tip_distance > 0.0
+    else:
+        assert (w.facet_i, w.facet_j, w.angle, w.tip_distance) == (2, 3, a, 0.0)
+
+
+class _Blocks:
+    """A stand-in rng serving prepared candidate blocks of
+    4 * _WEDGE_POLYTOPE_POINTS points, a whole segment per uniform call."""
+
+    def __init__(self, blocks):
+        self.blocks = list(blocks)
+        self.served = 0
+
+    def uniform(self, low, high, size):
+        rows = size[0]
+        out = np.stack(self.blocks[self.served:self.served + rows])
+        self.served += rows
+        return out
+
+
+class _NoDraws:
+    """A stand-in rng whose every draw fails the test."""
+
+    def uniform(self, *args, **kwargs):
+        raise AssertionError("drew from the stream")
+
+
+def _block(rng, inside, plane=False):
+    """A candidate block with `inside` points in the ball and the kappa = 1
+    wedge, at random places among points outside the ball; on a plane
+    z = 0.5 when plane is set."""
+    k = 4 * _WEDGE_POLYTOPE_POINTS
+    pts = np.full((k, 3), 0.9)
+    at = np.sort(rng.choice(k, size=inside, replace=False))
+    pts[at] = rng.uniform(-0.2, 0.2, size=(inside, 3)) + [0.0, 0.0, 0.6]
+    if plane:
+        pts[at, 2] = 0.5
+    return pts
+
+
+def test_random_wedge_polytope_matches_one_at_a_time():
+    """Blocks of 1, 7, 64 and 333 instances on one stream give the same
+    polytopes as 405 one-row calls on a copy of the stream and as the
+    one-at-a-time rejection loop on a third copy, and leave all three
+    streams at the same next draw."""
+    for kappa in (0.3, 0.8, 1.5):
+        block, one, loop = (stream(5, 510, 0) for _ in range(3))
+        got = []
+        for rows in (1, 7, 64, 333):
+            polys, wedge = random_wedge_polytope(block, kappa, rows)
+            assert len(polys) == rows
+            got += polys
+        singles = [random_wedge_polytope(one, kappa, 1)[0][0] for _ in got]
+        looped = [_one_wedge_polytope(loop, wedge) for _ in got]
+        for p, q, r in zip(got, singles, looped):
+            for x in (q, r):
+                assert np.array_equal(p.vertices, x.vertices)
+                assert np.array_equal(p.simplices, x.simplices)
+                assert np.array_equal(p.normals, x.normals)
+                assert p.eps_geom == x.eps_geom
+        assert block.random() == one.random() == loop.random()
+
+
+def _one_wedge_polytope(rng, wedge):
+    """The one-at-a-time rejection loop: fresh blocks until 40 points lie in
+    the unit ball and the wedge, then build_hull of the first 40."""
+    blocks, have = [], 0
+    while have < _WEDGE_POLYTOPE_POINTS:
+        cand = rng.uniform(-1.0, 1.0, size=(4 * _WEDGE_POLYTOPE_POINTS, 3))
+        cand = cand[np.linalg.norm(cand, axis=1) <= 1.0]
+        blocks.append(cand[wedge.contains(cand)])
+        have += len(blocks[-1])
+    return build_hull(np.concatenate(blocks)[:_WEDGE_POLYTOPE_POINTS])
+
+
+def test_random_wedge_polytope_walks_blocks_across_segments():
+    """With 30 accepted points per block each instance takes two blocks,
+    so three instances take segments of 3, 2 and 1 blocks, and the second
+    and third instances each straddle a segment boundary."""
+    rng = np.random.default_rng(3)
+    blocks = [_block(rng, 30) for _ in range(6)]
+    served = _Blocks(blocks)
+    polys, _ = random_wedge_polytope(served, 1.0, 3)
+    assert served.served == 6
+    inside = [b[np.linalg.norm(b, axis=1) <= 1.0] for b in blocks]
+    for k, poly in enumerate(polys):
+        want = np.concatenate(inside[2 * k:2 * k + 2])[:_WEDGE_POLYTOPE_POINTS]
+        assert np.array_equal(poly.vertices, want)
+
+
+def test_random_wedge_polytope_skips_a_planar_candidate():
+    """A candidate of rank 2 spends its block and is skipped; the next
+    candidate starts at the next block."""
+    rng = np.random.default_rng(4)
+    blocks = [_block(rng, 40, plane=True), _block(rng, 45), _block(rng, 45)]
+    with pytest.raises(DegeneracyError):
+        build_hull(blocks[0][np.linalg.norm(blocks[0], axis=1) <= 1.0])
+    served = _Blocks(blocks)
+    polys, _ = random_wedge_polytope(served, 1.0, 1)
+    assert served.served == 2 and len(polys) == 1
+    want = blocks[1][np.linalg.norm(blocks[1], axis=1) <= 1.0][:_WEDGE_POLYTOPE_POINTS]
+    assert np.array_equal(polys[0].vertices, want)
+
+
+@pytest.mark.parametrize("kappa", [math.pi, 4.0, 0.0, -0.5, math.nan])
+def test_random_wedge_polytope_refuses_kappa_before_drawing(kappa):
+    """At kappa = pi the wedge {x >= 0, -x >= 0} accepts no candidate and
+    the rejection loop would never end; a negative kappa would open the
+    wedge wider than pi."""
+    with pytest.raises(ValueError, match="kappa"):
+        random_wedge_polytope(_NoDraws(), kappa, 1)
+
+
+def test_suite_lemma3_refuses_kappa_before_drawing(monkeypatch):
+    monkeypatch.setattr(verify, "stream", lambda *args: _NoDraws())
+    cfg = EstimatorConfig(replicas=1000, master_seed=31)
+    for kappas in ((math.pi,), (0.3, math.pi), (-0.5, 0.8)):
+        with pytest.raises(ValueError, match="kappa"):
+            verify.suite_lemma3(cfg, kappas=kappas)
+
+
+def test_suite_lemma3_memory_bounded():
+    """suite_lemma3 holds one block of _WEDGE_SEGMENT polytopes at a time:
+    its traced peak at 1000 instances reads 0.9 to 1.15 MB at seeds 1, 31
+    and 2718, where one call for all 333 instances of a kappa peaks at
+    1.8 MB."""
+    cfg = EstimatorConfig(replicas=1000, master_seed=31)
+    tracemalloc.start()
+    try:
+        checks = verify.suite_lemma3(cfg, instances=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c["passed"] for c in checks)
+    assert peak < 1.5e6, peak
 
 
 def _special_index(t, pb, w0, alpha, M, n):
