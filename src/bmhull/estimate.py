@@ -25,8 +25,10 @@ CHUNK = 16384
 # distance to the edge; 5 draws verify lemma4's instances a block at a time;
 # 6 draws the covering event only as far as it reads, a block of rows at a
 # time; 7 integrates the covering event out of conditional_H_prob, which
-# multiplies its weights by the exact P(N) and draws no rain.
-STREAM_LAYOUT = 7
+# multiplies its weights by the exact P(N) and draws no rain; 8 draws one
+# exact step per replica for stay_prob_wedge, fit_exit_exponent (B(t)) and
+# bridge_stay_prob (the midpoint), weighted by the exact wedge bridge factor.
+STREAM_LAYOUT = 8
 
 
 @dataclass(frozen=True)

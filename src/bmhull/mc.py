@@ -4,21 +4,30 @@ Wedge-stay probabilities for Brownian motion and bridges, the conditional
 interval bounds, the regularity-event failure rate, the two-sided facet-count
 identity check and the discordant-pair probability.
 
-The wedge-stay estimators (stay_prob_wedge, fit_exit_exponent,
-bridge_stay_prob, conditional_H_prob) run one time-major stepper,
-_stay_weights: it carries the live replicas forward one grid time at a time
-with paths.step, draws normals for them alone, and drops a replica from the
-state at the first step its weight reaches 0, so its memory is O(replicas)
-rather than O(replicas x steps).  Half-plane constraints use the exact
-per-step Brownian-bridge boundary crossing correction
-1 - exp(-2 d_k d_{k+1} / dt), so half-plane estimators are unbiased up to
-floating point.  That weight reads only the signed distance d to the edge,
-a 1-d Brownian motion or bridge, so a half-plane is stepped in d alone, one
-normal per replica-step, unless conditional_H_prob asks for whole planar
-paths for its R conjunct.  Convex wedges apply the correction per edge
-independently (documented over-correction near the tip); non-convex
-(reflex) wedges fall back to plain grid indicators, where the correction is
-invalid.
+The wedge-stay estimators weight each replica by an exact planar wedge law,
+integrals.wedge_bridge_factor, the probability that a Brownian bridge stays
+in a wedge of any opening, convex or reflex, given its end points.
+stay_prob_wedge and fit_exit_exponent draw one step per replica, the end
+point B(t) ~ N(x, t I), and weight it by 1{B(t) in W} q(x, B(t); t);
+bridge_stay_prob draws the bridge's midpoint and weights it by the factors
+of its two halves.  Each weight is the conditional expectation of the stay
+indicator given the drawn point, so these estimators are unbiased (up to
+the kernel's 1e-9 switch on rows whose series cancels), their memory is
+O(replicas), and the grid setting does not enter them.  The points are
+drawn in the wedge's own frame (tip at 0, first edge along the positive
+reals), so a rigid motion of the wedge and the points moves an estimate by
+rounding only.
+
+conditional_H_prob needs whole bridges for its modulus event, so it keeps
+the time-major stepper _stay_weights: it carries the live replicas forward
+one grid time at a time with paths.step, draws normals for them alone, and
+drops a replica from the state at the first step its weight reaches 0, so
+its memory is O(replicas) rather than O(replicas x steps).  Its wedge is
+convex, and each step is weighted by the product over the edges of the
+bridge crossing correction 1 - exp(-2 d_k d_{k+1} / dt), d the distance to
+the edge line: exact for one edge line, so for the half-plane and for the
+quadrant, whose edge coordinates are independent, but not at other
+openings.
 
 The facet estimators draw and decide a block of replicas per call of the
 batched kernels, so memory stays O(block), not O(replicas x steps):
@@ -51,7 +60,8 @@ import numpy as np
 from .estimate import Estimate, EstimatorConfig, from_weights, run_chunks
 from .hulls import (SimplexTimes, facet_events, merged_times, oriented_normals,
                     planar_rain_facets, row_dot)
-from .integrals import covering_miss_prob, enlargement, phi, rhs_bound
+from .integrals import (covering_miss_prob, enlargement, phi, rhs_bound,
+                        wedge_bridge_factor)
 from .paths import brownian, modulus_ok, step, time_steps
 from .rain import level_covered, level_times
 from .wedges import Wedge2D, discordant_pairs, gamma_ak, half_space_events
@@ -75,76 +85,49 @@ _PATH_BLOCK = 1 << 15
 
 
 def _stay_weights(rng: np.random.Generator, n_rep: int, wedge: Wedge2D,
-                  times: np.ndarray, start, end=None, offset: float = 0.0,
+                  times: np.ndarray, start: np.ndarray, end: np.ndarray, offset: float,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """Stay weights of n_rep planar paths from `start` at times[0], stepped
-    time-major over the grid `times` with paths.step: Brownian paths, or
-    bridges pinned at `end` at times[-1].
+    """Stay weights of n_rep planar bridges from `start` at times[0] to
+    `end` at times[-1] in the convex wedge with both edges pushed `offset`
+    outward (the enlarged wedge W'), stepped time-major over the grid
+    `times` with paths.step.  Each weight is the product over the steps and
+    edges of the per-step bridge crossing correction
+    1 - exp(-2 d_k d_{k+1} / dt), d the distance to the edge line.
 
     Only live replicas are carried: each step draws normals for them alone,
     and a replica leaves the state, with weight 0, at the first grid time
-    whose weight factor is not positive (convex wedges) or at which it lies
-    outside (reflex ones).  A start on or outside the boundary draws
-    nothing.  offset pushes both edges outward (the enlarged wedge W').
-
-    A half-plane has one edge, and its weight reads only the signed distance
-    d = x.n + c to it: a 1-d Brownian motion from start.n + c, or a 1-d
-    bridge pinned at end.n + c.  Unless out is given, its state is the
-    (replicas,) distances, so each step draws one normal per live replica.
+    whose weight factor is not positive.  A start on or outside the
+    boundary draws nothing.
 
     out, shape (n_rep, len(times), 2), receives the points of the replicas
     still live at each time; the rows of replicas with nonzero weight are
     whole paths.
     """
-    start = np.asarray(start, dtype=float)
-    edges = []  # (inner unit normal, offset) of each edge line
-    if wedge.convex:
-        normals = wedge.edge_normals()
-        edges = list(zip(normals, offset - normals @ wedge.tip))
-        if float(normals[0] @ normals[1]) > 1.0 - 1e-12:
-            edges = edges[:1]  # half-plane: its two edges are one line
-    flat = len(edges) == 1 and out is None
-    if flat:
-        (n_e, c), = edges
-        start = start @ n_e + c
-        if end is not None:
-            end = np.asarray(end, dtype=float) @ n_e + c
-
-    def dist(x):  # signed distances of the state x to the edges
-        return [x] if flat else [x @ n_e + c for n_e, c in edges]
-
-    d = dist(start)
+    normals = wedge.edge_normals()
+    edges = list(zip(normals, offset - normals @ wedge.tip))  # (inner unit normal, offset)
+    if float(normals[0] @ normals[1]) > 1.0 - 1e-12:
+        edges = edges[:1]  # half-plane: its two edges are one line
+    d = [start @ n_e + c for n_e, c in edges]  # signed distances to the edges
     w = np.zeros(n_rep)
-    inside = min(d) > 0.0 if edges else wedge.membership(start, tol=offset)[0]
-    if not inside:
+    if min(d) <= 0.0:
         return w  # every replica starts on or outside the boundary
-    pin = None if end is None else (times[-1], end)
-    live = np.arange(n_rep)
-    x = np.full((n_rep,) + start.shape, start)
-    wl = np.ones(n_rep)
+    live, wl, x = np.arange(n_rep), np.ones(n_rep), np.full((n_rep, 2), start)
     if out is not None:
         out[:, 0] = start
     for k in range(1, times.size):
-        # a half-plane's state is also its distances d, still needed after the step
-        x = step(rng, x, times[k - 1], times[k], np.empty_like(x) if flat else x, pin)
-        if edges:
-            scale = -2.0 / (times[k] - times[k - 1])
-            keep = np.ones(live.size, dtype=bool)
-            d_new = dist(x)
-            for d_e, dn in zip(d, d_new):
-                f = np.multiply(d_e, dn)
-                f *= scale
-                np.negative(np.expm1(f, out=f), out=f)  # 1 - exp(-2 d_k d_{k+1} / dt)
-                keep &= f > 0.0
-                wl *= f
-            d = d_new
-        else:
-            keep = wedge.membership(x, tol=offset)
+        x = step(rng, x, times[k - 1], times[k], x, (times[-1], end))
+        scale = -2.0 / (times[k] - times[k - 1])
+        keep = np.ones(live.size, dtype=bool)
+        d_new = [x @ n_e + c for n_e, c in edges]
+        for d_e, dn in zip(d, d_new):
+            f = -np.expm1(d_e * dn * scale)  # 1 - exp(-2 d_k d_{k+1} / dt)
+            keep &= f > 0.0
+            wl *= f
+        d = d_new
         if not keep.all():
             i = np.flatnonzero(keep)
-            live, wl = live[i], wl[i]
+            live, wl, x = live[i], wl[i], x.take(i, axis=0)
             d = [d_e[i] for d_e in d]
-            x = d[0] if flat else x.take(i, axis=0)
         if out is not None:
             out[live, k] = x
         if not live.size:
@@ -153,24 +136,64 @@ def _stay_weights(rng: np.random.Generator, n_rep: int, wedge: Wedge2D,
     return w
 
 
+def _frame(wedge: Wedge2D, p) -> complex:
+    """The point p in the wedge's own frame, as a complex number: the tip
+    at 0 and the first edge along the positive reals, so that the wedge
+    holds the arguments (0, opening)."""
+    d = np.asarray(p, dtype=float).reshape(2) - wedge.tip
+    return complex(*d) * np.exp(-1j * (wedge.axis_angle - wedge.half_angle))
+
+
+def _bridge_factor(wedge: Wedge2D, p, q, t: float) -> np.ndarray:
+    """integrals.wedge_bridge_factor of the bridges from p to q over time
+    t, complex points in the wedge's frame broadcast together; 0 where
+    either end lies outside the open wedge."""
+    opening = 2.0 * wedge.half_angle
+    a, b = (np.mod(np.angle(x), 2.0 * math.pi) for x in (p, q))
+    a, b, z = np.broadcast_arrays(a, b, np.abs(p) * np.abs(q) / t)
+    inside = (0.0 < a) & (a < opening) & (0.0 < b) & (b < opening)
+    w = np.zeros(z.shape)
+    w[inside] = wedge_bridge_factor(a[inside], b[inside], z[inside], opening)
+    return w
+
+
+def _one_step_weights(rng: np.random.Generator, n: int, wedge: Wedge2D, start,
+                      t: float, end=None) -> np.ndarray:
+    """Exact stay weights of n planar paths from `start` over time t, one
+    normal step each, drawn in the wedge's frame, so that a rigid motion of
+    the wedge and the points moves the weights by rounding only.
+
+    Brownian motion (end None): B(t) ~ N(start, t I), weighted by
+    1{B(t) in W} q(start, B(t); t).  Bridge to `end`: its midpoint
+    M ~ N((start + end) / 2, t/4 I), weighted by q(start, M; t/2)
+    q(M, end; t/2).  q is the exact bridge factor, so each weight is the
+    conditional expectation of the stay indicator given the drawn point.
+    """
+    a = _frame(wedge, start)
+    noise = rng.standard_normal((n, 2)).view(complex)[:, 0]  # one planar normal per replica
+    if end is None:
+        return _bridge_factor(wedge, a, a + math.sqrt(t) * noise, t)
+    b = _frame(wedge, end)
+    m = 0.5 * (a + b) + 0.5 * math.sqrt(t) * noise
+    return _bridge_factor(wedge, a, m, 0.5 * t) * _bridge_factor(wedge, m, b, 0.5 * t)
+
+
 # ---------------------------------------------------------------- estimators
 
 def stay_prob_wedge(wedge: Wedge2D, start, horizon: float,
                     config: EstimatorConfig) -> Estimate:
     """P(planar Brownian motion started at `start` stays in the wedge on
-    [0, horizon]), crossing-corrected on the grid for convex wedges."""
+    [0, horizon]), from one exact step per replica: the mean of
+    1{B(horizon) in W} q(start, B(horizon); horizon), q the exact bridge
+    factor integrals.wedge_bridge_factor, for convex and reflex wedges
+    alike.  The grid setting does not enter."""
     start = np.asarray(start, dtype=float).reshape(2)
     if not bool(wedge.membership(start[None, :], tol=1e-12)[0]):
         raise ValueError("start must lie in the wedge")
-    n_steps = max(2, int(round(config.grid_points_per_unit_time * horizon)))
-    times = np.linspace(0.0, horizon, n_steps + 1)
     w = run_chunks(config, _TAG_STAY,
-                   lambda rng, sz: _stay_weights(rng, sz, wedge, times, start))
-    r0 = float(np.linalg.norm(start - wedge.tip))
-    return from_weights(w, config,
-                        extra={"horizon": horizon, "r": r0,
-                               "half_angle": wedge.half_angle,
-                               "grid_steps": n_steps})
+                   lambda rng, sz: _one_step_weights(rng, sz, wedge, start, horizon))
+    return from_weights(w, config, extra={"horizon": horizon, "half_angle": wedge.half_angle,
+                                          "r": float(np.linalg.norm(start - wedge.tip))})
 
 
 def fit_exit_exponent(beta: float, config: EstimatorConfig) -> float:
@@ -178,23 +201,21 @@ def fit_exit_exponent(beta: float, config: EstimatorConfig) -> float:
 
     Theory (Spitzer) gives pi/(2 beta) for half-angle beta; the fit uses
     r/sqrt(t) over a decade small enough that the local slope of the exact
-    half-plane law is within a few percent of the asymptotic exponent.
+    half-plane law is within a few percent of the asymptotic exponent.  Each
+    support point is stay_prob_wedge's one-step mean, so the grid setting
+    does not enter.
     """
     if not 0.0 < beta <= math.pi / 2.0:
         raise ValueError("beta must be in (0, pi/2]")
     xs = np.geomspace(0.03, 0.3, 8)
     wedge = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=beta)
-    times = np.linspace(0.0, 1.0, max(2, config.grid_points_per_unit_time) + 1)
     # starts along the bisector, horizon 1
-    means = np.array([run_chunks(config, _TAG_FIT_BASE + k,
-                                 lambda rng, sz, x=x: _stay_weights(rng, sz, wedge, times,
-                                                                    [x, 0.0])).mean()
-                      for k, x in enumerate(xs)])
-    if np.sum(means > 0.0) < 4:
-        raise ValueError("fewer than 4 support points with positive estimates")
+    means = np.array([run_chunks(config, _TAG_FIT_BASE + k, lambda rng, sz, x=x: _one_step_weights(
+        rng, sz, wedge, [x, 0.0], 1.0)).mean() for k, x in enumerate(xs)])
     m = means > 0.0
-    slope = np.polyfit(np.log(xs[m]), np.log(means[m]), 1)[0]
-    return float(slope)
+    if m.sum() < 4:
+        raise ValueError("fewer than 4 support points with positive estimates")
+    return float(np.polyfit(np.log(xs[m]), np.log(means[m]), 1)[0])
 
 
 def lemma6_bound(alpha: float, eps: float, theta: float, r: float) -> float:
@@ -204,17 +225,17 @@ def lemma6_bound(alpha: float, eps: float, theta: float, r: float) -> float:
 
 def bridge_stay_prob(wedge: Wedge2D, a, b, config: EstimatorConfig,
                      bound_params=None) -> Estimate:
-    """P(planar Brownian bridge from a to b over [0,1] stays in the wedge).
+    """P(planar Brownian bridge from a to b over [0,1] stays in the wedge),
+    from one exact step per replica: the midpoint M ~ N((a + b)/2, I/4),
+    weighted by the exact bridge factors of the two half-intervals,
+    q(a, M; 1/2) q(M, b; 1/2).  The grid setting does not enter.
 
     bound_params=(alpha, eps, theta) additionally reports the corresponding
     analytic upper bound at r = |a - tip|.
     """
     a = np.asarray(a, dtype=float).reshape(2)
-    b = np.asarray(b, dtype=float).reshape(2)
-    n_steps = max(2, config.grid_points_per_unit_time)
-    times = np.linspace(0.0, 1.0, n_steps + 1)
     w = run_chunks(config, _TAG_BRIDGE,
-                   lambda rng, sz: _stay_weights(rng, sz, wedge, times, a, b))
+                   lambda rng, sz: _one_step_weights(rng, sz, wedge, a, 1.0, b))
     r0 = float(np.linalg.norm(a - wedge.tip))
     extra = {"r": r0, "half_angle": wedge.half_angle}
     if bound_params is not None:

