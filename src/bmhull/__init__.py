@@ -20,7 +20,7 @@ from .hulls import (DegeneracyError, Polytope, SimplexTimes, build_hull,
                     planar_rain_facets)
 from .wedges import (AmbientWedge, DiscordantWitness, HypothesisError,
                      LemmaViolationError, Wedge2D, angle, discordant_pairs,
-                     find_discordant, gamma_ak, half_space_events, lemma3_constant,
+                     find_discordant, gamma_ak, lemma3_constant,
                      special_indices)
 from .mc import (bridge_stay_prob, campbell_check, conditional_H_prob,
                  discordant_prob, fit_exit_exponent, lemma6_bound, prob_R_complement,

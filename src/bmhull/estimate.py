@@ -27,8 +27,10 @@ CHUNK = 16384
 # time; 7 integrates the covering event out of conditional_H_prob, which
 # multiplies its weights by the exact P(N) and draws no rain; 8 draws one
 # exact step per replica for stay_prob_wedge, fit_exit_exponent (B(t)) and
-# bridge_stay_prob (the midpoint), weighted by the exact wedge bridge factor.
-STREAM_LAYOUT = 8
+# bridge_stay_prob (the midpoint), weighted by the exact wedge bridge factor;
+# 9 draws only discordant_prob's skeleton, B at 0, the merged tuple times and
+# 1, weighted by the exact bridge laws of its pieces.
+STREAM_LAYOUT = 9
 
 
 @dataclass(frozen=True)

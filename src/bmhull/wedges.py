@@ -4,7 +4,7 @@ discordant-pair search on a polytope confined to a wedge, and the
 special-interval finder.
 
 Each per-replica predicate has one kernel over a leading row axis, one row
-per replica: half_space_events, discordant_pairs and special_indices.
+per replica: discordant_pairs and special_indices.
 Distances to the ridge of two facet hyperplanes are read in the orthonormal
 basis n_r, (n_s - c n_r)/|n_s - c n_r| of their normal plane, c = n_r.n_s,
 straight from a point's distances to the two hyperplanes.
@@ -283,20 +283,3 @@ def special_indices(t, pb, w0, alpha: float, M: float, n: int) -> np.ndarray:
     near = np.minimum(dists[:, :-1], dists[:, 1:])
     ok = gaps >= alpha ** (1.0 / (10.0 * n)) * np.maximum(near * near, 1.0 / alpha)
     return np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
-
-
-def half_space_events(points, n_r, n_s, r1_points, s1_points, alpha: float) -> np.ndarray:
-    """Half-space pair event, one per row: path segments (rows, m, d),
-    normals and anchors (rows, d); returns (rows,) booleans.  Row k holds
-    when every point B(t) of its segment satisfies
-    <B(t), n> <= <B(anchor), n> + phi(alpha)^2/sqrt(alpha) both for
-    n = n_r[k] with anchor r1_points[k] and for n = n_s[k] with anchor
-    s1_points[k]."""
-    p = np.asarray(points, dtype=float)
-    slack = enlargement(alpha)
-    ok = np.ones(len(p), dtype=bool)
-    for n, anchor in ((n_r, r1_points), (n_s, s1_points)):
-        n = np.asarray(n, dtype=float)
-        thr = row_dot(anchor, n)
-        ok &= np.all(np.matmul(p, n[:, :, None])[..., 0] <= (thr + slack)[:, None], axis=1)
-    return ok

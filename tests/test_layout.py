@@ -82,6 +82,14 @@ and is weighted by the exact wedge bridge factor
 `integrals.wedge_bridge_factor`, where it was stepped over the grid.  The
 four `conditional_H_prob` cases kept their digests: its stepper lost the 1-d
 half-plane state and the reflex fallback, which none of them ran.
+Layout 9 re-recorded the three `discordant_prob` cases alone: each replica
+now draws only its skeleton, B at 0, at the merged tuple times and at 1, in
+one `paths.brownian` call of 2n + 1 steps, and weighs the exact probability
+that its bridge pieces stay in the wedge of the two half-spaces, where it
+drew whole paths on the merged grid and decided the half-space events on
+grid points.  Its ranks and discordance decisions read the same stacked
+kernels.  At alpha = 1e3 no piece needs the wedge series; at alpha = 1e8,
+kappa = 3, 684 pieces (2-tuples) and 1144 pieces (3-tuples) do.
 
 To print the current digests: `python tests/test_layout.py`, or
 `python tests/test_layout.py NAME ...` for the named cases alone.
@@ -284,7 +292,7 @@ CASES = {
         lambda: _simulate_hulls(2, 2, "0,5") + "\n" + _simulate_hulls(1, 2, "0,5"),
 }
 
-EXPECTED_LAYOUT = 8
+EXPECTED_LAYOUT = 9
 
 EXPECTED = {
     'bridge_stay_prob':
@@ -300,11 +308,11 @@ EXPECTED = {
     'conditional_H_prob(never, alpha=1e10)':
         'b9c99f0d7fbcc1d524668e56b9a38deff92cdec0456116e0d93570999edb08c3',
     'discordant_prob':
-        '890cff4cac14d1f0e66409735228f186696699b32a2e8044318240bdbc536eaf',
+        '80a073c62c168830624ec41182ee28da938c076717ccc5b7f82935228a7de7b3',
     'discordant_prob(alpha=1e8, kappa=3)':
-        '6bfadf661cecaa58b850a44c9fe89ff61937e15fe9644de0b9c91878878b0e68',
+        '5f4bab23aa864cd779920662508f8ee82ff606ebd882f1c92fd9f8c200bf2589',
     'discordant_prob(3-tuples, alpha=1e8, kappa=3)':
-        'a776ecc3009e34b565be64032355b5231eac94ca4ff1810af56706040bad226c',
+        '07b09355fed4dcfda232a3c45a791b65f6588389a5e2c147d58efc2bf988cf64',
     'find_discordant witnesses':
         '20d51274e347631f7a131977c1f8d5b4cf3172592e3dcf4ad4fa52d84332345c',
     'fit_exit_exponent':

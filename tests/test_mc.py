@@ -9,9 +9,10 @@ from scipy.special import ive
 
 from bmhull import hulls, mc, rain, verify
 from bmhull.estimate import EstimatorConfig, stream
-from bmhull.hulls import SimplexTimes
-from bmhull.integrals import campbell_mean, covering_miss_prob, enlargement, phi
-from bmhull.paths import modulus_ok
+from bmhull.hulls import SimplexTimes, oriented_normals, row_dot
+from bmhull.integrals import (campbell_mean, covering_miss_prob, enlargement, phi,
+                              wedge_bridge_factor)
+from bmhull.paths import brownian, modulus_ok
 from bmhull.wedges import Wedge2D
 
 HALF_PLANE = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=math.pi / 2)
@@ -446,9 +447,10 @@ def test_discordant_prob_reports_bound():
 
 
 def test_discordant_prob_memory_bounded_in_replicas():
-    """Paths are drawn and decided in blocks: at 4096 replicas x 4096 steps
-    the chunk's whole paths would take 268 MB, and the traced peak stays
-    below 16 MB."""
+    """Only the skeleton is drawn, 6 points per replica whatever the grid:
+    at 4096 replicas and grid 4096 whole paths would take 268 MB, the
+    skeletons take 4096 x 6 x 2 doubles (393 KB), and the traced peak stays
+    below 4 MB."""
     r = SimplexTimes(np.array([0.2, 0.4]))
     s = SimplexTimes(np.array([0.6, 0.8]))
     tracemalloc.start()
@@ -457,7 +459,142 @@ def test_discordant_prob_memory_bounded_in_replicas():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    assert peak < 4 * 2 ** 20
+
+
+def single_tuple_law(r, slack):
+    """P(a Brownian path in R^n, n = len(r), stays within `slack` of the
+    side of its facet hyperplane through B(r) that holds B(0)), the normal
+    oriented towards B(r_1):
+
+        (1 - 2 Phi-bar(2 slack / sqrt(r_1))) prod_i (1 - exp(-2 slack^2 / (r_i+1 - r_i)))
+            erf(slack / sqrt(2 (1 - r_n))).
+
+    The normal depends on the increments after r_1 only, so <B(r_1), n> is
+    |N(0, r_1)|, and the bridge from B(0) stays below the level with
+    probability 1 - exp(-2 (h + slack) slack / r_1), whose mean over h is
+    the first factor; the pieces between the tuple's times are bridges at
+    distance `slack` from both ends, and the last a free path from `slack`.
+    An oracle written apart from the code under test."""
+    law = math.erf(math.sqrt(2.0) * slack / math.sqrt(r[0]))
+    for dr in np.diff(r):
+        law *= -math.expm1(-2.0 * slack * slack / dr)
+    return law * math.erf(slack / math.sqrt(2.0 * (1.0 - r[-1])))
+
+
+@pytest.mark.parametrize("r", [(0.2, 0.4), (0.1, 0.3, 0.45)], ids=["d=2", "d=3"])
+def test_skeleton_weights_single_tuple_law(r):
+    """One tuple's half-space event, weighted on the skeleton by the code
+    discordant_prob runs (the pair (r, r): parallel normals, so the tighter
+    half-plane's exact factor), matches its closed form within 4 SE at
+    alpha = 1e8."""
+    n, slack = len(r), enlargement(1e8)
+    times = np.concatenate([[0.0], r, [1.0]])
+    dts = np.diff(times)
+    pts = brownian(stream(3, 913 + n, 0), 40000, dts, n)
+    pr = pts[:, 1:n + 1]
+    n_r = oriented_normals(pr, pr[:, 0])[0]
+    top = row_dot(n_r, pr[:, 0]) + slack
+    w = mc._skeleton_weights(pts, dts, n_r, n_r, top, top)
+    se = w.std(ddof=1) / math.sqrt(w.size)
+    law = single_tuple_law(r, slack)
+    assert abs(w.mean() - law) <= 4.0 * se, (w.mean(), law, se)
+
+
+def _points(n_r, n_s, d_r, d_s):
+    """Planar points at distances d_r, d_s (..., k) below the lines
+    <x, n_r> = 0 and <x, n_s> = 0, as (..., k, 2)."""
+    d = -np.stack([d_r, d_s], axis=-1)
+    return np.linalg.solve(np.array([n_r, n_s]), d[..., None])[..., 0]
+
+
+def test_skeleton_weights_switch_rule():
+    """A bridge piece that crosses its far edge line with probability just
+    below 1e-9 takes the per-edge product, and one just above takes
+    integrals.wedge_bridge_factor; on both sides the two agree within 1e-9,
+    at openings 2 pi/3 and pi/3."""
+    for c in (0.5, -0.5):
+        n_r, n_s = np.array([0.0, 1.0]), np.array([math.sqrt(1.0 - c * c), c])
+        opening = math.pi - math.acos(c)
+        for factor in (1.0 - 1e-6, 1.0 + 1e-6):  # crossing probability 1e-9 / factor
+            d_far = math.sqrt(-math.log(1e-9 / factor) / 2.0)
+            d_r = np.array([[d_far, d_far]])
+            d_s = np.array([[0.5, 0.4]])
+            pts = _points(n_r, n_s, d_r, d_s)
+            rows = (np.zeros((1, 2)) + n_r, np.zeros((1, 2)) + n_s)
+            got = mc._skeleton_weights(pts, np.array([1.0]), *rows, np.zeros(1), np.zeros(1))
+            product = -math.expm1(-2.0 * d_far * d_far) * -math.expm1(-0.4)
+            # polar coordinates about the tip, 0, from the r edge's ray, -e_1
+            rad = np.linalg.norm(pts[0], axis=1)
+            ang = np.arccos(-pts[0, :, 0] / rad)
+            series = wedge_bridge_factor(ang[0], ang[1], rad[0] * rad[1], opening)[0]
+            assert abs(product - series) <= 1e-9
+            assert got[0] == pytest.approx(product if factor > 1.0 else series, rel=1e-13)
+
+
+def slab_bridge_law(x, y, width, t, terms=30):
+    """P(a 1-d Brownian bridge from x to y over time t stays in (0, width)),
+    the killed heat kernel by images over the free one:
+    sum_k exp(-2 k L (k L + y - x) / t) - exp(-2 (x + k L) (y + k L) / t)."""
+    total = 0.0
+    for k in range(-terms, terms + 1):
+        total += (math.exp(-2.0 * k * width * (k * width + y - x) / t)
+                  - math.exp(-2.0 * (x + k * width) * (y + k * width) / t))
+    return total
+
+
+def test_skeleton_weights_parallel_and_antiparallel_rows():
+    """Rows without a wedge take their stated rule, with no warning:
+    parallel normals the tighter half-plane's exact factor, antiparallel
+    ones (a slab) the per-edge product, an upper bound on the slab's exact
+    law; a skeleton point outside either half-space gives 0."""
+    n = np.array([[0.0, 1.0]])
+    pts = np.array([[[0.3, 0.0], [-0.7, -0.2], [0.1, 0.3]]])
+    dts = np.array([0.5, 0.25])
+    # parallel: the levels 1 and 0.5, so the second line binds
+    got = mc._skeleton_weights(pts, dts, n, n, np.ones(1), np.full(1, 0.5))
+    want = -math.expm1(-2.0 * 0.5 * 0.7 / 0.5) * -math.expm1(-2.0 * 0.7 * 0.2 / 0.25)
+    assert got[0] == pytest.approx(want, rel=1e-15)
+    # antiparallel: the slab -0.5 <= x_2 <= 1
+    got = mc._skeleton_weights(pts, dts, n, -n, np.ones(1), np.full(1, 0.5))
+    up, down = np.array([1.0, 1.2, 0.7]), np.array([0.5, 0.3, 0.8])
+    edge = [-math.expm1(-2.0 * d[k] * d[k + 1] / dts[k]) for d in (up, down) for k in (0, 1)]
+    assert got[0] == pytest.approx(math.prod(edge), rel=1e-14)
+    exact = math.prod(slab_bridge_law(down[k], down[k + 1], 1.5, dts[k]) for k in (0, 1))
+    assert exact < got[0]
+    # a skeleton point above the tighter line
+    assert mc._skeleton_weights(pts, dts, n, n, np.ones(1), np.full(1, 0.2))[0] == 0.0
+
+
+def test_discordant_prob_skeleton_draws_no_zero_step(monkeypatch):
+    """Tuples that share a time, start at 0 or end at 1 draw one step per
+    distinct gap of 0, the tuple times and 1, none of length 0, and give a
+    positive estimate with no warning."""
+    seen = []
+
+    def spy(rng, n_rep, dts, dim):
+        seen.append(dts.copy())
+        return brownian(rng, n_rep, dts, dim)
+
+    monkeypatch.setattr(mc, "brownian", spy)
+    for r, s, steps in (((0.0, 0.5), (0.5, 1.0), 2), ((0.2, 0.5), (0.5, 0.8), 4),
+                        ((0.0, 0.3, 0.6), (0.3, 0.6, 1.0), 3)):
+        seen.clear()
+        est = mc.discordant_prob(SimplexTimes(np.array(r)), SimplexTimes(np.array(s)),
+                                 1e3, math.pi / 2, cfg(replicas=500, seed=4))
+        assert all(d.size == steps and np.all(d > 0.0) for d in seen), seen
+        assert 0.0 < est.mean <= 1.0 and math.isfinite(est.std_error)
+
+
+def test_discordant_prob_reads_no_grid():
+    """The skeleton carries no grid: grids 2 and 4096 give the same bytes,
+    at alpha = 1e8, where pieces take the wedge series."""
+    r = SimplexTimes(np.array([0.2, 0.4]))
+    s = SimplexTimes(np.array([0.6, 0.8]))
+    coarse, fine = (mc.discordant_prob(r, s, 1e8, 3.0, cfg(replicas=300, grid=g))
+                    for g in (2, 4096))
+    assert (coarse.mean, coarse.std_error) == (fine.mean, fine.std_error)
+    assert 0.0 < coarse.mean < 1.0
 
 
 def test_estimators_deterministic():

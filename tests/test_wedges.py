@@ -7,13 +7,12 @@ import pytest
 from bmhull import verify
 from bmhull.estimate import EstimatorConfig, stream
 from bmhull.hulls import DegeneracyError, Polytope, build_hull
-from bmhull.integrals import enlargement
 from bmhull.verify import (_SPECIAL_TIP_OFFSET, _TAG_LEMMA3, _WEDGE_POLYTOPE_POINTS,
                            _WEDGE_SEGMENT, brute_force_special, random_special_instance,
                            random_wedge_polytope)
 from bmhull.wedges import (AmbientWedge, DiscordantWitness, HypothesisError,
                            LemmaViolationError, Wedge2D, angle, discordant_pairs, find_discordant,
-                           half_space_events, lemma3_constant, special_indices)
+                           lemma3_constant, special_indices)
 
 
 def test_wedge2d_membership():
@@ -608,22 +607,3 @@ def test_special_indices_rows_against_brute_force():
     assert str(exc.value).startswith("row 7: ")
     assert exc.value.failures == ["increment bound violated at i=[2, 3]",
                                   "no point within M*phi^2/sqrt(alpha) of the tip"]
-
-
-def test_half_space_events_rows():
-    """Each row of the stacked H event against its own half-space test,
-    with normals and anchors that differ by row."""
-    rng = stream(37, 509, 0)
-    alpha = math.e ** 4
-    slack = enlargement(alpha)
-    rows, d = 200, 3
-    seg = rng.standard_normal((rows, 30, d))
-    n_r = _unit(rng.standard_normal((rows, d)))
-    n_s = _unit(rng.standard_normal((rows, d)))
-    r1, s1 = 2.0 * rng.standard_normal((2, rows, d))
-    got = half_space_events(seg, n_r, n_s, r1, s1, alpha)
-    want = [all(float(p @ n_r[k]) <= float(r1[k] @ n_r[k]) + slack
-                and float(p @ n_s[k]) <= float(s1[k] @ n_s[k]) + slack for p in seg[k])
-            for k in range(rows)]
-    assert got.tolist() == want
-    assert 0 < sum(want) < rows
