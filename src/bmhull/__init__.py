@@ -13,7 +13,7 @@ from .integrals import (ZaRegion, campbell_mean, complement_Za_exact, covering_m
                         enlargement, final_assembly, integral_Za_bound,
                         integral_Za_quadrature, log_final_assembly, measure_Za_complement,
                         phi, rhs_bound)
-from .paths import bridge, brownian, modulus_ok, step, time_steps
+from .paths import bridge, brownian, modulus_ok, time_steps
 from .rain import check_N, coupled_levels, covered, level_covered, level_times
 from .hulls import (DegeneracyError, Polytope, SimplexTimes, build_hull,
                     euler_characteristic_3d, facet_events, merged_times, oriented_normals,

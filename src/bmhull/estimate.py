@@ -29,8 +29,11 @@ CHUNK = 16384
 # exact step per replica for stay_prob_wedge, fit_exit_exponent (B(t)) and
 # bridge_stay_prob (the midpoint), weighted by the exact wedge bridge factor;
 # 9 draws only discordant_prob's skeleton, B at 0, the merged tuple times and
-# 1, weighted by the exact bridge laws of its pieces.
-STREAM_LAYOUT = 9
+# 1, weighted by the exact bridge laws of its pieces; 10 draws each bridge
+# of paths.bridge in one brownian call pinned at both ends, and
+# conditional_H_prob's bridges with it, a block of rows at a time, where
+# both stepped from grid time to grid time.
+STREAM_LAYOUT = 10
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,12 @@
 
 Paths are realised at sorted time grids in [0,1]; increments are exact
 Gaussians, so there is no discretisation error at the grid times themselves.
-Also houses the modulus event of the regularity event R.  step is the one
-exact transition of a batch of points, Brownian or bridge, which bridge
-loops over and conditional_H_prob's stepper runs time-major; the batched
-kernels brownian, bridge and modulus_ok are what the other estimators run.
+Also houses the modulus event of the regularity event R.  The three
+batched kernels are brownian, bridge (one brownian call, pinned at both
+ends) and modulus_ok; every estimator that needs whole paths runs them.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -58,43 +55,20 @@ def time_steps(times: np.ndarray) -> np.ndarray:
     return dts
 
 
-def step(rng: np.random.Generator, x: np.ndarray, t0: float, t1: float,
-         out: np.ndarray, pin=None) -> np.ndarray:
-    """One exact transition of the points x, (replicas, dim), from time t0 to
-    t1, written to out (which may be x), drawing one standard normal Z per
-    coordinate.
-
-    Brownian motion (pin None): x + sqrt(t1 - t0)*Z.  Bridge pinned at
-    pin = (s2, b): mean x + frac*(b - x), frac = (t1 - t0)/(s2 - t0), plus
-    sqrt((t1 - t0)(s2 - t1)/(s2 - t0))*Z; a step onto s2 is b itself and
-    draws nothing.
-    """
-    if pin is None:
-        z = rng.standard_normal(x.shape)
-        z *= math.sqrt(t1 - t0)
-        return np.add(x, z, out=out)
-    s2, b = pin
-    if t1 == s2:
-        out[...] = b
-        return out
-    frac = (t1 - t0) / (s2 - t0)
-    var = (t1 - t0) * (s2 - t1) / (s2 - t0)
-    mean = x + frac * (b - x)
-    return np.add(mean, math.sqrt(var) * rng.standard_normal(x.shape), out=out)
-
-
 def bridge(rng: np.random.Generator, n_rep: int, times: np.ndarray, a, b) -> np.ndarray:
     """Brownian bridges of shape (n_rep, len(times), dim) from a at times[0] to b
-    at times[-1], by sequential conditioning: each point after the first is
-    one bridge step from the previous one towards the pinned right endpoint,
-    and the endpoints are exact."""
+    at times[-1]: one brownian call W over the steps np.diff(times), pinned
+    as a + W(t) - (t - t_0)/(T - t_0) (W(T) - (b - a)), with both endpoints
+    set exactly.  Like brownian, it draws replica by replica, so a block of
+    rows draws what the same rows of one larger call would."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.empty((n_rep, times.size, a.size))
+    out = brownian(rng, n_rep, np.diff(times), a.size)
+    frac = ((times - times[0]) / (times[-1] - times[0]))[:, None]
+    out -= frac * (out[:, -1:] - (b - a))
+    out += a
     out[:, 0] = a
-    pin = (times[-1], b)
-    for k in range(1, times.size):
-        step(rng, out[:, k - 1], times[k - 1], times[k], out[:, k], pin)
+    out[:, -1] = b
     return out
 
 

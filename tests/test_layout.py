@@ -90,6 +90,15 @@ drew whole paths on the merged grid and decided the half-space events on
 grid points.  Its ranks and discordance decisions read the same stacked
 kernels.  At alpha = 1e3 no piece needs the wedge series; at alpha = 1e8,
 kappa = 3, 684 pieces (2-tuples) and 1144 pieces (3-tuples) do.
+Layout 10 re-recorded three cases: `conditional_H_prob(always)`,
+`conditional_H_prob(never, alpha=1e10)` and `samplers`.  `paths.bridge` is
+now one `paths.brownian` call pinned at both ends, where it stepped from
+point to point towards the right endpoint, and `conditional_H_prob` draws
+its bridges with it, a block of rows at a time, where it stepped its live
+replicas time-major.  Of `samplers` only the bridge line moved; the other
+lines kept their bytes.  The `alpha=1e5` and `alpha=100, clipped at 0`
+cases kept their digests: every weight there is 1 times P(N), whatever is
+drawn.
 
 To print the current digests: `python tests/test_layout.py`, or
 `python tests/test_layout.py NAME ...` for the named cases alone.
@@ -292,7 +301,7 @@ CASES = {
         lambda: _simulate_hulls(2, 2, "0,5") + "\n" + _simulate_hulls(1, 2, "0,5"),
 }
 
-EXPECTED_LAYOUT = 9
+EXPECTED_LAYOUT = 10
 
 EXPECTED = {
     'bridge_stay_prob':
@@ -300,13 +309,13 @@ EXPECTED = {
     'campbell_check':
         '10ac9071421b4a7d6ff1dc4bcbe77a86cb97654511156e026cc3bb0ac1dd2965',
     'conditional_H_prob(always)':
-        'f33de889221898fc760470446b1d6b64c7540589a3fc2868189af6dc00c44761',
+        'd0d8dacfa98175b8a747ea5c9997ad83be27b2e92b72eeb3381df5c5f9f83b0a',
     'conditional_H_prob(always, alpha=1e5)':
         'b1e7182d331326477e04cda9d25a3f060a5d2a854ec64445daa5815315fc0258',
     'conditional_H_prob(always, alpha=100, clipped at 0)':
         'a60d7590891221b951e4b2cf15a55c2e790d609cf2d2bb951e98b452e9912352',
     'conditional_H_prob(never, alpha=1e10)':
-        'b9c99f0d7fbcc1d524668e56b9a38deff92cdec0456116e0d93570999edb08c3',
+        'b5c060db8f501c420635c3788fcb4957733b6d9a2abd507b5746ff662551b900',
     'discordant_prob':
         '80a073c62c168830624ec41182ee28da938c076717ccc5b7f82935228a7de7b3',
     'discordant_prob(alpha=1e8, kappa=3)':
@@ -330,7 +339,7 @@ EXPECTED = {
     'prob_R_complement(alpha=100)':
         '0c29e96fb4c92571ce67a829df598a7dbee4a8f24ddd41aa097429470ea57abc',
     'samplers':
-        'fc9a792aa2d9fe833bc6868db17dcd47cb16a3adc4c20b19aad08910355f6379',
+        '0df57ac13f848a88ae54061bf8d7dbb51d5ca7a33e895c2e37858ea42271af0d',
     'simulate(dim=2)':
         '015650db3f50da560d857561afdc67ef31fb63d02a0b0c7f22d8e54c8f33baec',
     'simulate(dim=3)':

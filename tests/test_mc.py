@@ -127,22 +127,6 @@ def test_bridge_stay_non_unit_gap():
     assert abs(est.mean - target) <= 4 * est.std_error
 
 
-def test_stepper_fills_whole_paths_of_weighted_replicas():
-    """The stepper's out rows of the replicas with nonzero weight are whole
-    bridges, and each weight is the per-edge crossing product along its row."""
-    times = np.linspace(0.2, 0.7, 65)
-    a, b, offset = np.array([0.3, 0.1]), np.array([0.2, -0.1]), 0.05
-    out = np.empty((500, times.size, 2))
-    w = mc._stay_weights(stream(0, 1, 0), 500, QUADRANT, times, a, b, offset, out=out)
-    held = np.flatnonzero(w)
-    assert 0 < held.size < 500
-    paths = out[held]
-    assert np.all(paths[:, 0] == a) and np.all(paths[:, -1] == b)
-    d = paths @ QUADRANT.edge_normals().T + offset
-    cross = 2.0 * d[:, :-1] * d[:, 1:] / np.diff(times)[:, None]
-    assert np.allclose(w[held], np.prod(-np.expm1(-cross), axis=(1, 2)), rtol=1e-12)
-
-
 @pytest.mark.parametrize("wedge,a,b,exact", [
     (UPPER, [-10.0, 1.0], [10.0, 1.0], -math.expm1(-2.0)),
     (UPPER, [-30.0, 1.0], [30.0, 1.0], -math.expm1(-2.0)),
@@ -306,8 +290,9 @@ def test_conditional_H_dense_rain_runs_without_drawing_rain(monkeypatch):
 def test_conditional_H_integrates_the_covering_event_out(monkeypatch):
     """With the rain unreachable, include_R="always" still runs, and where
     every replica passes the modulus event its mean is P(N) times the
-    "never" mean: both step the same planar quadrant draws.  The window
-    [0, 0.3855] of [0.05, 0.30] at alpha = 100 is clipped at 0, where
+    "never" mean: both draw the same planar quadrant bridges.  The modulus
+    event is decided once per block of rows, and every call passes.  The
+    window [0, 0.3855] of [0.05, 0.30] at alpha = 100 is clipped at 0, where
     P(N^c) = 8.4e-7."""
     _no_rain(monkeypatch)
     passed = []
@@ -325,7 +310,7 @@ def test_conditional_H_integrates_the_covering_event_out(monkeypatch):
     args = ("interior", QUADRANT, s1, s2, d1, d2, alpha, cfg(replicas=2000))
     with_r = mc.conditional_H_prob(*args, include_R="always")
     without = mc.conditional_H_prob(*args, include_R="never")
-    assert passed == [True]
+    assert passed and all(passed)
     assert with_r.extra["r_conjunct"] == "simulated"
     assert with_r.mean == pytest.approx(p_cover * without.mean, rel=1e-12, abs=0.0)
     assert with_r.mean != without.mean
@@ -359,6 +344,58 @@ def test_conditional_H_estimates():
     small_h = mc.conditional_H_prob("interior", wedge, 0.375, 0.625, d1, d2,
                                     50.0, cfg(replicas=500), include_R="never")
     assert small.mean <= small_h.mean + 1e-12
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("wedge", [QUADRANT, HALF_PLANE], ids=["quadrant", "half-plane"])
+def test_conditional_H_two_steps_match_exact_law(wedge, seed):
+    """Grid 8 over the gap 1/4 gives 2 steps, and the per-edge crossing
+    product is exact for one edge line and for the quadrant's two
+    independent edge coordinates at any grid, so the "never" estimate is
+    within 4 SE of its law at alpha = e^20, w = enlargement(alpha): on the
+    quadrant, ends on its two edges rho = 0.5 from the tip,
+    (1 - exp(-2 w (rho + w) / gap))^2; on the half-plane, ends on its edge
+    line, 1 - exp(-2 w^2 / gap)."""
+    alpha, gap = math.e ** 20, 0.25
+    w = enlargement(alpha)
+    if wedge is QUADRANT:
+        ends, law = _edge_points(0.5), (1.0 - math.exp(-2.0 * w * (0.5 + w) / gap)) ** 2
+    else:
+        ends, law = ([0.0, 0.2], [0.0, -0.4]), 1.0 - math.exp(-2.0 * w * w / gap)
+    est = mc.conditional_H_prob("interior", wedge, 0.375, 0.375 + gap, *ends, alpha,
+                                cfg(seed=seed, grid=8), include_R="never")
+    assert abs(est.mean - law) <= 4 * est.std_error
+
+
+def test_conditional_H_memory_bounded_in_replicas():
+    """The bridges are drawn a block of rows at a time: at 4096 replicas and
+    grid 1024 over the gap 1/4 whole paths would take 16.8 MB, and the
+    time-major stepper that held them peaked at 30 MB; the traced peak stays
+    below 8 MB (5.2 MB measured)."""
+    d1, d2 = _edge_points(0.5)
+    tracemalloc.start()
+    try:
+        mc.conditional_H_prob("interior", QUADRANT, 0.375, 0.625, d1, d2, math.e ** 20,
+                              cfg(replicas=4096, grid=1024))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("alpha,include_R", [(3.0, "always"), (1e10, "never")])
+def test_conditional_H_block_size_does_not_enter(monkeypatch, alpha, include_R):
+    """paths.bridge draws replica by replica, so blocks of 1, 7 or 1000 rows
+    give the same bytes, where the modulus event fails on some replicas
+    (alpha = 3) and where most replicas leave the enlarged wedge (1e10)."""
+    d1, d2 = _edge_points(0.5)
+    out = set()
+    for rows in (1, 7, 1000):
+        monkeypatch.setattr(mc, "_DECIDE_ROWS", rows)
+        out.add(mc.conditional_H_prob("interior", QUADRANT, 0.375, 0.625, d1, d2, alpha,
+                                      cfg(replicas=300, grid=64), eps=0.93,
+                                      include_R=include_R).to_json())
+    assert len(out) == 1
 
 
 @pytest.mark.parametrize("spec", [s for s in verify.PROP6_GRID

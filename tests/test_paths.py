@@ -56,6 +56,29 @@ def test_bridge_endpoints_and_variance():
     assert abs(mids.mean()) < 0.02
 
 
+def test_bridge_joint_law_on_uneven_grid():
+    """On an uneven grid from t0 = 0.1 to T = 0.9 the endpoints are exact
+    to the bit, each coordinate's mean is a + (t - t0)/(T - t0) (b - a), and
+    the covariance of two interior times s <= t is (s - t0)(T - t)/(T - t0),
+    each entry within 4 of its SEs, sqrt((C_ss C_tt + C_st^2)/n)."""
+    times = np.array([0.1, 0.15, 0.4, 0.45, 0.8, 0.9])
+    a, b = np.array([0.3, -1.0]), np.array([-0.7, 2.0])
+    n = 20000
+    br = bridge(stream(4, 206, 0), n, times, a, b)
+    assert br[:, 0].tobytes() == np.tile(a, n).tobytes()
+    assert br[:, -1].tobytes() == np.tile(b, n).tobytes()
+    t0, T, k = times[0], times[-1], [2, 4]  # the interior times 0.4 and 0.8
+    cov = np.array([[(min(s, t) - t0) * (T - max(s, t)) / (T - t0) for t in times[k]]
+                    for s in times[k]])
+    mean = a + ((times[k] - t0) / (T - t0))[:, None] * (b - a)
+    se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / n)
+    x = br[:, k]  # (n, 2 times, 2 coordinates)
+    for c in range(2):
+        assert np.all(np.abs(np.cov(x[:, :, c], rowvar=False) - cov) <= 4 * se)
+        assert np.all(np.abs(x[:, :, c].mean(axis=0) - mean[:, c])
+                      <= 4 * np.sqrt(np.diag(cov) / n))
+
+
 def test_bridge_mean_interpolates():
     mids = bridge(stream(9, 205, 0), 4000, np.array([0.2, 0.4, 0.6]), [0.0], [4.0])[:, 1, 0]
     assert np.mean(mids) == pytest.approx(2.0, abs=0.1)

@@ -21,9 +21,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "bmhull"
 
 # test oracles: independent implementations the tests and checks compare with
 ORACLES = ("check_N", "euler_characteristic_3d", "final_assembly")
-# the samplers and estimators the package offers its callers without calling
-# them itself
-ENTRY_POINTS = ("bridge", "stay_prob_wedge", "bridge_stay_prob", "discordant_prob")
+# the estimators the package offers its callers without calling them itself
+ENTRY_POINTS = ("stay_prob_wedge", "bridge_stay_prob", "discordant_prob")
 # (class, member) pairs the package offers its callers without calling them
 # itself: the serialised estimate that the layout digests and the benchmark's
 # checks read
