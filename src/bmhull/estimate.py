@@ -32,8 +32,10 @@ CHUNK = 16384
 # 1, weighted by the exact bridge laws of its pieces; 10 draws each bridge
 # of paths.bridge in one brownian call pinned at both ends, and
 # conditional_H_prob's bridges with it, a block of rows at a time, where
-# both stepped from grid time to grid time.
-STREAM_LAYOUT = 10
+# both stepped from grid time to grid time; 11 weighs conditional_H_prob's
+# grid steps and discordant_prob's skeleton pieces by
+# integrals.wedge_bridge_factor, which alone picks product or series per row.
+STREAM_LAYOUT = 11
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .estimate import Estimate, EstimatorConfig, from_weights, run_chunks
 
 _STREAM_ZA = 71
 _LOG_1E6 = math.log(1e6)
+_LOG_1E9 = -math.log(1e-9)
 _EPS = float(np.finfo(float).eps)
 
 
@@ -139,7 +140,36 @@ def covering_miss_prob(alpha: float, a: float, b: float, radius: float) -> float
     return math.exp(top) * acc
 
 
-def wedge_bridge_factor(a, b, z, opening: float) -> np.ndarray:
+def _wedge_series(a, b, z, opening):
+    """The heat-kernel series of wedge_bridge_factor, for rows a, b, z and
+    opening of one shape: (q, bound), q the summed factor and bound its
+    rounding bound.
+
+    Each row is summed term by term, so the temporaries are O(rows), until
+    the rest of its sum is below 1e-17: nu -> I_nu(z) is log-concave, so
+    past a term with nu >= 1 each later term is at most the one before
+    times s = (z / (m + sqrt(m^2 + z^2)))^(pi / Theta), m = nu - 1/2 (Amos's
+    bound on I_(m+1/2) / I_(m-1/2)), and the rest at most term s / (1 - s).
+    A row also stops once its rounding bound passes 1e-9.
+    """
+    step = np.pi / opening
+    # the prefactor, capped at e^600: no such row passes the rounding bound
+    scale = 4.0 * step * np.exp(np.minimum(2.0 * z * np.sin(0.5 * (a - b)) ** 2, 600.0))
+    total, size, nu = np.zeros((3, z.size))  # size: the rounding budget
+    rows = np.arange(z.size)
+    while rows.size:
+        nu[rows] += step[rows]
+        ar, br, zr, sr, vr, st = a[rows], b[rows], z[rows], scale[rows], nu[rows], step[rows]
+        t = ive(vr, zr)
+        total[rows] += t * np.sin(vr * ar) * np.sin(vr * br)
+        size[rows] += t * (32.0 + vr * (ar + br))
+        m = np.maximum(vr - 0.5, 0.5)  # the tail bound holds from nu >= 1
+        rows = rows[(_EPS * sr * size[rows] <= 1e-9)
+                    & ((vr < 1.0) | (sr * t >= 1e-17 * (1.0 - (zr / (m + np.hypot(m, zr))) ** st)))]
+    return scale * total, _EPS * scale * size
+
+
+def wedge_bridge_factor(a, b, z, opening) -> np.ndarray:
     """Exact P(a planar Brownian bridge stays in a wedge | its end points),
     the wedge's Dirichlet heat kernel over the free one:
 
@@ -148,57 +178,49 @@ def wedge_bridge_factor(a, b, z, opening: float) -> np.ndarray:
     nu_j = j pi / Theta, for the opening Theta in (0, 2 pi], reflex ones
     included, end points at polar angles a and b in (0, Theta) from one edge
     and radii r and rho from the tip, over a time t, and z = r rho / t.
-    a, b and z broadcast together; the result is their flattened shape.
+    a, b, z and the opening broadcast together, so each row has its own
+    opening; the result is their flattened shape.
 
-    Each row is summed term by term, so the temporaries are O(rows), until
-    the rest of its sum is below 1e-17: nu -> I_nu(z) is log-concave, so
-    past a term with nu >= 1 each later term is at most the one before
-    times s = (z / (m + sqrt(m^2 + z^2)))^(pi / Theta), m = nu - 1/2 (Amos's
-    bound on I_(m+1/2) / I_(m-1/2)), and the rest at most term s / (1 - s).
+    Each row is routed before any series is summed:
 
-    For end points far apart relative to sqrt(t) the sum cancels against
+    1. the per-edge product (1 - exp(-near)) (1 - exp(-far)), near =
+       2 z sin a sin b and far = 2 z sin(Theta - a) sin(Theta - b) the -log
+       of the two edges' crossing probabilities, where it is exact: on the
+       half-plane (Theta = pi, one edge, far = inf) and on the quadrant
+       (Theta = pi/2, independent edge coordinates);
+    2. the same product at any other convex opening where the smaller
+       crossing probability exp(-max(near, far)) is at most 1e-9, within
+       that of the law (|P(A B) - P(A) P(B)| <= min(P(A^c), P(B^c)));
+    3. the series, _wedge_series, for every other row, reflex ones included.
+
+    For end points far apart relative to sqrt(t) the series cancels against
     the prefactor e^(z (1 - cos(a - b))).  A row's rounding error is taken
     to be at most eps times the prefactor times sum_j ive(nu_j, z) (32 +
     nu_j (a + b)), which allows Bessel values good to 32 ulps and the
     rounded arguments of the sines; on the half-plane and the quadrant the
-    error against their closed forms stays below 0.6 of it.  Past 1e-9
-    (always where the prefactor passes its cap e^600) a half-plane row
-    takes its exact single factor 1 - exp(-2 z sin a sin b), and a row of a
-    narrower wedge the per-edge product, whose error is at most the smaller
-    of its two crossing probabilities exp(-2 z sin a sin b) and
-    exp(-2 z sin(Theta - a) sin(Theta - b)) (|P(A B) - P(A) P(B)| <=
-    min(P(A^c), P(B^c))), where that is at most 1e-9.  Any other row raises
-    ValueError naming it.
+    error against their closed forms stays below 0.6 of it.  A series row
+    whose bound passes 1e-9 (always where the prefactor passes its cap
+    e^600) raises ValueError naming it.
     """
-    a, b, z = (v.ravel() for v in np.broadcast_arrays(*map(np.asarray, (a, b, z))))
-    step = math.pi / opening
-    # the prefactor, capped at e^600: no such row passes the rounding bound
-    scale = 4.0 * step * np.exp(np.minimum(2.0 * z * np.sin(0.5 * (a - b)) ** 2, 600.0))
-    total, size = np.zeros(z.size), np.zeros(z.size)  # size: the rounding budget
-    rows, nu = np.arange(z.size), 0.0
-    while rows.size:
-        nu += step
-        ar, br, zr, sr = a[rows], b[rows], z[rows], scale[rows]
-        t = ive(nu, zr)
-        total[rows] += t * np.sin(nu * ar) * np.sin(nu * br)
-        size[rows] += t * (32.0 + nu * (ar + br))
-        # a row whose rounding bound passed 1e-9 stops: it takes the switch
-        go = _EPS * sr * size[rows] <= 1e-9
-        if nu >= 1.0:
-            m = nu - 0.5
-            go &= sr * t >= 1e-17 * (1.0 - (zr / (m + np.hypot(m, zr))) ** step)
-        rows = rows[go]
-    q, bad = scale * total, np.flatnonzero(_EPS * scale * size > 1e-9)
-    a, b, z = a[bad], b[bad], z[bad]
-    near = 2.0 * z * np.sin(a) * np.sin(b)  # -log of each edge's crossing probability
-    far = (np.inf if abs(opening - math.pi) <= 1e-12  # a half-plane has one edge
-           else 2.0 * z * np.sin(opening - a) * np.sin(opening - b))
-    unsettled = np.flatnonzero((opening > math.pi) | (np.exp(-np.maximum(near, far)) > 1e-9))
-    if unsettled.size:
-        i = unsettled[0]
-        raise ValueError(f"wedge_bridge_factor: row {bad[i]} (a={a[i]:.6g}, b={b[i]:.6g}, "
-                         f"z={z[i]:.6g}) cancels past 1e-9, and no per-edge product settles it")
-    q[bad] = np.expm1(-near) * np.expm1(-far)
+    a, b, z, opening = np.broadcast_arrays(*np.atleast_1d(a, b, z, opening))
+    half = np.abs(opening - math.pi) <= 1e-12
+    # -log of each edge's crossing probability; a half-plane has one edge
+    near = 2.0 * z * np.sin(a) * np.sin(b)
+    far = np.where(half, np.inf, 2.0 * z * np.sin(opening - a) * np.sin(opening - b))
+    series = ~(half | (np.abs(opening - 0.5 * math.pi) <= 1e-12)
+               | ((opening < math.pi) & ((near >= _LOG_1E9) | (far >= _LOG_1E9))))
+    # a reflex row's sines may be negative; its product is never used, and
+    # the absolute values keep it from overflowing
+    q = (np.expm1(-np.abs(near)) * np.expm1(-np.abs(far))).reshape(-1)
+    a, b, z, opening = (v[series] for v in (a, b, z, opening))
+    rows = np.flatnonzero(series)
+    q[rows], bound = _wedge_series(a, b, z, opening)
+    bad = np.flatnonzero(bound > 1e-9)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"wedge_bridge_factor: row {rows[i]} (a={a[i]:.6g}, b={b[i]:.6g}, "
+                         f"z={z[i]:.6g}, opening={opening[i]:.6g}) cancels past 1e-9, "
+                         f"and no per-edge product settles it")
     return q
 
 

@@ -6,33 +6,35 @@ identity check and the discordant-pair probability.
 
 The wedge-stay estimators weight each replica by an exact planar wedge law,
 integrals.wedge_bridge_factor, the probability that a Brownian bridge stays
-in a wedge of any opening, convex or reflex, given its end points.
+in a wedge of any opening, convex or reflex, given its end points.  The
+kernel alone decides, row by row, between the exact per-edge product, the
+heat-kernel series and a refusal; no estimator here picks a route.
 stay_prob_wedge and fit_exit_exponent draw one step per replica, the end
 point B(t) ~ N(x, t I), and weight it by 1{B(t) in W} q(x, B(t); t);
 bridge_stay_prob draws the bridge's midpoint and weights it by the factors
 of its two halves.  Each weight is the conditional expectation of the stay
 indicator given the drawn point, so these estimators are unbiased (up to
-the kernel's 1e-9 switch on rows whose series cancels), their memory is
-O(replicas), and the grid setting does not enter them.  The points are
-drawn in the wedge's own frame (tip at 0, first edge along the positive
-reals), so a rigid motion of the wedge and the points moves an estimate by
-rounding only.
+the kernel's 1e-9 product rule at convex openings other than pi and pi/2),
+their memory is O(replicas), and the grid setting does not enter them.
+The points are drawn in the wedge's own frame (tip at 0, first edge along
+the positive reals), so a rigid motion of the wedge and the points moves
+an estimate by rounding only.
 
 conditional_H_prob needs whole bridges for its modulus event, so it draws
 them with paths.bridge, _DECIDE_ROWS replicas at a time: its memory is
 O(_DECIDE_ROWS x steps), bounded in the replicas, and since bridge draws
 replica by replica the block size does not enter the bytes.  Its wedge is
-convex, and each row is weighted by 1{every grid point inside} times the
-product over the steps and edges of the bridge crossing correction
-1 - exp(-2 d_k d_{k+1} / dt), d the distance to the edge line: exact for
-one edge line, so for the half-plane and for the quadrant, whose edge
-coordinates are independent, but not at other openings.
+convex, and each row is weighted by the product over its grid steps of the
+same exact bridge factor, read in the enlarged wedge's own frame, and by
+0 if any grid point lies outside: given the grid points the weight is
+exact at every convex opening.
 
 discordant_prob draws only the skeleton of each path, B at 0, at the
 merged tuple times and at 1, which fixes both facet normals, their anchors
 and the discordance geometry, and weights it by the exact probability,
 given the skeleton, that every bridge piece between skeleton points stays
-in the planar wedge the two half-space events cut out of span(n_r, n_s).
+in the planar wedge the two half-space events cut out of span(n_r, n_s),
+one kernel call for every piece of every such wedge.
 Both sides of campbell_check draw _DECIDE_ROWS replicas per block, with
 one rain.level_times and one brownian call, and the lhs counts the block's
 facets with one hulls.planar_rain_facets call, a vertex test that builds no
@@ -80,29 +82,28 @@ _TAG_FIT_BASE = 800
 # this many, so, like CHUNK, it is part of the stream layout; the blocks of
 # conditional_H_prob's bridges do not enter its bytes
 _DECIDE_ROWS = 256
-# a bridge piece one of whose edge lines it crosses with at most this
-# probability takes the per-edge product, within this of the wedge law
-_SWITCH = 1e-9
 
 
-def _frame(wedge: Wedge2D, p) -> complex:
-    """The point p in the wedge's own frame, as a complex number: the tip
-    at 0 and the first edge along the positive reals, so that the wedge
-    holds the arguments (0, opening)."""
-    d = np.asarray(p, dtype=float).reshape(2) - wedge.tip
-    return complex(*d) * np.exp(-1j * (wedge.axis_angle - wedge.half_angle))
+def _frame(wedge: Wedge2D, p):
+    """The points p, (..., 2), in the wedge's own frame, as complex numbers
+    (...,): the tip at 0 and the first edge along the positive reals, so
+    that the wedge holds the arguments (0, opening)."""
+    d = np.asarray(p, dtype=float) - wedge.tip
+    return d.view(complex)[..., 0] * np.exp(-1j * (wedge.axis_angle - wedge.half_angle))
 
 
-def _bridge_factor(wedge: Wedge2D, p, q, t: float) -> np.ndarray:
-    """integrals.wedge_bridge_factor of the bridges from p to q over time
-    t, complex points in the wedge's frame broadcast together; 0 where
-    either end lies outside the open wedge."""
+def _bridge_factor(wedge: Wedge2D, path, dts) -> np.ndarray:
+    """The product of integrals.wedge_bridge_factor over the bridge pieces
+    of each row of path, (..., k + 1) complex points in the wedge's frame,
+    over the times dts, (k,) or a scalar; 0 where any point of the row lies
+    outside the open wedge."""
     opening = 2.0 * wedge.half_angle
-    a, b = (np.mod(np.angle(x), 2.0 * math.pi) for x in (p, q))
-    a, b, z = np.broadcast_arrays(a, b, np.abs(p) * np.abs(q) / t)
-    inside = (0.0 < a) & (a < opening) & (0.0 < b) & (b < opening)
-    w = np.zeros(z.shape)
-    w[inside] = wedge_bridge_factor(a[inside], b[inside], z[inside], opening)
+    ang = np.mod(np.angle(path), 2.0 * math.pi)
+    ok = ((0.0 < ang) & (ang < opening)).all(axis=-1)
+    ang, rad = ang[ok], np.abs(path[ok])
+    z = rad[:, :-1] * rad[:, 1:] / dts
+    w = np.zeros(ok.shape)
+    w[ok] = wedge_bridge_factor(ang[:, :-1], ang[:, 1:], z, opening).reshape(z.shape).prod(axis=1)
     return w
 
 
@@ -121,10 +122,11 @@ def _one_step_weights(rng: np.random.Generator, n: int, wedge: Wedge2D, start,
     a = _frame(wedge, start)
     noise = rng.standard_normal((n, 2)).view(complex)[:, 0]  # one planar normal per replica
     if end is None:
-        return _bridge_factor(wedge, a, a + math.sqrt(t) * noise, t)
-    b = _frame(wedge, end)
-    m = 0.5 * (a + b) + 0.5 * math.sqrt(t) * noise
-    return _bridge_factor(wedge, a, m, 0.5 * t) * _bridge_factor(wedge, m, b, 0.5 * t)
+        path = (a, a + math.sqrt(t) * noise)
+    else:
+        b = _frame(wedge, end)
+        path, t = (a, 0.5 * (a + b) + 0.5 * math.sqrt(t) * noise, b), 0.5 * t
+    return _bridge_factor(wedge, np.stack(np.broadcast_arrays(*path), axis=-1), t)
 
 
 def _skeleton_weights(pts, dts, n_r, n_s, top_r, top_s) -> np.ndarray:
@@ -136,26 +138,22 @@ def _skeleton_weights(pts, dts, n_r, n_s, top_r, top_s) -> np.ndarray:
     A piece's component in span(n_r, n_s) is a planar bridge, and the two
     half-spaces cut a wedge of opening Theta = pi - arccos(n_r.n_s) out of
     that plane, in every dimension d.  A row weighs 1{every skeleton point
-    inside} times the product over its pieces of the exact bridge factor q,
-    read from each point's distances d_r, d_s to the two edge lines:
-
-    - a piece that crosses one edge line with probability
-      exp(-2 d_0 d_1 / dt) <= _SWITCH takes the per-edge product
-      (1 - exp(-2 d_r0 d_r1 / dt)) (1 - exp(-2 d_s0 d_s1 / dt)), within
-      _SWITCH of q (|P(AB) - P(A) P(B)| <= min(P(A^c), P(B^c)));
-    - every other piece takes integrals.wedge_bridge_factor, whose polar
-      angle from the r edge and radius are atan2(d_r e, d_s - c d_r) and
-      hypot(d_r e, d_s - c d_r) / e, with c = n_r.n_s and
-      e = |n_s - c n_r| = sin(Theta); one call per row, which raises
-      ValueError on a piece whose series it cannot settle.
+    inside} times the product over its pieces of the exact bridge factor
+    integrals.wedge_bridge_factor, read from each point's distances d_r,
+    d_s to the two edge lines: its polar angle from the r edge and its
+    radius are atan2(d_r e, d_s - c d_r) and hypot(d_r e, d_s - c d_r) / e,
+    with c = n_r.n_s and e = |n_s - c n_r| = sin(Theta).  Every piece of
+    every wedge row goes to the kernel in one call, which raises ValueError
+    on a piece that nothing settles.
 
     Rows whose normals are parallel or antiparallel (_ridge_norm <=
     _PARALLEL_TOL) have no wedge.  Parallel normals bound one half-plane,
     the tighter one, and such a row takes its exact factor, from
     min(d_r, d_s).  Antiparallel normals bound a slab, and such a row takes
-    the per-edge product, an upper bound: the bridge's covariances are
-    nonnegative, so staying below one line and staying above the other, a
-    decreasing and an increasing event, are negatively correlated (Pitt).
+    the per-edge product (1 - exp(-2 d_r0 d_r1 / dt)) (1 - exp(-2 d_s0 d_s1
+    / dt)), an upper bound: the bridge's covariances are nonnegative, so
+    staying below one line and staying above the other, a decreasing and an
+    increasing event, are negatively correlated (Pitt).
     """
     d_r = top_r[:, None] - np.matmul(pts, n_r[:, :, None])[..., 0]
     d_s = top_s[:, None] - np.matmul(pts, n_s[:, :, None])[..., 0]
@@ -165,26 +163,25 @@ def _skeleton_weights(pts, dts, n_r, n_s, top_r, top_s) -> np.ndarray:
     c = row_dot(n_r[inside], n_s[inside])
     e = _ridge_norm(n_r[inside], n_s[inside])
     flat = e <= _PARALLEL_TOL
-    par = flat & (c > 0.0)
-    d_r[par] = np.minimum(d_r[par], d_s[par])
-    # -log of each edge line's crossing probability; a parallel row's looser
-    # line never binds
-    x_r = 2.0 * d_r[:, :-1] * d_r[:, 1:] / dts
-    x_s = 2.0 * d_s[:, :-1] * d_s[:, 1:] / dts
+    par = c[flat] > 0.0
+    fr, fs = d_r[flat], d_s[flat]
+    fr[par] = np.minimum(fr[par], fs[par])
+    # a parallel row's looser line never binds
+    x_s = 2.0 * fs[:, :-1] * fs[:, 1:] / dts
     x_s[par] = np.inf
-    q = np.expm1(-x_r) * np.expm1(-x_s)
-    series = ~flat[:, None] & (np.exp(-np.maximum(x_r, x_s)) > _SWITCH)
-    rows = np.flatnonzero(series.any(axis=1))
-    if rows.size:
-        c, e = c[rows], e[rows]
-        y, x = d_s[rows] - c[:, None] * d_r[rows], d_r[rows] * e[:, None]
-        ang, rad = np.arctan2(x, y), np.hypot(x, y) / e[:, None]
-        z = rad[:, :-1] * rad[:, 1:] / dts
-        opening = math.pi - np.arccos(np.clip(c, -1.0, 1.0))
-        for k, i in enumerate(rows.tolist()):
-            j = np.flatnonzero(series[i])
-            q[i, j] = wedge_bridge_factor(ang[k, j], ang[k, j + 1], z[k, j], float(opening[k]))
-    w[inside] = q.prod(axis=1)
+    w[inside[flat]] = (np.expm1(-2.0 * fr[:, :-1] * fr[:, 1:] / dts) * np.expm1(-x_s)).prod(axis=1)
+    wedge = ~flat
+    c, e = c[wedge, None], e[wedge, None]
+    # polar coordinates in the plane of the normals, built in place: d_s, d_r
+    # become the coordinates d_s - c d_r and d_r e
+    d_r, d_s = d_r[wedge], d_s[wedge]
+    d_s -= c * d_r
+    d_r *= e
+    ang, rad = np.arctan2(d_r, d_s), np.hypot(d_r, d_s) / e
+    z = rad[:, :-1] * rad[:, 1:] / dts
+    opening = math.pi - np.arccos(np.clip(c, -1.0, 1.0))
+    w[inside[wedge]] = wedge_bridge_factor(ang[:, :-1], ang[:, 1:], z,
+                                           opening).reshape(z.shape).prod(axis=1)
     return w
 
 
@@ -285,18 +282,13 @@ def conditional_H_prob(case: str, wedge: Wedge2D, s1: float, s2: float,
 
     The bridges are drawn with paths.bridge, _DECIDE_ROWS rows at a time, on
     the grid of max(2, round(grid * gap)) steps over [s1, s2].  A row weighs
-    1{every grid point inside the enlarged wedge W'} times the product over
-    the steps and edges of 1 - exp(-2 d_k d_{k+1} / dt), d the distance to
-    the edge line: given the grid points, exact for the half-plane and the
-    quadrant, biased at other openings.  There the exact "never" estimand is
-    one integrals.wedge_bridge_factor call of the ends in W''s own frame.
-    Against it, with the ends on the two edges 0.5 from the tip, alpha =
-    1e10, gap 1/4, 20 000 replicas and seed 3, the estimate reads at 2, 16
-    and 256 steps:
-
-    - opening 3pi/4: -5.6 % (z = -9.7), +0.0 % (z = +0.0), -1.5 % (z = -1.4);
-    - opening 3pi/8: +2.0 % (z = +3.8), -1.0 % (z = -0.9), -0.4 % (z = -0.4);
-    - the quadrant: +0.4 % (z = +0.8), -0.8 % (z = -0.9), -0.4 % (z = -0.4).
+    the product over its steps of integrals.wedge_bridge_factor of the
+    step's ends, read in the own frame of the enlarged wedge W', whose edge
+    lines lie phi(alpha)^2/sqrt(alpha) outside the wedge's, and 0 if any
+    grid point lies outside W'.  Given the grid points the weight is the
+    exact conditional stay probability, at every convex opening, so the
+    grid enters only through the modulus event: the "never" estimate is
+    unbiased for the bridge law of the ends in W' at any grid.
 
     include_R: "always" joins the regularity conjunct R = Y and N, the
     modulus event Y of each bridge and the covering event N of the rain on
@@ -338,24 +330,20 @@ def conditional_H_prob(case: str, wedge: Wedge2D, s1: float, s2: float,
     n_steps = max(2, int(round(config.grid_points_per_unit_time * gap)))
     times = np.linspace(s1, s2, n_steps + 1)
     simulate_r = include_R == "always"
-    w_off = enlargement(alpha)
     p_cover = 1.0 - covering_miss_prob(alpha, s1, s2, phi(alpha) / alpha)
-    if float(normals[0] @ normals[1]) > 1.0 - 1e-12:
-        normals = normals[:1]  # half-plane: its two edges are one line
-    offsets = w_off - normals @ wedge.tip  # inner unit normals' offsets, so d = x.n + c
-    scale = -2.0 / np.diff(times)[:, None]
+    # W': each edge line moved out by enlargement(alpha), so its tip backs off
+    # along the axis
+    back = enlargement(alpha) / math.sin(wedge.half_angle)
+    enlarged = Wedge2D(wedge.tip - back * np.array([math.cos(wedge.axis_angle),
+                                                    math.sin(wedge.axis_angle)]),
+                       wedge.axis_angle, wedge.half_angle)
+    dts = np.diff(times)
 
     def kernel(rng, sz):
         w = np.zeros(sz)
         for lo in range(0, sz, _DECIDE_ROWS):
             pts = bridge(rng, min(_DECIDE_ROWS, sz - lo), times, d1, d2)
-            d = pts @ normals.T
-            d += offsets  # distances to the edge lines, (rows, times, edges)
-            # 1 - exp(-2 d_k d_{k+1} / dt), in place: fewer block temporaries
-            f = d[:, :-1] * d[:, 1:]
-            f *= scale
-            np.negative(np.expm1(f, out=f), out=f)
-            wb = np.where((d > 0.0).all(axis=(1, 2)), f.prod(axis=(1, 2)), 0.0)
+            wb = _bridge_factor(enlarged, _frame(enlarged, pts), dts)
             if simulate_r:
                 held = np.flatnonzero(wb)
                 wb[held] *= modulus_ok(pts[held], times, alpha, n_dim) * p_cover
@@ -465,12 +453,11 @@ def discordant_prob(r: SimplexTimes, s: SimplexTimes, alpha: float, kappa: float
     normals, their anchors, the ranks and the discordance; a replica with an
     affinely dependent tuple or without discordance weighs 0, and any other
     replica the exact probability, given its skeleton, that every bridge
-    piece stays in the wedge of the two half-spaces (_skeleton_weights: the
-    per-edge product where one edge's crossing probability is at most
-    _SWITCH = 1e-9, integrals.wedge_bridge_factor elsewhere, and for
-    parallel or antiparallel normals the tighter half-plane's exact factor
-    or the slab's per-edge product, an upper bound).  The estimate is
-    therefore unbiased up to those 1e-9 switches and the slab bound, its
+    piece stays in the wedge of the two half-spaces (_skeleton_weights:
+    integrals.wedge_bridge_factor for every piece, and for parallel or
+    antiparallel normals the tighter half-plane's exact factor or the
+    slab's per-edge product, an upper bound).  The estimate is therefore
+    unbiased up to the kernel's 1e-9 product rule and the slab bound, its
     memory is O(replicas), and the grid setting does not enter.
 
     extra["prop5_rhs"] (when the merged times are distinct and inside

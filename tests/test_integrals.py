@@ -8,7 +8,7 @@ from bmhull.estimate import EstimatorConfig
 from bmhull.integrals import (ZaRegion, campbell_mean, complement_Za_exact, enlargement,
                               final_assembly, integral_Za_bound, integral_Za_quadrature,
                               log_final_assembly, measure_Za_complement, phi,
-                              rhs_bound, wedge_bridge_factor)
+                              rhs_bound, wedge_bridge_factor, _wedge_series)
 from bmhull.wedges import gamma_ak, lemma3_constant
 
 
@@ -241,28 +241,73 @@ def _edge_factor(a, b, z):
 def test_wedge_bridge_factor_matches_closed_forms(t):
     """On the half-plane the bridge factor is the single edge's
     1 - exp(-2 d0 d1 / t), and on the quadrant, whose edge coordinates are
-    independent, the product of its two edges' factors: within 1e-12 on
+    independent, the product of its two edges' factors.  The kernel returns
+    these products there, so the heat-kernel series is checked against them
+    directly: within 1e-12, its rounding bound within 1e-9, on
     Brownian-typical end point pairs, 100 000 drawn per wedge."""
-    a, b, z = _typical_pairs(math.pi, t)
-    assert np.max(np.abs(wedge_bridge_factor(a, b, z, math.pi) - _edge_factor(a, b, z))) <= 1e-12
-    a, b, z = _typical_pairs(math.pi / 2, t)
-    exact = _edge_factor(a, b, z) * _edge_factor(math.pi / 2 - a, math.pi / 2 - b, z)
-    assert np.max(np.abs(wedge_bridge_factor(a, b, z, math.pi / 2) - exact)) <= 1e-12
+    for opening in (math.pi, math.pi / 2):
+        a, b, z = _typical_pairs(opening, t)
+        exact = _edge_factor(a, b, z)
+        if opening < math.pi:
+            exact *= _edge_factor(opening - a, opening - b, z)
+        q, bound = _wedge_series(a, b, z, np.full(z.size, opening))
+        assert np.max(np.abs(q - exact)) <= 1e-12
+        assert np.max(bound) <= 1e-9
+        assert np.array_equal(wedge_bridge_factor(a, b, z, opening), exact)
+
+
+def _polar_rows(opening, d_r, d_s):
+    """Polar angles from the r edge and radii of planar points at distances
+    d_r and d_s from the two edges of a wedge of the given opening."""
+    x = (np.asarray(d_s) + math.cos(opening) * np.asarray(d_r)) / math.sin(opening)
+    return np.arctan2(d_r, x), np.hypot(x, d_r)
+
+
+def test_wedge_bridge_factor_switch_rule():
+    """At a convex opening other than pi and pi/2, a bridge that crosses its
+    far edge line with probability just below 1e-9 takes the per-edge
+    product, and one just above takes the series; on both sides the two
+    agree within 1e-9, at openings 2 pi/3 and pi/3."""
+    for opening in (2 * math.pi / 3, math.pi / 3):
+        for factor in (1.0 - 1e-6, 1.0 + 1e-6):  # crossing probability 1e-9 / factor
+            d_far = math.sqrt(-math.log(1e-9 / factor) / 2.0)
+            ang, rad = _polar_rows(opening, [d_far, d_far], [0.5, 0.4])
+            row = ang[0], ang[1], rad[0] * rad[1]
+            got = wedge_bridge_factor(*row, opening)[0]
+            product = -math.expm1(-2.0 * d_far * d_far) * -math.expm1(-0.4)
+            series = _wedge_series(*(np.array([v]) for v in row + (opening,)))[0][0]
+            assert abs(product - series) <= 1e-9
+            assert got == pytest.approx(product if factor > 1.0 else series, rel=1e-13)
+
+
+def test_wedge_bridge_factor_takes_one_opening_per_row():
+    """The opening broadcasts with a, b and z: one call on rows of convex,
+    quadrant, half-plane and reflex openings, both product and series rows
+    among them, returns the row-by-row scalar calls bit for bit."""
+    rows = [(0.3, 0.5, 1.2, math.pi / 3), (0.05, 0.05, 400.0, math.pi / 3),
+            (0.5, 0.9, 2.0, math.pi / 2), (1.0, 2.5, 3.0, math.pi),
+            (1.0, 4.0, 0.7, 3 * math.pi / 2), (0.2, 1.9, 5.0, 2 * math.pi)]
+    a, b, z, opening = (np.array(v) for v in zip(*rows))
+    got = wedge_bridge_factor(a, b, z, opening)
+    want = np.concatenate([wedge_bridge_factor(*row) for row in rows])
+    assert got.tobytes() == want.tobytes()
+    assert got.shape == (len(rows),) and np.all((0.0 < got) & (got < 1.0))
 
 
 def test_wedge_bridge_factor_switches_or_refuses_where_the_series_cancels():
     """End points far apart relative to sqrt(t) make the series cancel.
-    There a half-plane row takes its exact single factor, and a quadrant row
-    the per-edge product when one edge's crossing probability is at most
-    1e-9; a quadrant row that hugs both edges, and any reflex row, raise
-    and name the row."""
+    The half-plane and the quadrant never sum it: their rows take the exact
+    single factor and the exact per-edge product.  A row of another convex
+    opening that hugs both edges, and any reflex row, raise and name the
+    row."""
     a, b, z = np.array([0.5, 0.1]), np.array([0.5, 3.0]), np.array([1.0, 100.0])
     got = wedge_bridge_factor(a, b, z, math.pi)
     assert got[1] == pytest.approx(_edge_factor(0.1, 3.0, 100.0), rel=1e-15)
-    a, b, z = np.array([0.5, 0.3]), np.array([0.5, 1.2]), np.array([1.0, 2000.0])
+    a, b, z = np.array([0.5, 0.01]), np.array([0.5, math.pi / 2 - 0.01]), np.array([1.0, 500.0])
     exact = _edge_factor(a, b, z) * _edge_factor(math.pi / 2 - a, math.pi / 2 - b, z)
     assert wedge_bridge_factor(a, b, z, math.pi / 2) == pytest.approx(exact, rel=1e-12)
     with pytest.raises(ValueError, match="row 1 .* cancels"):
-        wedge_bridge_factor([0.5, 0.01], [0.5, math.pi / 2 - 0.01], [1.0, 500.0], math.pi / 2)
+        wedge_bridge_factor([0.5, 0.01], [0.5, 3 * math.pi / 8 - 0.01], [1.0, 500.0],
+                            3 * math.pi / 8)
     with pytest.raises(ValueError, match="row 0 .* cancels"):
         wedge_bridge_factor(3 * math.pi / 4, math.pi, 200.0, 3 * math.pi / 2)

@@ -99,6 +99,19 @@ replicas time-major.  Of `samplers` only the bridge line moved; the other
 lines kept their bytes.  The `alpha=1e5` and `alpha=100, clipped at 0`
 cases kept their digests: every weight there is 1 times P(N), whatever is
 drawn.
+Layout 11 re-recorded three cases: `conditional_H_prob(never, alpha=1e10)`,
+`discordant_prob(alpha=1e8, kappa=3)` and `discordant_prob(3-tuples,
+alpha=1e8, kappa=3)`.  `integrals.wedge_bridge_factor` now routes every
+row itself, with one opening per row, and both estimators read their
+weights from it: `conditional_H_prob` weighs each grid step by the kernel
+in the enlarged wedge's own frame, where it multiplied per-edge factors of
+the distances to the edge lines, and `_skeleton_weights` sends every piece
+of a wedge row to the kernel, where it took the per-edge product of the
+distances itself.  The quadrant's product is exact either way, so these
+cases moved by rounding only (the means in the last one or two digits).
+The draws are unchanged, and the wedge-stay cases, whose half-plane and
+quadrant rows now take the kernel's exact product rather than its series,
+kept their digests.
 
 To print the current digests: `python tests/test_layout.py`, or
 `python tests/test_layout.py NAME ...` for the named cases alone.
@@ -301,7 +314,7 @@ CASES = {
         lambda: _simulate_hulls(2, 2, "0,5") + "\n" + _simulate_hulls(1, 2, "0,5"),
 }
 
-EXPECTED_LAYOUT = 10
+EXPECTED_LAYOUT = 11
 
 EXPECTED = {
     'bridge_stay_prob':
@@ -315,13 +328,13 @@ EXPECTED = {
     'conditional_H_prob(always, alpha=100, clipped at 0)':
         'a60d7590891221b951e4b2cf15a55c2e790d609cf2d2bb951e98b452e9912352',
     'conditional_H_prob(never, alpha=1e10)':
-        'b5c060db8f501c420635c3788fcb4957733b6d9a2abd507b5746ff662551b900',
+        '629600f4c7b569d30afc41fd9423f4bd9b271414a244a93aa48721728e2aebf6',
     'discordant_prob':
         '80a073c62c168830624ec41182ee28da938c076717ccc5b7f82935228a7de7b3',
     'discordant_prob(alpha=1e8, kappa=3)':
-        '5f4bab23aa864cd779920662508f8ee82ff606ebd882f1c92fd9f8c200bf2589',
+        'a876287bfe3b2c4b62e8cee58eaebe21bad5018a9f68acaa516c44091575b37b',
     'discordant_prob(3-tuples, alpha=1e8, kappa=3)':
-        '07b09355fed4dcfda232a3c45a791b65f6588389a5e2c147d58efc2bf988cf64',
+        '23bcfc3f1e7c1ed1e0bd98fe3418e1085b4aaa280691ac3e730ab573f84cdbb2',
     'find_discordant witnesses':
         '20d51274e347631f7a131977c1f8d5b4cf3172592e3dcf4ad4fa52d84332345c',
     'fit_exit_exponent':
