@@ -133,6 +133,14 @@ def row_dot(x, y) -> np.ndarray:
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
+def _rank(s, diffs):
+    """Rank of each row of diffs, (rows, k, d), from its singular values s,
+    (rows, min(k, d)): those above 1e-12 times the row's largest absolute
+    difference, floored at 1e-300."""
+    scale = np.maximum(np.abs(diffs).max(axis=(1, 2)), 1e-300)
+    return np.count_nonzero(s > 1e-12 * scale[:, None], axis=1)
+
+
 def oriented_normals(points, reference):
     """Oriented facet normals, one per row: row k of the (rows, d) result is
     the unit normal to the affine span of the d points points[k],
@@ -151,8 +159,7 @@ def oriented_normals(points, reference):
         raise ValueError("need exactly d points in dimension d")
     diffs = pts[:, 1:] - pts[:, :1]
     _, s, vt = np.linalg.svd(diffs)
-    scale = np.maximum(np.abs(diffs).max(axis=(1, 2)), 1e-300)
-    rank = np.count_nonzero(s > 1e-12 * scale[:, None], axis=1)
+    rank = _rank(s, diffs)
     n = vt[:, -1]
     n = n / np.sqrt(row_dot(n, n))[:, None]
     dot = row_dot(n, ref)
@@ -221,9 +228,9 @@ def planar_rain_facets(points, m) -> np.ndarray:
     an edge iff every rain point lies strictly on one side of its line.
 
     A row with rain whose points have affine rank below 2, by the 1e-12
-    relative rule of oriented_normals, has no planar hull: DegeneracyError
-    names the row.  The rows are decided in sub-blocks of at most
-    _VERTEX_ELEMS rows x columns^2 angles.
+    relative rule of _rank that oriented_normals reads too, has no planar
+    hull: DegeneracyError names the row.  The rows are decided in sub-blocks
+    of at most _VERTEX_ELEMS rows x columns^2 angles.
     """
     pts = np.asarray(points, dtype=float)
     m = np.asarray(m)
@@ -256,12 +263,10 @@ def _rain_facets_block(pts, m, first):
     x = np.where(valid, pts[:, :w, 0], np.nan)
     y = np.where(valid, pts[:, :w, 1], np.nan)
     dx, dy = x - x[:, :1], y - y[:, :1]
-    # oriented_normals' rank rule on the differences P - B(0), pads zeroed
+    # the rank of the differences P - B(0), pads zeroed
     wet = np.flatnonzero(m > 0)
     diffs = np.where(valid[wet, 1:, None], np.stack([dx[wet, 1:], dy[wet, 1:]], axis=-1), 0.0)
-    s = np.linalg.svd(diffs, compute_uv=False)
-    scale = np.maximum(np.abs(diffs).max(axis=(1, 2)), 1e-300)
-    rank = np.count_nonzero(s > 1e-12 * scale[:, None], axis=1)
+    rank = _rank(np.linalg.svd(diffs, compute_uv=False), diffs)
     if np.any(rank < 2):
         k = int(np.argmax(rank < 2))
         raise DegeneracyError(f"row {first + wet[k]} has {m[wet[k]]} rain points "

@@ -48,9 +48,12 @@ class ZaRegion:
 
 
 def phi(alpha: float) -> float:
-    """exp(sqrt(log alpha)); strictly increasing, sub-polynomial."""
-    if alpha <= 1.0:
-        raise ValueError("alpha must be > 1")
+    """exp(sqrt(log alpha)); strictly increasing, sub-polynomial.  Refuses
+    any alpha outside (1, inf), NaN included, and so does every reader of
+    phi (enlargement, wedges.gamma_ak, paths.modulus_ok and the regularity
+    and discordant estimators), rather than return a silent NaN or 0."""
+    if not 1.0 < alpha < math.inf:
+        raise ValueError("alpha must be finite and > 1")
     return math.exp(math.sqrt(math.log(alpha)))
 
 
@@ -297,7 +300,7 @@ def rhs_bound(t, alpha: float, kappa: float, n: int) -> float:
         raise ValueError("times must be strictly increasing")
     if t[0] <= 0.0 or t[-1] >= 1.0:
         raise ValueError("times must lie strictly inside (0,1)")
-    if alpha <= 1.0:
+    if not alpha > 1.0:
         raise ValueError("alpha must be > 1")
     lead = alpha ** (-2 * n - 1)
     second = alpha ** (-2 * n - kappa / (16000.0 * n))

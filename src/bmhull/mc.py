@@ -20,8 +20,14 @@ The points are drawn in the wedge's own frame (tip at 0, first edge along
 the positive reals), so a rigid motion of the wedge and the points moves
 an estimate by rounding only.
 
-conditional_H_prob needs whole bridges for its modulus event, so it draws
-them with paths.bridge, _DECIDE_ROWS replicas at a time: its memory is
+conditional_H_prob and both sides of campbell_check decide their
+replicas a block at a time: each is a kernel of one block of rows, and
+_blockwise feeds it a chunk's replicas _DECIDE_ROWS at a time, in order on
+the chunk's stream.  Each block of either side of campbell_check makes one
+rain.level_times and one brownian call, and the lhs counts the block's
+facets with one hulls.planar_rain_facets call, a vertex test that builds no
+hull.  conditional_H_prob needs whole bridges for its modulus
+event, so it draws a block of them with paths.bridge: its memory is
 O(_DECIDE_ROWS x steps), bounded in the replicas, and since bridge draws
 replica by replica the block size does not enter the bytes.  Its wedge is
 convex, and each row is weighted by the product over its grid steps of the
@@ -35,10 +41,6 @@ and the discordance geometry, and weights it by the exact probability,
 given the skeleton, that every bridge piece between skeleton points stays
 in the planar wedge the two half-space events cut out of span(n_r, n_s),
 one kernel call for every piece of every such wedge.
-Both sides of campbell_check draw _DECIDE_ROWS replicas per block, with
-one rain.level_times and one brownian call, and the lhs counts the block's
-facets with one hulls.planar_rain_facets call, a vertex test that builds no
-hull.
 
 The regularity estimators (conditional_H_prob, prob_R_complement) decide
 each replica's modulus event with paths.modulus_ok, which passes most
@@ -78,10 +80,20 @@ _TAG_CAMPBELL_RHS = 6
 _TAG_DISCORDANT = 7
 _TAG_FIT_BASE = 800
 
-# replicas decided at once: campbell_check draws its replicas in blocks of
-# this many, so, like CHUNK, it is part of the stream layout; the blocks of
-# conditional_H_prob's bridges do not enter its bytes
+# replicas decided at once by the _blockwise kernels: campbell_check draws
+# its replicas in blocks of this many, so, like CHUNK, it is part of the
+# stream layout; the blocks of conditional_H_prob's bridges do not enter its
+# bytes
 _DECIDE_ROWS = 256
+
+
+def _blockwise(kernel):
+    """The run_chunks kernel (rng, sz) that calls kernel(rng, rows) on the
+    chunk's replicas _DECIDE_ROWS at a time, in order and all on the chunk's
+    stream, and concatenates the per-row results.  No block crosses a chunk
+    boundary, and _DECIDE_ROWS is read at each call."""
+    return lambda rng, sz: np.concatenate([kernel(rng, min(_DECIDE_ROWS, sz - lo))
+                                           for lo in range(0, sz, _DECIDE_ROWS)])
 
 
 def _frame(wedge: Wedge2D, p):
@@ -193,7 +205,10 @@ def stay_prob_wedge(wedge: Wedge2D, start, horizon: float,
     [0, horizon]), from one exact step per replica: the mean of
     1{B(horizon) in W} q(start, B(horizon); horizon), q the exact bridge
     factor integrals.wedge_bridge_factor, for convex and reflex wedges
-    alike.  The grid setting does not enter."""
+    alike.  The grid setting does not enter.  A horizon that is not finite
+    and > 0 is refused before anything is drawn."""
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("horizon must be finite and > 0")
     start = np.asarray(start, dtype=float).reshape(2)
     if not bool(wedge.membership(start[None, :], tol=1e-12)[0]):
         raise ValueError("start must lie in the wedge")
@@ -280,12 +295,13 @@ def conditional_H_prob(case: str, wedge: Wedge2D, s1: float, s2: float,
     phi(alpha)^2/sqrt(alpha)); special cases additionally need the long-gap
     condition.  Violations raise with the failed inequality.
 
-    The bridges are drawn with paths.bridge, _DECIDE_ROWS rows at a time, on
-    the grid of max(2, round(grid * gap)) steps over [s1, s2].  A row weighs
-    the product over its steps of integrals.wedge_bridge_factor of the
-    step's ends, read in the own frame of the enlarged wedge W', whose edge
-    lines lie phi(alpha)^2/sqrt(alpha) outside the wedge's, and 0 if any
-    grid point lies outside W'.  Given the grid points the weight is the
+    The kernel draws one block of bridges with paths.bridge, and _blockwise
+    feeds it _DECIDE_ROWS rows at a time, on the grid of
+    max(2, round(grid * gap)) steps over [s1, s2].  A row weighs the product
+    over its steps of integrals.wedge_bridge_factor of the step's ends, read
+    in the own frame of the enlarged wedge W', whose edge lines lie
+    phi(alpha)^2/sqrt(alpha) outside the wedge's, and 0 if any grid point
+    lies outside W'.  Given the grid points the weight is the
     exact conditional stay probability, at every convex opening, so the
     grid enters only through the modulus event: the "never" estimate is
     unbiased for the bridge law of the ends in W' at any grid.
@@ -339,23 +355,19 @@ def conditional_H_prob(case: str, wedge: Wedge2D, s1: float, s2: float,
                        wedge.axis_angle, wedge.half_angle)
     dts = np.diff(times)
 
-    def kernel(rng, sz):
-        w = np.zeros(sz)
-        for lo in range(0, sz, _DECIDE_ROWS):
-            pts = bridge(rng, min(_DECIDE_ROWS, sz - lo), times, d1, d2)
-            wb = _bridge_factor(enlarged, _frame(enlarged, pts), dts)
-            if simulate_r:
-                held = np.flatnonzero(wb)
-                wb[held] *= modulus_ok(pts[held], times, alpha, n_dim) * p_cover
-            w[lo:lo + len(wb)] = wb
+    def kernel(rng, rows):
+        pts = bridge(rng, rows, times, d1, d2)
+        w = _bridge_factor(enlarged, _frame(enlarged, pts), dts)
+        if simulate_r:
+            held = np.flatnonzero(w)
+            w[held] *= modulus_ok(pts[held], times, alpha, n_dim) * p_cover
         return w
 
     rhs = prop6_rhs(case, gap, alpha, eps, theta, n_dim)
-    est = from_weights(run_chunks(config, _TAG_CONDH, kernel), config,
-                       extra={"case": case, "alpha": alpha, "eps": eps,
-                              "theta": theta, "gap": gap, "prop6_rhs": rhs,
-                              "r_conjunct": "simulated" if simulate_r else "assumed"})
-    return est
+    return from_weights(run_chunks(config, _TAG_CONDH, _blockwise(kernel)), config,
+                        extra={"case": case, "alpha": alpha, "eps": eps,
+                               "theta": theta, "gap": gap, "prop6_rhs": rhs,
+                               "r_conjunct": "simulated" if simulate_r else "assumed"})
 
 
 def prob_R_complement(alpha: float, n_dim: int, config: EstimatorConfig) -> Estimate:
@@ -390,9 +402,10 @@ def campbell_check(alpha: float, n_dim: int, config: EstimatorConfig):
     rhs: alpha^n * vol(simplex) * P(facet event at a uniform simplex point),
     the mean of the facet-event indicators weighted by alpha^n / n!.
 
-    Both sides draw _DECIDE_ROWS replicas at a time: the lhs a block of level
-    sets and their paths, the rhs a block of simplex times, then of level
-    sets, then the paths at their merged times.  Returns (lhs, rhs)
+    Both sides are kernels of one block of rows, fed _DECIDE_ROWS replicas
+    at a time by _blockwise: the lhs draws a block of level sets and their
+    paths, the rhs a block of simplex times, then of level sets, then the
+    paths at their merged times.  Returns (lhs, rhs)
     Estimates; the identity makes their CIs overlap, and both estimate
     integrals.campbell_mean(alpha).
     """
@@ -401,37 +414,31 @@ def campbell_check(alpha: float, n_dim: int, config: EstimatorConfig):
     if not 1.0 < alpha <= 50.0:
         raise ValueError("alpha must be in (1, 50]")
 
-    def lhs_kernel(rng, sz):
-        counts = np.zeros(sz)
-        for lo in range(0, sz, _DECIDE_ROWS):
-            times, m = level_times(rng, alpha, min(_DECIDE_ROWS, sz - lo))
-            pts = brownian(rng, len(m), time_steps(times), n_dim)[:, 1:]
-            counts[lo:lo + len(m)] = planar_rain_facets(pts, m)
-        return counts
+    def lhs_kernel(rng, rows):
+        times, m = level_times(rng, alpha, rows)
+        pts = brownian(rng, rows, time_steps(times), n_dim)[:, 1:]
+        return planar_rain_facets(pts, m)
 
-    def rhs_kernel(rng, sz):
-        hits = np.zeros(sz, dtype=bool)
-        for lo in range(0, sz, _DECIDE_ROWS):
-            rows = min(_DECIDE_ROWS, sz - lo)
-            r = np.sort(rng.random((rows, n_dim)), axis=1)
-            all_t = np.concatenate([r, level_times(rng, alpha, rows)[0]], axis=1)
-            order = np.argsort(all_t, axis=1, kind="stable")
-            path = brownian(rng, rows, time_steps(np.take_along_axis(all_t, order, axis=1)),
-                            n_dim)[:, 1:]
-            # the path at all_t: simplex points first, then the level points,
-            # whose pads repeat B(1), one of the row's own level points
-            pts = np.empty_like(path)
-            pts[np.arange(rows)[:, None], order] = path
-            eps = 1e-12 * np.maximum(1.0, np.abs(pts).max(axis=(1, 2)))
-            # an affinely dependent simplex is no facet: its event is False
-            hits[lo:lo + rows] = facet_events(pts[:, :n_dim], pts[:, n_dim:], eps)[0]
-        return hits
+    def rhs_kernel(rng, rows):
+        r = np.sort(rng.random((rows, n_dim)), axis=1)
+        all_t = np.concatenate([r, level_times(rng, alpha, rows)[0]], axis=1)
+        order = np.argsort(all_t, axis=1, kind="stable")
+        path = brownian(rng, rows, time_steps(np.take_along_axis(all_t, order, axis=1)),
+                        n_dim)[:, 1:]
+        # the path at all_t: simplex points first, then the level points,
+        # whose pads repeat B(1), one of the row's own level points
+        pts = np.empty_like(path)
+        pts[np.arange(rows)[:, None], order] = path
+        eps = 1e-12 * np.maximum(1.0, np.abs(pts).max(axis=(1, 2)))
+        # an affinely dependent simplex is no facet: its event is False
+        return facet_events(pts[:, :n_dim], pts[:, n_dim:], eps)[0]
 
     extra = {"alpha": alpha, "estimand": "mean_facet_count"}
-    lhs = from_weights(run_chunks(config, _TAG_CAMPBELL_LHS, lhs_kernel), config,
+    lhs = from_weights(run_chunks(config, _TAG_CAMPBELL_LHS, _blockwise(lhs_kernel)), config,
                        clamp01=False, extra=extra)
     # the indicator side is cheaper and noisier
-    hits = run_chunks(config, _TAG_CAMPBELL_RHS, rhs_kernel, replicas=config.replicas * 4)
+    hits = run_chunks(config, _TAG_CAMPBELL_RHS, _blockwise(rhs_kernel),
+                      replicas=config.replicas * 4)
     rhs = from_weights(hits * (alpha ** n_dim / math.factorial(n_dim)), config,
                        clamp01=False, extra=dict(extra))
     return lhs, rhs

@@ -22,6 +22,15 @@ def test_phi_values():
         phi(0.5)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_phi_refuses_nan_and_inf(alpha):
+    """phi refuses NaN, which `alpha <= 1` lets through, and inf, whose
+    enlargement is NaN; so do its readers."""
+    for fn in (phi, enlargement, lambda a: gamma_ak(a, 1.0)):
+        with pytest.raises(ValueError, match="alpha must be finite and > 1"):
+            fn(alpha)
+
+
 @given(st.floats(min_value=1.0001, max_value=1e12))
 @settings(max_examples=60, deadline=None)
 def test_phi_slowly_varying(alpha):
@@ -146,6 +155,9 @@ def test_rhs_bound_domain():
         rhs_bound([0.0, 0.4, 0.6, 0.8], 100.0, 1.0, 2)  # touches the boundary
     with pytest.raises(ValueError):
         rhs_bound([0.2, 0.4, 0.6, 0.8], 1.0, 1.0, 2)
+    # NaN, which `alpha <= 1` lets through, would return NaN
+    with pytest.raises(ValueError, match="alpha must be > 1"):
+        rhs_bound([0.2, 0.4, 0.6, 0.8], math.nan, 1.0, 2)
 
 
 def test_final_assembly_formula():

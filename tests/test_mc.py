@@ -8,7 +8,7 @@ from scipy import stats
 from scipy.special import ive
 
 from bmhull import hulls, mc, rain, verify
-from bmhull.estimate import EstimatorConfig, stream
+from bmhull.estimate import CHUNK, EstimatorConfig, run_chunks, stream
 from bmhull.hulls import SimplexTimes, oriented_normals, row_dot
 from bmhull.integrals import campbell_mean, covering_miss_prob, enlargement, phi
 from bmhull.paths import brownian, modulus_ok
@@ -71,6 +71,20 @@ def test_start_on_edge_never_stays():
 def test_stay_prob_start_outside():
     with pytest.raises(ValueError):
         mc.stay_prob_wedge(HALF_PLANE, [-1.0, 0.0], 1.0, cfg(replicas=100))
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("drew")
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0, 0.0])
+def test_stay_prob_refuses_horizon_before_drawing(monkeypatch, horizon):
+    """A horizon that is not finite and > 0 is refused before anything is
+    drawn: NaN would read as mean 0, inf as a NaN estimate, -1 as a math
+    domain error and 0 as a division by zero."""
+    monkeypatch.setattr(mc, "run_chunks", _no_draws)
+    with pytest.raises(ValueError, match="horizon must be finite and > 0"):
+        mc.stay_prob_wedge(HALF_PLANE, [1.0, 0.0], horizon, cfg(replicas=200))
 
 
 @pytest.mark.parametrize("wedge,start,exact", [
@@ -320,10 +334,7 @@ def test_conditional_H_refuses_times_outside_unit_interval(monkeypatch, s1, s2):
     """The level set lives on [0, 1], so a window reaching past either end
     is refused before anything is drawn; its covering event would otherwise
     read as a silent mean 0 with the R conjunct "simulated"."""
-    def no_draws(*args, **kwargs):
-        raise AssertionError("drew")
-
-    monkeypatch.setattr(mc, "run_chunks", no_draws)
+    monkeypatch.setattr(mc, "run_chunks", _no_draws)
     with pytest.raises(ValueError, match="0 <= s1 < s2 <= 1"):
         mc.conditional_H_prob("interior", HALF_PLANE, s1, s2, [0.0, 0.2], [0.0, -0.4],
                               100.0, cfg(replicas=200), include_R="always")
@@ -435,6 +446,23 @@ def test_conditional_H_block_size_does_not_enter(monkeypatch, alpha, include_R):
     assert len(out) == 1
 
 
+def test_blockwise_feeds_each_chunk_its_blocks_in_order():
+    """_blockwise hands the kernel a chunk's replicas 256 at a time, on the
+    chunk's own stream: CHUNK + 100 replicas come as 64 blocks of 256 rows
+    and one of 100, no block crossing the chunk boundary, and the bytes are
+    those of one draw per chunk."""
+    config = EstimatorConfig(replicas=CHUNK + 100)
+    seen = []
+
+    def kernel(rng, rows):
+        seen.append(rows)
+        return rng.random(rows)
+
+    out = run_chunks(config, 9, mc._blockwise(kernel))
+    assert seen == [256] * 64 + [100]
+    assert out.tobytes() == run_chunks(config, 9, lambda rng, sz: rng.random(sz)).tobytes()
+
+
 @pytest.mark.parametrize("spec", [s for s in verify.PROP6_GRID
                                   if s["case"].startswith("interior")],
                          ids=lambda s: s["case"])
@@ -518,6 +546,24 @@ def test_discordant_prob_reports_bound():
     with pytest.raises(ValueError):
         mc.discordant_prob(SimplexTimes(np.array([0.3])), SimplexTimes(np.array([0.6])),
                            100.0, 1.0, cfg(replicas=200))
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+@pytest.mark.parametrize("estimate", [
+    lambda alpha: mc.discordant_prob(SimplexTimes(np.array([0.2, 0.4])),
+                                     SimplexTimes(np.array([0.6, 0.8])), alpha,
+                                     math.pi / 2, cfg(replicas=200)),
+    lambda alpha: mc.prob_R_complement(alpha, 2, cfg(replicas=200)),
+    lambda alpha: mc.conditional_H_prob("interior", HALF_PLANE, 0.25, 0.5, [0.0, 0.2],
+                                        [0.0, -0.4], alpha, cfg(replicas=200)),
+], ids=["discordant", "r_complement", "conditional_H"])
+def test_phi_readers_refuse_nan_and_inf_alpha_before_drawing(monkeypatch, estimate, alpha):
+    """Every estimator that reads phi refuses a NaN or infinite alpha before
+    anything is drawn: discordant_prob at alpha = NaN would read mean 0 with
+    CI [0, 0.0228] and a NaN prop5_rhs."""
+    monkeypatch.setattr(mc, "run_chunks", _no_draws)
+    with pytest.raises(ValueError, match="alpha must be finite and > 1"):
+        estimate(alpha)
 
 
 def test_discordant_prob_memory_bounded_in_replicas():
