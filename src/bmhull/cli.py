@@ -1,9 +1,9 @@
 """Command-line front end: simulation artifacts, verification suites, sweeps.
 
 Outputs embed the seed, the config echo and the package version; they never
-embed wall-clock times (those go to stderr), so re-running a command with the
-same config yields byte-identical files.  The config echo holds exactly the
-settings the command read, minus its output location.
+embed wall-clock times or peak memory (those go to stderr), so re-running a
+command with the same config yields byte-identical files.  The config echo
+holds exactly the settings the command read, minus its output location.
 
 Precedence for settings: command-line flag > config file > built-in default.
 The config file holds flat ``key=value`` lines whose keys are the command's
@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import os
+import resource
 import sys
 import time
 
@@ -123,6 +124,15 @@ def _write(path, text):
     click.echo(path)
 
 
+def _report_elapsed(t0):
+    """Print the wall time since t0 and the process's peak RSS so far to
+    stderr: neither repeats from run to run, so no artifact holds them."""
+    # ru_maxrss counts bytes on macOS and KiB elsewhere
+    scale = 2 ** 20 if sys.platform == "darwin" else 2 ** 10
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
+    click.echo(f"elapsed {time.monotonic() - t0:.2f}s, peak RSS {peak:.1f} MB", err=True)
+
+
 def _rows_to_csv(rows, header):
     buf = io.StringIO()
     w = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
@@ -181,7 +191,7 @@ def cmd_simulate(ctx, seed, dim, alphas, out):
         tag = repr(float(a)).replace(".", "p").replace("-", "m")
         _write(os.path.join(out_dir, f"hull_alpha_{tag}.json"),
                json.dumps(doc, sort_keys=True) + "\n")
-    click.echo(f"elapsed {time.monotonic() - t0:.2f}s", err=True)
+    _report_elapsed(t0)
 
 
 @main.command("verify")
@@ -202,7 +212,7 @@ def cmd_verify(ctx, suite, seed, replicas, grid, confidence, out):
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
         click.echo(f"{status} {c['check']}", err=True)
-    click.echo(f"elapsed {time.monotonic() - t0:.2f}s", err=True)
+    _report_elapsed(t0)
     if not report["all_passed"]:
         sys.exit(1)
 
@@ -254,7 +264,7 @@ def cmd_sweep(ctx, inner, seed, dim, replicas, grid, confidence, out_format, val
         _write(os.path.join(out, f"sweep_{inner}.{out_format}"), text)
     else:
         click.echo(text, nl=False)
-    click.echo(f"elapsed {time.monotonic() - t0:.2f}s", err=True)
+    _report_elapsed(t0)
 
 
 if __name__ == "__main__":

@@ -20,10 +20,12 @@ The points are drawn in the wedge's own frame (tip at 0, first edge along
 the positive reals), so a rigid motion of the wedge and the points moves
 an estimate by rounding only.
 
-conditional_H_prob and both sides of campbell_check decide their
-replicas a block at a time: each is a kernel of one block of rows, and
-_blockwise feeds it a chunk's replicas _DECIDE_ROWS at a time, in order on
-the chunk's stream.  Each block of either side of campbell_check makes one
+conditional_H_prob, both sides of campbell_check and prob_R_complement
+decide their replicas a block at a time: each is a kernel of one block of
+rows, and _blockwise feeds it a chunk's replicas a fixed number of rows at
+a time, in order on the chunk's stream: _DECIDE_ROWS for the first three,
+and for prob_R_complement as many as fill about _PATH_ELEMS doubles of
+path.  Each block of either side of campbell_check makes one
 rain.level_times and one brownian call, and the lhs counts the block's
 facets with one hulls.planar_rain_facets call, a vertex test that builds no
 hull.  conditional_H_prob needs whole bridges for its modulus
@@ -45,14 +47,17 @@ one kernel call for every piece of every such wedge.
 The regularity estimators (conditional_H_prob, prob_R_complement) decide
 each replica's modulus event with paths.modulus_ok, which passes most
 replicas by the bounding boxes of windows of the path rather than by
-scanning every lag, exactly what checking every pair decides.  The covering
+scanning every lag, exactly what checking every pair decides.  Each block
+of paths is decided as soon as it is drawn, so neither holds more than one
+block of paths, and their memory is bounded in the replicas.  The covering
 event of the rain is independent of the path: conditional_H_prob integrates
 it out, multiplying each weight by its exact probability
 integrals.covering_miss_prob, and draws no rain; prob_R_complement decides
 it for the replicas that pass the modulus event with one
-rain.level_covered call per chunk, which settles most rows from a prefix of
-their level sets and draws the rest only for the rows the prefix leaves
-undecided, exactly what drawing and checking the whole level set decides.
+rain.level_covered call per chunk, after the chunk's last block of paths,
+which settles most rows from a prefix of their level sets and draws the
+rest only for the rows the prefix leaves undecided, exactly what drawing
+and checking the whole level set decides.
 """
 
 from __future__ import annotations
@@ -80,20 +85,26 @@ _TAG_CAMPBELL_RHS = 6
 _TAG_DISCORDANT = 7
 _TAG_FIT_BASE = 800
 
-# replicas decided at once by the _blockwise kernels: campbell_check draws
-# its replicas in blocks of this many, so, like CHUNK, it is part of the
-# stream layout; the blocks of conditional_H_prob's bridges do not enter its
-# bytes
+# replicas per block of campbell_check and conditional_H_prob: campbell_check
+# draws a block's level sets before its paths, so, like CHUNK, this is part
+# of its stream layout; conditional_H_prob's bridges draw replica by replica,
+# and the block size does not enter its bytes
 _DECIDE_ROWS = 256
+# doubles of path in one block of prob_R_complement, 4 MiB: its memory is
+# bounded in the replicas, and a block stays large enough that glibc's
+# dynamic mmap threshold keeps modulus_ok's window tables on the heap rather
+# than mapping and faulting them afresh (at 1 MiB blocks the faults cost
+# about a fifth of the sweep's time)
+_PATH_ELEMS = 1 << 19
 
 
-def _blockwise(kernel):
-    """The run_chunks kernel (rng, sz) that calls kernel(rng, rows) on the
-    chunk's replicas _DECIDE_ROWS at a time, in order and all on the chunk's
-    stream, and concatenates the per-row results.  No block crosses a chunk
-    boundary, and _DECIDE_ROWS is read at each call."""
-    return lambda rng, sz: np.concatenate([kernel(rng, min(_DECIDE_ROWS, sz - lo))
-                                           for lo in range(0, sz, _DECIDE_ROWS)])
+def _blockwise(kernel, rows: int):
+    """The run_chunks kernel (rng, sz) that calls kernel(rng, r) on the
+    chunk's replicas `rows` at a time (r = rows, and what is left in the
+    last block), in order and all on the chunk's stream, and concatenates
+    the per-row results.  No block crosses a chunk boundary."""
+    return lambda rng, sz: np.concatenate([kernel(rng, min(rows, sz - lo))
+                                           for lo in range(0, sz, rows)])
 
 
 def _frame(wedge: Wedge2D, p):
@@ -364,15 +375,33 @@ def conditional_H_prob(case: str, wedge: Wedge2D, s1: float, s2: float,
         return w
 
     rhs = prop6_rhs(case, gap, alpha, eps, theta, n_dim)
-    return from_weights(run_chunks(config, _TAG_CONDH, _blockwise(kernel)), config,
+    w = run_chunks(config, _TAG_CONDH, _blockwise(kernel, _DECIDE_ROWS))
+    return from_weights(w, config,
                         extra={"case": case, "alpha": alpha, "eps": eps,
                                "theta": theta, "gap": gap, "prop6_rhs": rhs,
                                "r_conjunct": "simulated" if simulate_r else "assumed"})
 
 
 def prob_R_complement(alpha: float, n_dim: int, config: EstimatorConfig) -> Estimate:
-    """Failure frequency of the joint regularity event R on [0,1]: Poisson
-    level set dense enough AND grid modulus event, per replica."""
+    """Failure frequency of the regularity event R = Y and N on [0,1], per
+    replica: Y the modulus event of a Brownian path on the grid of
+    config.grid_points_per_unit_time steps, N the covering event of the
+    Poisson level set at radius phi(alpha)/alpha.
+
+    Y is checked only on pairs of grid times, so the estimand is P(R^c) for
+    that grid, not for the continuous path, and it grows with the grid: at
+    alpha = 10 (n_dim = 2, seed 0, 10 000 replicas) it reads 0.051 at grid
+    256 and 0.202 at grid 1024.
+
+    The kernel draws each chunk's paths with paths.brownian and decides
+    their modulus event with paths.modulus_ok one block at a time, about
+    _PATH_ELEMS doubles of path (4 MiB: 1020 rows of 257 planar points),
+    fed by _blockwise; then one rain.level_covered call draws the rain of
+    the rows that passed.  It holds one block of paths, never a chunk, so
+    its memory is bounded in the replicas.  brownian draws replica by
+    replica and the rain reads only the chunk's verdicts, so the block size
+    does not enter the bytes.
+    """
     if alpha <= 1.0:
         raise ValueError("alpha must be > 1")
     if n_dim < 1:
@@ -381,9 +410,12 @@ def prob_R_complement(alpha: float, n_dim: int, config: EstimatorConfig) -> Esti
     times = np.linspace(0.0, 1.0, n_steps + 1)
     dts = np.full(n_steps, times[1] - times[0])
     radius = phi(alpha) / alpha
+    decide = _blockwise(lambda rng, rows: modulus_ok(brownian(rng, rows, dts, n_dim),
+                                                     times, alpha, n_dim),
+                        max(1, _PATH_ELEMS // (times.size * n_dim)))
 
     def kernel(rng, sz):
-        ok = modulus_ok(brownian(rng, sz, dts, n_dim), times, alpha, n_dim)
+        ok = decide(rng, sz)
         ok[ok] = level_covered(rng, alpha, 0.0, 1.0, radius, int(ok.sum()))
         return ~ok
 
@@ -434,10 +466,11 @@ def campbell_check(alpha: float, n_dim: int, config: EstimatorConfig):
         return facet_events(pts[:, :n_dim], pts[:, n_dim:], eps)[0]
 
     extra = {"alpha": alpha, "estimand": "mean_facet_count"}
-    lhs = from_weights(run_chunks(config, _TAG_CAMPBELL_LHS, _blockwise(lhs_kernel)), config,
-                       clamp01=False, extra=extra)
+    lhs = from_weights(run_chunks(config, _TAG_CAMPBELL_LHS,
+                                  _blockwise(lhs_kernel, _DECIDE_ROWS)),
+                       config, clamp01=False, extra=extra)
     # the indicator side is cheaper and noisier
-    hits = run_chunks(config, _TAG_CAMPBELL_RHS, _blockwise(rhs_kernel),
+    hits = run_chunks(config, _TAG_CAMPBELL_RHS, _blockwise(rhs_kernel, _DECIDE_ROWS),
                       replicas=config.replicas * 4)
     rhs = from_weights(hits * (alpha ** n_dim / math.factorial(n_dim)), config,
                        clamp01=False, extra=dict(extra))

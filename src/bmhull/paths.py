@@ -14,8 +14,10 @@ import numpy as np
 from .integrals import phi
 
 
-# soft cap on the normals drawn in one block of brownian()
-_BLOCK_ELEMS = 20_000_000
+# soft cap on the normals drawn in one block of brownian(): 0.5 MiB, so the
+# normal temporary stays small beside the paths it fills; the draws go
+# replica by replica, so the cap does not enter the bytes
+_BLOCK_ELEMS = 1 << 16
 # soft cap on the points of one row block of modulus_ok(), small enough that
 # the block, its window tables and its lag temporaries stay in cache
 _SCAN_ELEMS = 1 << 16

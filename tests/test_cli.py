@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -60,6 +61,24 @@ def test_verify_lemma8_passes(tmp_path):
     assert doc["config"]["stream_layout"] == STREAM_LAYOUT
     # no wall-clock anywhere in the artifact
     assert b"elapsed" not in read(tmp_path / "verify_lemma8.json")
+
+
+@pytest.mark.parametrize("args", [["simulate", "--alphas", "5"],
+                                  ["verify", "lemma4", "--replicas", "200"],
+                                  ["sweep", "za-integrals", "--values", E2]],
+                         ids=lambda a: a[0])
+def test_stderr_reports_elapsed_and_peak_rss(tmp_path, args):
+    """Each command ends its stderr with its wall time and the process's
+    peak RSS; neither reaches stdout or an artifact."""
+    r = run(args + ["--out", str(tmp_path)])
+    assert r.exit_code == 0
+    last = r.stderr.strip().splitlines()[-1]
+    assert re.fullmatch(r"elapsed \d+\.\d\ds, peak RSS \d+\.\d MB", last), last
+    assert float(last.split()[-2]) > 0.0
+    assert "elapsed " not in r.stdout and "peak RSS" not in r.stdout
+    for name in os.listdir(tmp_path):
+        text = read(tmp_path / name)
+        assert b"elapsed " not in text and b"peak RSS" not in text, name
 
 
 def test_verify_reports_to_stdout():

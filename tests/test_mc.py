@@ -7,7 +7,7 @@ import scipy.spatial
 from scipy import stats
 from scipy.special import ive
 
-from bmhull import hulls, mc, rain, verify
+from bmhull import hulls, mc, paths, rain, verify
 from bmhull.estimate import CHUNK, EstimatorConfig, run_chunks, stream
 from bmhull.hulls import SimplexTimes, oriented_normals, row_dot
 from bmhull.integrals import campbell_mean, covering_miss_prob, enlargement, phi
@@ -458,7 +458,7 @@ def test_blockwise_feeds_each_chunk_its_blocks_in_order():
         seen.append(rows)
         return rng.random(rows)
 
-    out = run_chunks(config, 9, mc._blockwise(kernel))
+    out = run_chunks(config, 9, mc._blockwise(kernel, 256))
     assert seen == [256] * 64 + [100]
     assert out.tobytes() == run_chunks(config, 9, lambda rng, sz: rng.random(sz)).tobytes()
 
@@ -497,6 +497,40 @@ def test_prob_R_complement_positive_at_small_alpha():
     two-point level set often enough that failures actually occur."""
     est = mc.prob_R_complement(3.0, 2, cfg(replicas=2000, grid=64))
     assert est.mean > 0.0
+
+
+def test_prob_R_complement_memory_bounded_in_replicas():
+    """The paths are drawn and decided a block of about 4 MiB at a time: at
+    4096 replicas and grid 512 a whole chunk of planar paths would take
+    33.6 MB, and the kernel that held it, with a normal buffer of the same
+    size, peaked at 64.1 MiB; the traced peak stays below 12 MiB (6.9 MiB
+    measured)."""
+    tracemalloc.start()
+    try:
+        mc.prob_R_complement(100.0, 2, cfg(replicas=4096, grid=512))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
+
+
+@pytest.mark.parametrize("alpha", [3.0, 100.0])
+def test_prob_R_complement_block_size_does_not_enter(monkeypatch, alpha):
+    """brownian draws replica by replica and the rain reads only the
+    chunk's modulus verdicts, so path blocks of 1, 7 or 1000 rows, and
+    normal blocks of 7 elements, give the same bytes: at alpha = 3, where
+    some replicas fail the modulus event and the rain follows the partial
+    verdict, and at alpha = 100."""
+    out = set()
+    for rows in (1, 7, 1000):
+        monkeypatch.setattr(mc, "_PATH_ELEMS", rows * 65 * 2)
+        out.add(mc.prob_R_complement(alpha, 2, cfg(replicas=1000, grid=64)).to_json())
+    monkeypatch.setattr(paths, "_BLOCK_ELEMS", 7)
+    est = mc.prob_R_complement(alpha, 2, cfg(replicas=1000, grid=64))
+    out.add(est.to_json())
+    assert len(out) == 1
+    if alpha == 3.0:
+        assert 0.0 < est.mean < 1.0
 
 
 def test_campbell_overlap():

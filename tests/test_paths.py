@@ -30,7 +30,7 @@ def test_brownian_starts_at_zero():
     assert np.var(vals) == pytest.approx(0.25, abs=0.03)
 
 
-@pytest.mark.parametrize("block_elems", [20_000_000, 7])
+@pytest.mark.parametrize("block_elems", [paths._BLOCK_ELEMS, 7])
 def test_brownian_row_grids_match_one_row_calls(block_elems, monkeypatch):
     """Per-row steps (rows, n) give, byte for byte, the rows that 1-d calls
     draw one after another on one stream, whatever the row blocks."""
