@@ -5,6 +5,11 @@ regularity events and Monte Carlo / quadrature harnesses for the bounds that
 connect them.
 """
 
+import time as _time
+
+# read before numpy and scipy load, so the CLI's elapsed time includes them
+_STARTED = _time.monotonic()
+
 __version__ = "0.1.0"
 
 from .estimate import (CHUNK, STREAM_LAYOUT, Estimate, EstimatorConfig, chunk_sizes,

@@ -27,7 +27,7 @@ import time
 import click
 import numpy as np
 
-from . import __version__, mc
+from . import _STARTED, __version__, mc
 from .estimate import STREAM_LAYOUT, EstimatorConfig, stream
 from .hulls import build_hull
 from .integrals import integral_Za_bound, integral_Za_quadrature
@@ -124,13 +124,14 @@ def _write(path, text):
     click.echo(path)
 
 
-def _report_elapsed(t0):
-    """Print the wall time since t0 and the process's peak RSS so far to
-    stderr: neither repeats from run to run, so no artifact holds them."""
+def _report_elapsed():
+    """Print the wall time since the package began to load and the process's
+    peak RSS so far to stderr, both counting the imports: neither repeats
+    from run to run, so no artifact holds them."""
     # ru_maxrss counts bytes on macOS and KiB elsewhere
     scale = 2 ** 20 if sys.platform == "darwin" else 2 ** 10
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
-    click.echo(f"elapsed {time.monotonic() - t0:.2f}s, peak RSS {peak:.1f} MB", err=True)
+    click.echo(f"elapsed {time.monotonic() - _STARTED:.2f}s, peak RSS {peak:.1f} MB", err=True)
 
 
 def _rows_to_csv(rows, header):
@@ -154,7 +155,6 @@ def main():
 def cmd_simulate(ctx, seed, dim, alphas, out):
     """One coupled realization: path CSV, rain CSV and a hull JSON per level.
     Writes to --out, else $BMHULL_OUT, else the working directory."""
-    t0 = time.monotonic()
     out_dir = out or os.environ.get("BMHULL_OUT") or "."
     levels = sorted(alphas)
     rng = stream(seed, _TAG_SIMULATE, 0)
@@ -191,7 +191,7 @@ def cmd_simulate(ctx, seed, dim, alphas, out):
         tag = repr(float(a)).replace(".", "p").replace("-", "m")
         _write(os.path.join(out_dir, f"hull_alpha_{tag}.json"),
                json.dumps(doc, sort_keys=True) + "\n")
-    _report_elapsed(t0)
+    _report_elapsed()
 
 
 @main.command("verify")
@@ -200,7 +200,6 @@ def cmd_simulate(ctx, seed, dim, alphas, out):
 @click.pass_context
 def cmd_verify(ctx, suite, seed, replicas, grid, confidence, out):
     """Run one named suite; nonzero exit when any check fails."""
-    t0 = time.monotonic()
     checks = SUITES[suite](_estimator(seed, replicas, grid, confidence))
     report = {"suite": suite, "config": _provenance(ctx, "suite"), "checks": checks,
               "all_passed": all(c["passed"] for c in checks)}
@@ -212,7 +211,7 @@ def cmd_verify(ctx, suite, seed, replicas, grid, confidence, out):
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
         click.echo(f"{status} {c['check']}", err=True)
-    _report_elapsed(t0)
+    _report_elapsed()
     if not report["all_passed"]:
         sys.exit(1)
 
@@ -248,7 +247,6 @@ _INNER = {"r-complement": (_inner_r_complement,
 def cmd_sweep(ctx, inner, seed, dim, replicas, grid, confidence, out_format, values, out):
     """Sweep the inner computation over parameter values; CSV/JSON rows with
     full provenance columns."""
-    t0 = time.monotonic()
     config = _estimator(seed, replicas, grid, confidence)
     fn, cols = _INNER[inner]
     prov = {f"cfg_{k}": v for k, v in sorted(_provenance(ctx, "inner", "values").items())}
@@ -264,7 +262,7 @@ def cmd_sweep(ctx, inner, seed, dim, replicas, grid, confidence, out_format, val
         _write(os.path.join(out, f"sweep_{inner}.{out_format}"), text)
     else:
         click.echo(text, nl=False)
-    _report_elapsed(t0)
+    _report_elapsed()
 
 
 if __name__ == "__main__":

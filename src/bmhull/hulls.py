@@ -1,13 +1,15 @@
 """Convex hulls with oriented facets in dimension 2..4, plus the facet events
 and counting processes of the approximating polytope.
 
-Hull construction is delegated to qhull (scipy.spatial.ConvexHull); the module
-owns the orientation convention, the tolerance policy and the facet/time
-bookkeeping.  A Polytope is qhull's arrays: row k of `simplices`, `normals`
-and `offsets` is facet k, so every reader works on all facets at once.
-build_hulls takes a block of point sets, decides their affine ranks with one
-stacked SVD and their tolerances with one default_eps call, and runs qhull
-per row; build_hull is its one-row case.
+Hull construction is delegated to qhull (scipy.spatial.ConvexHull, which
+build_hulls imports once a block passes its point-count gate, so a process
+that builds no hull never loads scipy.spatial); the module owns the
+orientation convention, the tolerance policy and the facet/time bookkeeping.
+A Polytope is qhull's arrays: row k of `simplices`, `normals` and `offsets` is
+facet k, so every reader works on all facets at once.  build_hulls takes a
+block of point sets, decides their affine ranks with one stacked SVD and
+their tolerances with one default_eps call, and runs qhull per row;
+build_hull is its one-row case.
 Brute-force half-space containment stays available as a test oracle.  The
 per-replica facet geometry runs stacked over a leading row axis
 (oriented_normals, facet_events, planar_rain_facets), one row per replica;
@@ -20,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
-from scipy.spatial import QhullError
 
 
 class DegeneracyError(ValueError):
@@ -94,6 +94,9 @@ def build_hulls(points) -> list:
         return [DegeneracyError(f"need at least {d+1} points in dimension {d}", rank=r)
                 for r in rank]
     eps = default_eps(pts).tolist()
+    # imported here, not at module level: about 12 MB and 0.1 s per process,
+    # needed only by processes that build hulls
+    from scipy.spatial import ConvexHull, QhullError
     out = []
     for p, r, e in zip(pts, rank, eps):
         if r < d:

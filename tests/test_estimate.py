@@ -92,11 +92,38 @@ def test_interval_bounds_are_python_floats():
 
 
 def test_package_does_not_import_scipy_stats():
-    """The interval's normal quantile is scipy.special.ndtri, so importing
-    the package and its CLI leaves scipy.stats, and its import time, out."""
+    """The interval's normal quantile is scipy.special.ndtri and qhull loads
+    at the first block that reaches it, so importing the package and its CLI
+    leaves scipy.stats and scipy.spatial, and their import time and memory,
+    out.  They stay out through the estimators that build no hull (the
+    Campbell lhs counts facets without qhull), and one build_hull call loads
+    scipy.spatial."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import bmhull, bmhull.cli, sys; print('scipy.stats' in sys.modules)"
+    code = """
+import math, sys
+import numpy as np
+import bmhull, bmhull.cli
+from bmhull import mc
+from bmhull.estimate import EstimatorConfig
+from bmhull.wedges import Wedge2D
+
+def loaded():
+    return [m in sys.modules for m in ("scipy.stats", "scipy.spatial")]
+
+print(loaded())
+cfg = EstimatorConfig(replicas=100, master_seed=1, grid_points_per_unit_time=16)
+quadrant = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=math.pi / 4)
+h = math.sqrt(0.125)  # (h, +-h) lie on the quadrant's edges at distance 0.5
+mc.prob_R_complement(20.0, 2, cfg)
+mc.conditional_H_prob("interior", quadrant, 0.375, 0.625, [h, h], [h, -h], 3.0, cfg,
+                      eps=0.93)
+mc.stay_prob_wedge(quadrant, [1.0, 0.0], 1.0, cfg)
+mc.campbell_check(10.0, 2, cfg)
+print(loaded())
+bmhull.build_hull(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+print(loaded())
+"""
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.split("\n")[:3] == ["[False, False]", "[False, False]", "[False, True]"]

@@ -5,9 +5,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.spatial import QhullError
 
-from bmhull import hulls
 from bmhull.estimate import stream
 from bmhull.hulls import (DegeneracyError, SimplexTimes, build_hull, build_hulls, default_eps,
                           euler_characteristic_3d, facet_events, merged_times,
@@ -69,7 +69,7 @@ def test_build_hull_qhull_failure(monkeypatch):
     def refuse(points):
         raise QhullError("QH6154 initial simplex is flat")
 
-    monkeypatch.setattr(hulls, "ConvexHull", refuse)
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", refuse)
     with pytest.raises(DegeneracyError, match=r"^qhull failed: QH6154 initial simplex is flat$") \
             as exc:
         build_hull(SQUARE)

@@ -561,7 +561,6 @@ def test_campbell_lhs_builds_no_hull(monkeypatch):
         raise AssertionError("qhull called")
 
     monkeypatch.setattr(hulls, "build_hull", refuse)
-    monkeypatch.setattr(hulls, "ConvexHull", refuse)
     monkeypatch.setattr(scipy.spatial, "ConvexHull", refuse)
     after = [e.to_json() for e in mc.campbell_check(20.0, 2, cfg(replicas=600, seed=5))]
     assert after == before
