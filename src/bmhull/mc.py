@@ -256,25 +256,19 @@ def lemma6_bound(alpha: float, eps: float, theta: float, r: float) -> float:
     return alpha ** eps * max(1.0 / alpha, r) ** (1.0 + theta / 20.0)
 
 
-def bridge_stay_prob(wedge: Wedge2D, a, b, config: EstimatorConfig,
-                     bound_params=None) -> Estimate:
+def bridge_stay_prob(wedge: Wedge2D, a, b, config: EstimatorConfig) -> Estimate:
     """P(planar Brownian bridge from a to b over [0,1] stays in the wedge),
     from one exact step per replica: the midpoint M ~ N((a + b)/2, I/4),
     weighted by the exact bridge factors of the two half-intervals,
-    q(a, M; 1/2) q(M, b; 1/2).  The grid setting does not enter.
-
-    bound_params=(alpha, eps, theta) additionally reports the corresponding
-    analytic upper bound at r = |a - tip|.
-    """
+    q(a, M; 1/2) q(M, b; 1/2).  The grid setting does not enter.  An end
+    outside the wedge is refused before anything is drawn."""
     a = np.asarray(a, dtype=float).reshape(2)
+    if not wedge.membership(np.vstack([a, b]), tol=1e-12).all():
+        raise ValueError("a and b must lie in the wedge")
     w = run_chunks(config, _TAG_BRIDGE,
                    lambda rng, sz: _one_step_weights(rng, sz, wedge, a, 1.0, b))
-    r0 = float(np.linalg.norm(a - wedge.tip))
-    extra = {"r": r0, "half_angle": wedge.half_angle}
-    if bound_params is not None:
-        al, eps, th = bound_params
-        extra["lemma6_bound"] = lemma6_bound(al, eps, th, r0)
-    return from_weights(w, config, extra=extra)
+    return from_weights(w, config, extra={"r": float(np.linalg.norm(a - wedge.tip)),
+                                          "half_angle": wedge.half_angle})
 
 
 _CASES = ("interior", "edge", "interior-special", "edge-special")
@@ -312,25 +306,30 @@ def conditional_H_prob(case: str, wedge: Wedge2D, s1: float, s2: float,
     over its steps of integrals.wedge_bridge_factor of the step's ends, read
     in the own frame of the enlarged wedge W', whose edge lines lie
     phi(alpha)^2/sqrt(alpha) outside the wedge's, and 0 if any grid point
-    lies outside W'.  Given the grid points the weight is the
-    exact conditional stay probability, at every convex opening, so the
-    grid enters only through the modulus event: the "never" estimate is
-    unbiased for the bridge law of the ends in W' at any grid.
-
-    include_R: "always" joins the regularity conjunct R = Y and N, the
-    modulus event Y of each bridge and the covering event N of the rain on
-    [s1, s2]; "never" leaves it out, for the conservative upper value
-    P(H_i | S).  The rain is independent of the path, so E[1{Y} 1{N} | path]
+    lies outside W'.  Given the grid points that product is the exact
+    conditional stay probability, at every convex opening, so the grid
+    enters only through the regularity conjunct R = Y and N, the modulus
+    event Y of each bridge and the covering event N of the rain on
+    [s1, s2].  The rain is independent of the path, so E[1{Y} 1{N} | path]
     = 1{Y} P(N): each weight is multiplied by 1{Y} and by the exact
     P(N) = 1 - integrals.covering_miss_prob(alpha, s1, s2, phi(alpha)/alpha),
     one scalar per call, and no rain is drawn at any alpha.  The report's
-    r_conjunct reads "simulated" (Y simulated, N integrated out) or
-    "assumed".
+    r_conjunct reads "simulated" (Y simulated, N integrated out).
+
+    extra["stay_law"] is the exact bridge law of the two ends in W', one
+    kernel call over the whole gap, so the estimate is at most
+    stay_law * P(N), with equality where Y holds on every row.  It reads
+    None where the kernel refuses that one step, whose series cancels for
+    ends far apart against sqrt(gap) (3 pi/4 with both ends 1.5 from the
+    tip over the gap 1/4), while the short grid steps of the estimate
+    still settle.
+    include_R accepts "always" only; any other value is refused before
+    anything is drawn.
     """
     if case not in _CASES:
         raise ValueError(f"case must be one of {_CASES}")
-    if include_R not in ("always", "never"):
-        raise ValueError("include_R must be always or never")
+    if include_R != "always":
+        raise ValueError("include_R must be always")
     if not wedge.convex:
         raise ValueError("the projected wedge must be convex "
                          "(half_angle <= pi/2, the half-plane included)")
@@ -356,7 +355,6 @@ def conditional_H_prob(case: str, wedge: Wedge2D, s1: float, s2: float,
             raise ValueError(f"special case needs s2-s1 >= {need:.4g}, got {gap:.4g}")
     n_steps = max(2, int(round(config.grid_points_per_unit_time * gap)))
     times = np.linspace(s1, s2, n_steps + 1)
-    simulate_r = include_R == "always"
     p_cover = 1.0 - covering_miss_prob(alpha, s1, s2, phi(alpha) / alpha)
     # W': each edge line moved out by enlargement(alpha), so its tip backs off
     # along the axis
@@ -365,13 +363,16 @@ def conditional_H_prob(case: str, wedge: Wedge2D, s1: float, s2: float,
                                                     math.sin(wedge.axis_angle)]),
                        wedge.axis_angle, wedge.half_angle)
     dts = np.diff(times)
+    try:
+        stay_law = float(_bridge_factor(enlarged, _frame(enlarged, [[d1, d2]]), gap)[0])
+    except ValueError:  # the kernel refuses a law it cannot settle to 1e-9
+        stay_law = None
 
     def kernel(rng, rows):
         pts = bridge(rng, rows, times, d1, d2)
         w = _bridge_factor(enlarged, _frame(enlarged, pts), dts)
-        if simulate_r:
-            held = np.flatnonzero(w)
-            w[held] *= modulus_ok(pts[held], times, alpha, n_dim) * p_cover
+        held = np.flatnonzero(w)
+        w[held] *= modulus_ok(pts[held], times, alpha, n_dim) * p_cover
         return w
 
     rhs = prop6_rhs(case, gap, alpha, eps, theta, n_dim)
@@ -379,7 +380,7 @@ def conditional_H_prob(case: str, wedge: Wedge2D, s1: float, s2: float,
     return from_weights(w, config,
                         extra={"case": case, "alpha": alpha, "eps": eps,
                                "theta": theta, "gap": gap, "prop6_rhs": rhs,
-                               "r_conjunct": "simulated" if simulate_r else "assumed"})
+                               "stay_law": stay_law, "r_conjunct": "simulated"})
 
 
 def prob_R_complement(alpha: float, n_dim: int, config: EstimatorConfig) -> Estimate:

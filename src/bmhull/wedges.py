@@ -135,8 +135,9 @@ def discordant_pairs(n_r, off_r, verts_r, n_s, off_s, verts_s,
     comparisons).
 
     A pair past the angle threshold whose normals are parallel or
-    antiparallel (_ridge_norm) has no ridge and counts as discordant; that can
-    only overstate a probability that is checked against an upper bound.
+    antiparallel (_ridge_norm) has no ridge and counts as discordant.
+    mc.discordant_prob, which reads this kernel, counts such a pair;
+    find_discordant leaves it out, so the two readers differ on it.
     A vertex v lies at a = v.n_r - off_r and b = v.n_s - off_s from the two
     hyperplanes; in the orthonormal basis n_r, (n_s - c n_r)/|n_s - c n_r|
     of their normal plane, c = n_r.n_s, its distance to the ridge is

@@ -112,6 +112,15 @@ cases moved by rounding only (the means in the last one or two digits).
 The draws are unchanged, and the wedge-stay cases, whose half-plane and
 quadrant rows now take the kernel's exact product rather than its series,
 kept their digests.
+At layout 11, with no bump since no draw and no weight moved, five cases
+were re-recorded when `conditional_H_prob` lost its `include_R="never"`
+fork and `bridge_stay_prob` its `bound_params` option.  The three
+`conditional_H_prob(always...)` cases gained `extra["stay_law"]`, the exact
+bridge law of the ends in the enlarged wedge.  `conditional_H_prob(never,
+alpha=1e10)` became `conditional_H_prob(always, alpha=1e10)`, which gained
+`stay_law` and whose `r_conjunct` reads "simulated"; its mean and SE kept
+their bytes, since there the modulus event holds on every row and P(N) is 1
+in double.  `bridge_stay_prob` lost `extra["lemma6_bound"]`.
 
 To print the current digests: `python tests/test_layout.py`, or
 `python tests/test_layout.py NAME ...` for the named cases alone.
@@ -155,10 +164,10 @@ def _campbell():
     return lhs.to_json() + "\n" + rhs.to_json()
 
 
-def _conditional_h(alpha=3.0, include_R="always", s1=0.375, s2=0.625):
+def _conditional_h(alpha=3.0, s1=0.375, s2=0.625):
     d1, d2 = _edge_points(0.5)
     return mc.conditional_H_prob("interior", QUADRANT, s1, s2, d1, d2, alpha, CFG,
-                                 eps=0.93, include_R=include_R).to_json()
+                                 eps=0.93).to_json()
 
 
 def _discordant(alpha=1e3, kappa=math.pi / 2, r=(0.2, 0.4), s=(0.6, 0.8)):
@@ -268,8 +277,7 @@ CASES = {
     "fit_exit_exponent":
         lambda: repr(mc.fit_exit_exponent(math.pi / 4, CFG)),
     "bridge_stay_prob":
-        lambda: mc.bridge_stay_prob(HALF_PLANE, [0.5, 0.0], [0.3, 0.2], CFG,
-                                    bound_params=(1e4, 0.1, 1.0)).to_json(),
+        lambda: mc.bridge_stay_prob(HALF_PLANE, [0.5, 0.0], [0.3, 0.2], CFG).to_json(),
     "conditional_H_prob(always)": _conditional_h,
     "prob_R_complement(n=2)": lambda: mc.prob_R_complement(3.0, 2, CFG).to_json(),
     "prob_R_complement(n=3)": lambda: mc.prob_R_complement(5.0, 3, CFG).to_json(),
@@ -281,7 +289,7 @@ CASES = {
     "conditional_H_prob(always, alpha=100, clipped at 0)":
         lambda: _conditional_h(100.0, s1=0.05, s2=0.30),
     # the enlarged wedge is narrow here, so replicas leave it mid-bridge
-    "conditional_H_prob(never, alpha=1e10)": lambda: _conditional_h(1e10, "never"),
+    "conditional_H_prob(always, alpha=1e10)": lambda: _conditional_h(1e10),
     "campbell_check": _campbell,
     "discordant_prob": _discordant,
     # every branch of the discordance decision fires: facet-event failures,
@@ -318,17 +326,17 @@ EXPECTED_LAYOUT = 11
 
 EXPECTED = {
     'bridge_stay_prob':
-        '875c956535dd77d88b7617746ebfe5612ac709879064dccb2ea51e574669e0f0',
+        '1ab9f57c94b781cffcf38aee7d76b3344c906e59a47f1092dcc9f148fcd9dcaa',
     'campbell_check':
         '10ac9071421b4a7d6ff1dc4bcbe77a86cb97654511156e026cc3bb0ac1dd2965',
     'conditional_H_prob(always)':
-        'd0d8dacfa98175b8a747ea5c9997ad83be27b2e92b72eeb3381df5c5f9f83b0a',
+        '7612a8ba18d214753d3d09cb6e3ef73fb8a12c909bd615f5897856c95dfd9a71',
     'conditional_H_prob(always, alpha=1e5)':
-        'b1e7182d331326477e04cda9d25a3f060a5d2a854ec64445daa5815315fc0258',
+        'e9e9de907750f7dc73553581398e8e5502d56e3d9922be081c473204c91d54a1',
     'conditional_H_prob(always, alpha=100, clipped at 0)':
-        'a60d7590891221b951e4b2cf15a55c2e790d609cf2d2bb951e98b452e9912352',
-    'conditional_H_prob(never, alpha=1e10)':
-        '629600f4c7b569d30afc41fd9423f4bd9b271414a244a93aa48721728e2aebf6',
+        '07cb29ac3b1529afea0e74e060c658fe5bc9d916b04458f276d741e220643b3b',
+    'conditional_H_prob(always, alpha=1e10)':
+        '0ef8f8107d0b967007d8081f6a83e509a81c3ed98087dc96678936a9acd308ea',
     'discordant_prob':
         '80a073c62c168830624ec41182ee28da938c076717ccc5b7f82935228a7de7b3',
     'discordant_prob(alpha=1e8, kappa=3)':

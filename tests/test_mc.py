@@ -60,12 +60,9 @@ def test_quadrant_stay_closed_form():
 
 
 def test_start_on_edge_never_stays():
-    """A start on an edge (here the x axis, exactly) has weight 0, and so
-    does a bridge that starts outside, whatever it does later."""
+    """A start on an edge (here the x axis, exactly) has weight 0."""
     wedge = Wedge2D(tip=np.zeros(2), axis_angle=math.pi / 4, half_angle=math.pi / 4)
     assert mc.stay_prob_wedge(wedge, [0.5, 0.0], 1.0, cfg(replicas=1000)).mean == 0.0
-    outside = mc.bridge_stay_prob(wedge, [0.5, -1e-3], [0.5, 0.5], cfg(replicas=1000))
-    assert outside.mean == 0.0
 
 
 def test_stay_prob_start_outside():
@@ -126,20 +123,6 @@ def test_bridge_stay_closed_form():
     assert abs(est2.mean - (1 - math.exp(-4.0))) <= 4 * est2.std_error
 
 
-def test_bridge_stay_non_unit_gap():
-    """conditional_H_prob without the R conjunct is the bridge stay
-    probability over [s1, s2]: on a half-plane whose edge holds both
-    endpoints, the enlarged edge lies w = enlargement(alpha) away from each,
-    so the law is 1 - exp(-2 w^2 / (s2 - s1))."""
-    alpha, s1, s2 = 1e9, 0.3, 0.7
-    est = mc.conditional_H_prob("interior", HALF_PLANE, s1, s2, [0.0, 0.2], [0.0, -0.4],
-                                alpha, cfg(seed=4), include_R="never")
-    w = enlargement(alpha)
-    target = 1 - math.exp(-2.0 * w * w / (s2 - s1))
-    assert 0.2 < target < 0.8
-    assert abs(est.mean - target) <= 4 * est.std_error
-
-
 @pytest.mark.parametrize("wedge,a,b,exact", [
     (UPPER, [-10.0, 1.0], [10.0, 1.0], -math.expm1(-2.0)),
     (UPPER, [-30.0, 1.0], [30.0, 1.0], -math.expm1(-2.0)),
@@ -165,6 +148,21 @@ def test_bridge_stay_refuses_what_nothing_settles():
     number."""
     with pytest.raises(ValueError, match=r"row \d+ .* cancels"):
         mc.bridge_stay_prob(REFLEX, [10.0, 10.0], [10.0, -10.0], cfg(replicas=4000))
+
+
+def test_bridge_stay_refuses_ends_outside_the_wedge(monkeypatch):
+    """A bridge with an end outside the wedge never stays in it, and the
+    estimator refuses such an end before anything is drawn, where it would
+    report a silent 0 +- 0; an end on the edge line is inside."""
+    monkeypatch.setattr(mc, "run_chunks", _no_draws)
+    quadrant = Wedge2D(tip=np.zeros(2), axis_angle=math.pi / 4, half_angle=math.pi / 4)
+    for wedge, a, b in ((HALF_PLANE, [-1.0, 0.0], [1.0, 0.0]),
+                        (HALF_PLANE, [1.0, 0.0], [-1e-9, 3.0]),
+                        (quadrant, [0.5, -1e-3], [0.5, 0.5])):
+        with pytest.raises(ValueError, match="must lie in the wedge"):
+            mc.bridge_stay_prob(wedge, a, b, cfg(replicas=200))
+    with pytest.raises(AssertionError, match="drew"):
+        mc.bridge_stay_prob(HALF_PLANE, [0.0, 1.0], [1.0, 0.0], cfg(replicas=200))
 
 
 @pytest.mark.parametrize("estimator", [
@@ -219,10 +217,9 @@ def test_memory_bounded_in_replicas(estimator):
 
 
 def test_bridge_bound_reporting():
-    est = mc.bridge_stay_prob(HALF_PLANE, [0.05, 0.0], [0.05, 0.0],
-                              cfg(replicas=2000), bound_params=(1e4, 0.1, 1.0))
-    assert est.extra["lemma6_bound"] == pytest.approx(
-        mc.lemma6_bound(1e4, 0.1, 1.0, 0.05))
+    """alpha^eps max(1/alpha, r)^(1 + theta/20), at r above and below 1/alpha."""
+    assert mc.lemma6_bound(1e4, 0.1, 1.0, 0.05) == pytest.approx(
+        1e4 ** 0.1 * 0.05 ** 1.05)
     assert mc.lemma6_bound(1e4, 0.1, 1.0, 1e-6) == pytest.approx(
         1e4 ** 0.1 * 1e-4 ** 1.05)
 
@@ -235,9 +232,8 @@ def test_lemma6_comparison_small_r():
                     half_angle=(math.pi - theta) / 2.0)
     for r in (0.02, 0.05, 0.1):
         a = np.array([r * math.cos(0.2), r * math.sin(0.2)])
-        est = mc.bridge_stay_prob(wedge, a, a, cfg(replicas=20000, seed=7),
-                                  bound_params=(alpha, eps, theta))
-        assert est.mean <= est.extra["lemma6_bound"] + 4 * est.std_error
+        est = mc.bridge_stay_prob(wedge, a, a, cfg(replicas=20000, seed=7))
+        assert est.mean <= mc.lemma6_bound(alpha, eps, theta, r) + 4 * est.std_error
 
 
 def test_prop6_rhs_cases():
@@ -289,8 +285,9 @@ def test_conditional_H_dense_rain_runs_without_drawing_rain(monkeypatch):
     runs with the R conjunct and draws no rain, where the covering kernel
     would read a prefix of about 8e7 uniforms per replica.  Its P(N) is 1
     in double and the modulus event holds on every replica, so the estimate
-    is the half-plane bridge law 1 - exp(-2 w^2 / (s2 - s1)) of
-    test_bridge_stay_non_unit_gap."""
+    is the half-plane bridge law 1 - exp(-2 w^2 / (s2 - s1)): both endpoints
+    lie on the edge, which the enlarged edge lies w = enlargement(alpha) away
+    from."""
     _no_rain(monkeypatch)
     alpha, s1, s2 = 1e9, 0.3, 0.7
     est = mc.conditional_H_prob("interior", HALF_PLANE, s1, s2, [0.0, 0.2], [0.0, -0.4],
@@ -301,9 +298,10 @@ def test_conditional_H_dense_rain_runs_without_drawing_rain(monkeypatch):
 
 
 def test_conditional_H_integrates_the_covering_event_out(monkeypatch):
-    """With the rain unreachable, include_R="always" still runs, and where
-    every replica passes the modulus event its mean is P(N) times the
-    "never" mean: both draw the same planar quadrant bridges.  The modulus
+    """With the rain unreachable the estimator still runs, and where every
+    replica passes the modulus event its mean is P(N) times the mean of the
+    same run with covering_miss_prob patched to 0, which draws the same
+    planar quadrant bridges and weighs them with P(N) = 1.  The modulus
     event is decided once per block of rows, and every call passes.  The
     window [0, 0.3855] of [0.05, 0.30] at alpha = 100 is clipped at 0, where
     P(N^c) = 8.4e-7."""
@@ -321,8 +319,9 @@ def test_conditional_H_integrates_the_covering_event_out(monkeypatch):
     p_cover = 1.0 - covering_miss_prob(alpha, s1, s2, phi(alpha) / alpha)
     assert 1.0 - p_cover == pytest.approx(8.4e-7, rel=0.01)
     args = ("interior", QUADRANT, s1, s2, d1, d2, alpha, cfg(replicas=2000))
-    with_r = mc.conditional_H_prob(*args, include_R="always")
-    without = mc.conditional_H_prob(*args, include_R="never")
+    with_r = mc.conditional_H_prob(*args)
+    monkeypatch.setattr(mc, "covering_miss_prob", lambda *_: 0.0)
+    without = mc.conditional_H_prob(*args)
     assert passed and all(passed)
     assert with_r.extra["r_conjunct"] == "simulated"
     assert with_r.mean == pytest.approx(p_cover * without.mean, rel=1e-12, abs=0.0)
@@ -340,6 +339,16 @@ def test_conditional_H_refuses_times_outside_unit_interval(monkeypatch, s1, s2):
                               100.0, cfg(replicas=200), include_R="always")
 
 
+def test_conditional_H_refuses_include_R_other_than_always(monkeypatch):
+    """The R conjunct is always joined; the retired "never" and any other
+    value are refused before anything is drawn."""
+    monkeypatch.setattr(mc, "run_chunks", _no_draws)
+    for include_R in ("never", "sometimes"):
+        with pytest.raises(ValueError, match="include_R must be always"):
+            mc.conditional_H_prob("interior", HALF_PLANE, 0.3, 0.7, [0.0, 0.2], [0.0, -0.4],
+                                  100.0, cfg(replicas=200), include_R=include_R)
+
+
 def test_conditional_H_estimates():
     wedge = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=math.pi / 4)
     d1, d2 = _edge_points(0.5)
@@ -350,10 +359,8 @@ def test_conditional_H_estimates():
     small = mc.conditional_H_prob("interior", wedge, 0.375, 0.625, d1, d2,
                                   50.0, cfg(replicas=500))
     assert small.extra["r_conjunct"] == "simulated"
-    # adding the regularity conjunct can only reduce the probability
-    small_h = mc.conditional_H_prob("interior", wedge, 0.375, 0.625, d1, d2,
-                                    50.0, cfg(replicas=500), include_R="never")
-    assert small.mean <= small_h.mean + 1e-12
+    # the regularity conjunct can only reduce the bridge law of the ends
+    assert small.mean <= small.extra["stay_law"] + 4 * small.std_error
 
 
 def wedge_bridge_law(p, q, t, opening, terms=200):
@@ -396,22 +403,39 @@ def _two_step_case(name):
     return wedge, 1e10, ends, wedge_bridge_law(p, q, gap, 2.0 * half)
 
 
+def test_conditional_H_reports_no_stay_law_the_kernel_refuses():
+    """At 3 pi/4 with both ends on the edges 1.5 from the tip, the one step
+    over the gap 1/4 has z = 9.8 and an angle of 2.2 between its ends, and
+    its series cancels past 1e-9; the estimate's grid steps still settle,
+    so it runs and reports stay_law None rather than refusing."""
+    half = 3 * math.pi / 8
+    wedge = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=half)
+    d1, d2 = ([1.5 * math.cos(half), sign * 1.5 * math.sin(half)] for sign in (1, -1))
+    est = mc.conditional_H_prob("interior", wedge, 0.375, 0.625, d1, d2, 1e10,
+                                cfg(replicas=300, grid=64))
+    assert est.extra["stay_law"] is None
+    assert 0.4 < est.mean < 0.8
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("name", ["quadrant", "half-plane", "3pi-over-4", "3pi-over-8"])
 def test_conditional_H_two_steps_match_exact_law(name, seed):
     """Grid 8 over the gap 1/4 gives 2 steps, and each step is weighted by
     the exact wedge bridge factor in the enlarged wedge's own frame, so given
-    the grid points the "never" estimate is unbiased for the bridge law of
-    its ends in W' at every convex opening: within 4 SE of it at 20 000
-    replicas.  On the quadrant, ends on its two edges rho = 0.5 from the
-    tip, the law is (1 - exp(-2 w (rho + w) / gap))^2 and on the half-plane,
-    ends on its edge line, 1 - exp(-2 w^2 / gap), at alpha = e^20 and w =
-    enlargement(alpha); at openings 3 pi/4 and 3 pi/8 (alpha = 1e10) it is
+    the grid points the weight is unbiased for the bridge law of its ends in
+    W' at every convex opening.  At these alphas P(N) is 1 in double and the
+    modulus event holds on every row, so the estimate is within 4 SE of the
+    law at 20 000 replicas, and the reported stay_law, one kernel call over
+    the whole gap, is the law to 1e-12.  On the quadrant, ends on its two
+    edges rho = 0.5 from the tip, the law is (1 - exp(-2 w (rho + w) /
+    gap))^2 and on the half-plane, ends on its edge line, 1 - exp(-2 w^2 /
+    gap), at alpha = e^20 and w = enlargement(alpha); at openings 3 pi/4 and 3 pi/8 (alpha = 1e10) it is
     wedge_bridge_law's series.  A per-edge crossing product read -5.6 %
     (z = -9.7) at 3 pi/4."""
     wedge, alpha, ends, law = _two_step_case(name)
     est = mc.conditional_H_prob("interior", wedge, 0.375, 0.625, *ends, alpha,
-                                cfg(seed=seed, grid=8), include_R="never")
+                                cfg(seed=seed, grid=8))
+    assert est.extra["stay_law"] == pytest.approx(law, rel=1e-12, abs=0.0)
     assert abs(est.mean - law) <= 4 * est.std_error, (est.mean, law, est.std_error)
 
 
@@ -431,7 +455,7 @@ def test_conditional_H_memory_bounded_in_replicas():
     assert peak < 8 * 2 ** 20
 
 
-@pytest.mark.parametrize("alpha,include_R", [(3.0, "always"), (1e10, "never")])
+@pytest.mark.parametrize("alpha,include_R", [(3.0, "always"), (1e10, "always")])
 def test_conditional_H_block_size_does_not_enter(monkeypatch, alpha, include_R):
     """paths.bridge draws replica by replica, so blocks of 1, 7 or 1000 rows
     give the same bytes, where the modulus event fails on some replicas

@@ -12,6 +12,12 @@ Where several public classes define a member of that name, an access counts
 only for the receiver's class, which must resolve from the enclosing
 functions: a parameter annotation `x: C` or an assignment `x = C(...)`.
 This keeps wrappers that only tests call from growing back.
+
+The same holds for the options of the estimators: every keyword parameter
+with a default on a public `mc` function is passed, by keyword or by
+position, by some call in the package's code, or is named below with its
+reason.  An option only tests set is a second code path that nothing the
+package runs goes through.
 """
 
 import ast
@@ -21,8 +27,9 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "bmhull"
 
 # test oracles: independent implementations the tests and checks compare with
 ORACLES = ("check_N", "euler_characteristic_3d", "final_assembly")
-# the estimators the package offers its callers without calling them itself
-ENTRY_POINTS = ("stay_prob_wedge", "bridge_stay_prob", "discordant_prob")
+# the estimators the package offers its callers without calling them itself,
+# and lemma6_bound, the analytic bound that tests compare bridge estimates with
+ENTRY_POINTS = ("stay_prob_wedge", "bridge_stay_prob", "discordant_prob", "lemma6_bound")
 # (class, member) pairs the package offers its callers without calling them
 # itself: the serialised estimate that the layout digests and the benchmark's
 # checks read
@@ -30,6 +37,14 @@ MEMBER_ENTRY_POINTS = (("Estimate", "to_json"),)
 # (class, member) oracles: the brute-force containment that tests compare
 # facet-level decisions with
 MEMBER_ORACLES = (("Polytope", "contains"),)
+# (function, parameter) options of public mc functions that no call in the
+# package passes, each with its reason
+OPTIONS_NOT_PASSED = {
+    ("conditional_H_prob", "include_R"):
+        "the benchmark's conditional_H workload passes it; it accepts only its default",
+    ("conditional_H_prob", "n_dim"):
+        "the dimension n of Prop 6; verify runs only the planar case",
+}
 
 
 def _modules():
@@ -183,3 +198,34 @@ def test_public_members_are_used_by_the_package():
     assert unused == [], f"public methods no module of bmhull uses: {unused}"
     # the lists name only what still exists, so they cannot outlive it
     assert set(listed) <= {(cls, member) for _, cls, member in members}
+
+
+def _calls_of(trees, func):
+    """The ast.Call nodes in the package's code that call func, bare or as
+    an attribute, e.g. mc.func(...)."""
+    return [node for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and func == (node.func.id if isinstance(node.func, ast.Name)
+                         else getattr(node.func, "attr", None))]
+
+
+def test_mc_options_are_passed_by_the_package():
+    trees = _modules()
+    options = []
+    for fn in _public_defs(trees["mc"]):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+        defaults = params[len(params) - len(fn.args.defaults):]
+        defaults += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                     if d is not None]
+        passed = set()
+        for call in _calls_of(trees, fn.name):
+            passed.update(params[:len(call.args)])
+            passed.update(k.arg for k in call.keywords)
+        options += [(fn.name, name, name in passed) for name in defaults]
+    unpassed = sorted(f"mc.{f}({p}=...)" for f, p, ok in options
+                      if not ok and (f, p) not in OPTIONS_NOT_PASSED)
+    assert unpassed == [], f"options of public mc functions no call in bmhull passes: {unpassed}"
+    # the list names only options that exist and that no call passes
+    assert set(OPTIONS_NOT_PASSED) <= {(f, p) for f, p, ok in options if not ok}
