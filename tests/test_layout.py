@@ -121,6 +121,11 @@ alpha=1e10)` became `conditional_H_prob(always, alpha=1e10)`, which gained
 `stay_law` and whose `r_conjunct` reads "simulated"; its mean and SE kept
 their bytes, since there the modulus event holds on every row and P(N) is 1
 in double.  `bridge_stay_prob` lost `extra["lemma6_bound"]`.
+Also at layout 11, `fit_exit_exponent(3pi/8)` (opening 3pi/4) and
+`bridge_stay_prob(opening 3pi/8)` were added, recorded before the one-step
+estimators handed the wedge kernel their fixed ends unbroadcast: the other
+wedge-stay cases are half-planes, quadrants and a reflex wedge, and only
+these two pin the convex openings whose rows take the heat-kernel series.
 
 To print the current digests: `python tests/test_layout.py`, or
 `python tests/test_layout.py NAME ...` for the named cases alone.
@@ -152,6 +157,8 @@ CFG_2CHUNK = EstimatorConfig(replicas=CHUNK + 100, master_seed=0, grid_points_pe
 HALF_PLANE = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=math.pi / 2)
 QUADRANT = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=math.pi / 4)
 REFLEX = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=3 * math.pi / 4)
+# a convex opening other than pi and pi/2, whose rows take the series
+NARROW = Wedge2D(tip=np.zeros(2), axis_angle=0.0, half_angle=3 * math.pi / 16)
 
 
 def _edge_points(rho):
@@ -278,6 +285,12 @@ CASES = {
         lambda: repr(mc.fit_exit_exponent(math.pi / 4, CFG)),
     "bridge_stay_prob":
         lambda: mc.bridge_stay_prob(HALF_PLANE, [0.5, 0.0], [0.3, 0.2], CFG).to_json(),
+    # the convex series route of the one-step estimators: openings 3pi/4 and
+    # 3pi/8, where the half-plane and quadrant cases take the exact product
+    "fit_exit_exponent(3pi/8)":
+        lambda: repr(mc.fit_exit_exponent(3 * math.pi / 8, CFG)),
+    "bridge_stay_prob(opening 3pi/8)":
+        lambda: mc.bridge_stay_prob(NARROW, [1.0, 0.0], [0.8, 0.1], CFG).to_json(),
     "conditional_H_prob(always)": _conditional_h,
     "prob_R_complement(n=2)": lambda: mc.prob_R_complement(3.0, 2, CFG).to_json(),
     "prob_R_complement(n=3)": lambda: mc.prob_R_complement(5.0, 3, CFG).to_json(),
@@ -327,6 +340,8 @@ EXPECTED_LAYOUT = 11
 EXPECTED = {
     'bridge_stay_prob':
         '1ab9f57c94b781cffcf38aee7d76b3344c906e59a47f1092dcc9f148fcd9dcaa',
+    'bridge_stay_prob(opening 3pi/8)':
+        'b1c5b0c016e4c0d078ec9b4bc271bb297abb3194ecb611c573191e0ad41f14d9',
     'campbell_check':
         '10ac9071421b4a7d6ff1dc4bcbe77a86cb97654511156e026cc3bb0ac1dd2965',
     'conditional_H_prob(always)':
@@ -347,6 +362,8 @@ EXPECTED = {
         '20d51274e347631f7a131977c1f8d5b4cf3172592e3dcf4ad4fa52d84332345c',
     'fit_exit_exponent':
         'bb54c1e06de3b8c236f9cea1189c631cc62b331e5b175bac51c408db31d76662',
+    'fit_exit_exponent(3pi/8)':
+        '2d3abbe32b0aa533bd2553e21afc284951c1e174eda7b209729a530810728b7c',
     'level_covered':
         'ee0a7daff27c054040be60e710e8c939451f480a859beb17eaf3137d4762be16',
     'measure_Za_complement':
