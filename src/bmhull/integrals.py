@@ -144,31 +144,37 @@ def covering_miss_prob(alpha: float, a: float, b: float, radius: float) -> float
 
 
 def _wedge_series(a, b, z, opening):
-    """The heat-kernel series of wedge_bridge_factor, for rows a, b, z and
-    opening of one shape: (q, bound), q the summed factor and bound its
-    rounding bound.
+    """The heat-kernel series of wedge_bridge_factor: (q, bound), q the
+    summed factor and bound its rounding bound, one per row.  a, b, z and
+    the opening broadcast together, and each is either one value per row or
+    a 0-d value that every row shares.
 
     Each row is summed term by term, so the temporaries are O(rows), until
     the rest of its sum is below 1e-17: nu -> I_nu(z) is log-concave, so
     past a term with nu >= 1 each later term is at most the one before
     times s = (z / (m + sqrt(m^2 + z^2)))^(pi / Theta), m = nu - 1/2 (Amos's
     bound on I_(m+1/2) / I_(m-1/2)), and the rest at most term s / (1 - s).
-    A row also stops once its rounding bound passes 1e-9.
+    A row also stops once its rounding bound passes 1e-9.  nu_j is the sum
+    of j steps pi / Theta, so with a 0-d opening every live row shares it,
+    nu stays one 0-d value per term, and sin(nu_j a) of a 0-d a is taken
+    once per term; only the per-row values are compacted to the live rows.
     """
     step = np.pi / opening
     # the prefactor, capped at e^600: no such row passes the rounding bound
     scale = 4.0 * step * np.exp(np.minimum(2.0 * z * np.sin(0.5 * (a - b)) ** 2, 600.0))
-    total, size, nu = np.zeros((3, z.size))  # size: the rounding budget
-    rows = np.arange(z.size)
+    total, size = np.zeros((2, scale.size))  # size: the rounding budget
+    rows = np.arange(scale.size)
+    nu, sr = np.zeros_like(step), scale
     while rows.size:
-        nu[rows] += step[rows]
-        ar, br, zr, sr, vr, st = a[rows], b[rows], z[rows], scale[rows], nu[rows], step[rows]
-        t = ive(vr, zr)
-        total[rows] += t * np.sin(vr * ar) * np.sin(vr * br)
-        size[rows] += t * (32.0 + vr * (ar + br))
-        m = np.maximum(vr - 0.5, 0.5)  # the tail bound holds from nu >= 1
-        rows = rows[(_EPS * sr * size[rows] <= 1e-9)
-                    & ((vr < 1.0) | (sr * t >= 1e-17 * (1.0 - (zr / (m + np.hypot(m, zr))) ** st)))]
+        nu = nu + step
+        t = ive(nu, z)
+        total[rows] += t * np.sin(nu * a) * np.sin(nu * b)
+        size[rows] += t * (32.0 + nu * (a + b))
+        m = np.maximum(nu - 0.5, 0.5)  # the tail bound holds from nu >= 1
+        live = ((_EPS * sr * size[rows] <= 1e-9)
+                & ((nu < 1.0) | (sr * t >= 1e-17 * (1.0 - (z / (m + np.hypot(m, z))) ** step))))
+        rows = rows[live]
+        a, b, z, sr, step, nu = (v[live] if np.ndim(v) else v for v in (a, b, z, sr, step, nu))
     return scale * total, _EPS * scale * size
 
 
@@ -182,9 +188,14 @@ def wedge_bridge_factor(a, b, z, opening) -> np.ndarray:
     included, end points at polar angles a and b in (0, Theta) from one edge
     and radii r and rho from the tip, over a time t, and z = r rho / t.
     a, b, z and the opening broadcast together, so each row has its own
-    opening; the result is their flattened shape.
+    opening; the result is their flattened shape.  The sines are taken on
+    the arguments as given, before they are broadcast, so an end or an
+    opening that every row shares (0-d, or of one element) is read once,
+    and the series rows receive it 0-d.
 
-    Each row is routed before any series is summed:
+    A row whose opening lies outside (0, 2 pi], whose z is negative or NaN,
+    or whose a or b is NaN raises ValueError naming it, before any sine is
+    taken.  Each other row is routed before any series is summed:
 
     1. the per-edge product (1 - exp(-near)) (1 - exp(-far)), near =
        2 z sin a sin b and far = 2 z sin(Theta - a) sin(Theta - b) the -log
@@ -205,7 +216,18 @@ def wedge_bridge_factor(a, b, z, opening) -> np.ndarray:
     whose bound passes 1e-9 (always where the prefactor passes its cap
     e^600) raises ValueError naming it.
     """
-    a, b, z, opening = np.broadcast_arrays(*np.atleast_1d(a, b, z, opening))
+    args = a, b, z, opening = [np.asarray(v, dtype=float) for v in (a, b, z, opening)]
+    shape = np.broadcast_shapes(*(v.shape for v in args))
+
+    def refuse(row, why):
+        vals = (np.broadcast_to(v, shape)[np.unravel_index(row, shape)] for v in args)
+        raise ValueError("wedge_bridge_factor: row {} (a={:.6g}, b={:.6g}, z={:.6g}, "
+                         "opening={:.6g}) {}".format(row, *vals, why))
+
+    bad = ~((0.0 < opening) & (opening <= 2.0 * math.pi)) | ~(z >= 0.0) | np.isnan(a) | np.isnan(b)
+    if bad.any():
+        refuse(np.flatnonzero(np.broadcast_to(bad, shape))[0],
+               "lies outside the domain: opening in (0, 2 pi], z >= 0, a and b not NaN")
     half = np.abs(opening - math.pi) <= 1e-12
     # -log of each edge's crossing probability; a half-plane has one edge
     near = 2.0 * z * np.sin(a) * np.sin(b)
@@ -215,15 +237,13 @@ def wedge_bridge_factor(a, b, z, opening) -> np.ndarray:
     # a reflex row's sines may be negative; its product is never used, and
     # the absolute values keep it from overflowing
     q = (np.expm1(-np.abs(near)) * np.expm1(-np.abs(far))).reshape(-1)
-    a, b, z, opening = (v[series] for v in (a, b, z, opening))
     rows = np.flatnonzero(series)
-    q[rows], bound = _wedge_series(a, b, z, opening)
-    bad = np.flatnonzero(bound > 1e-9)
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"wedge_bridge_factor: row {rows[i]} (a={a[i]:.6g}, b={b[i]:.6g}, "
-                         f"z={z[i]:.6g}, opening={opening[i]:.6g}) cancels past 1e-9, "
-                         f"and no per-edge product settles it")
+    if rows.size:
+        q[rows], bound = _wedge_series(*(v.reshape(()) if v.size == 1
+                                         else np.broadcast_to(v, shape)[series] for v in args))
+        bad = np.flatnonzero(bound > 1e-9)
+        if bad.size:
+            refuse(rows[bad[0]], "cancels past 1e-9, and no per-edge product settles it")
     return q
 
 

@@ -18,7 +18,10 @@ the kernel's 1e-9 product rule at convex openings other than pi and pi/2),
 their memory is O(replicas), and the grid setting does not enter them.
 The points are drawn in the wedge's own frame (tip at 0, first edge along
 the positive reals), so a rigid motion of the wedge and the points moves
-an estimate by rounding only.
+an estimate by rounding only.  Their fixed ends (the start, the bridge's
+end) stay one point that every row shares: _bridge_factor takes each
+one's angle and radius once, not once per row, and the kernel, which
+receives it 0-d, takes its sines once.
 
 conditional_H_prob, both sides of campbell_check and prob_R_complement
 decide their replicas a block at a time: each is a kernel of one block of
@@ -117,16 +120,46 @@ def _frame(wedge: Wedge2D, p):
 
 def _bridge_factor(wedge: Wedge2D, path, dts) -> np.ndarray:
     """The product of integrals.wedge_bridge_factor over the bridge pieces
-    of each row of path, (..., k + 1) complex points in the wedge's frame,
-    over the times dts, (k,) or a scalar; 0 where any point of the row lies
-    outside the open wedge."""
+    of a path in the wedge's frame, over the times dts, (k,) or a scalar,
+    one weight per row; 0 for a row with any point outside the open wedge.
+
+    path is a sequence of complex arrays whose last axis runs along the
+    path: (j,) for j points that every row shares, such as a fixed end, and
+    (rows, j) for j points of each row.  Each array's angles (np.angle plus
+    2 pi where negative, np.mod's doubles) and radii are taken once, so a
+    shared end is read once, not once per row; the inside tests are ANDed
+    array by array and the outside rows dropped once.  The pieces within
+    one array go to the kernel in one call, and each piece that joins two
+    arrays in its own, so a shared end reaches the kernel 0-d and the
+    kernel takes its sines once; the factors are multiplied in order.  A
+    path of shared points alone is one row.
+    """
     opening = 2.0 * wedge.half_angle
-    ang = np.mod(np.angle(path), 2.0 * math.pi)
-    ok = ((0.0 < ang) & (ang < opening)).all(axis=-1)
-    ang, rad = ang[ok], np.abs(path[ok])
-    z = rad[:, :-1] * rad[:, 1:] / dts
-    w = np.zeros(ok.shape)
-    w[ok] = wedge_bridge_factor(ang[:, :-1], ang[:, 1:], z, opening).reshape(z.shape).prod(axis=1)
+    ang, rad, ok = [], [], True
+    for p in path:
+        t = np.angle(p)
+        t = np.where(t < 0.0, t + 2.0 * math.pi, t)
+        ok = ok & ((0.0 < t) & (t < opening)).all(axis=-1)
+        ang.append(t)
+        rad.append(np.abs(p))
+    w = np.zeros(np.size(ok))
+    keep = np.flatnonzero(ok)
+    if not keep.size:
+        return w
+    ang, rad = ([v[keep] if v.ndim > 1 else v for v in vs] for vs in (ang, rad))
+    dts = np.broadcast_to(dts, sum(t.shape[-1] for t in ang) - 1)
+    pieces, i = [], 0  # (a, b, z, pieces per row) of each kernel call
+    for n, (t, r) in enumerate(zip(ang, rad)):
+        if n:
+            pieces.append((ang[n - 1][..., -1], t[..., 0],
+                           rad[n - 1][..., -1] * r[..., 0] / dts[i], 1))
+            i += 1
+        j = t.shape[-1] - 1
+        if j:
+            pieces.append((t[..., :-1], t[..., 1:], r[..., :-1] * r[..., 1:] / dts[i:i + j], j))
+            i += j
+    w[keep] = math.prod(wedge_bridge_factor(a, b, z, opening).reshape(-1, j).prod(axis=1)
+                        for a, b, z, j in pieces)
     return w
 
 
@@ -141,15 +174,15 @@ def _one_step_weights(rng: np.random.Generator, n: int, wedge: Wedge2D, start,
     M ~ N((start + end) / 2, t/4 I), weighted by q(start, M; t/2)
     q(M, end; t/2).  q is the exact bridge factor, so each weight is the
     conditional expectation of the stay indicator given the drawn point.
+    The fixed ends stay unbroadcast, one point that every row shares, so
+    _bridge_factor and the kernel read each of them once.
     """
-    a = _frame(wedge, start)
-    noise = rng.standard_normal((n, 2)).view(complex)[:, 0]  # one planar normal per replica
+    a = _frame(wedge, [start])
+    noise = rng.standard_normal((n, 2)).view(complex)  # one planar normal per replica, (n, 1)
     if end is None:
-        path = (a, a + math.sqrt(t) * noise)
-    else:
-        b = _frame(wedge, end)
-        path, t = (a, 0.5 * (a + b) + 0.5 * math.sqrt(t) * noise, b), 0.5 * t
-    return _bridge_factor(wedge, np.stack(np.broadcast_arrays(*path), axis=-1), t)
+        return _bridge_factor(wedge, (a, a + math.sqrt(t) * noise), t)
+    b = _frame(wedge, [end])
+    return _bridge_factor(wedge, (a, 0.5 * (a + b) + 0.5 * math.sqrt(t) * noise, b), 0.5 * t)
 
 
 def _skeleton_weights(pts, dts, n_r, n_s, top_r, top_s) -> np.ndarray:
@@ -364,13 +397,13 @@ def conditional_H_prob(case: str, wedge: Wedge2D, s1: float, s2: float,
                        wedge.axis_angle, wedge.half_angle)
     dts = np.diff(times)
     try:
-        stay_law = float(_bridge_factor(enlarged, _frame(enlarged, [[d1, d2]]), gap)[0])
+        stay_law = float(_bridge_factor(enlarged, [_frame(enlarged, [d1, d2])], gap)[0])
     except ValueError:  # the kernel refuses a law it cannot settle to 1e-9
         stay_law = None
 
     def kernel(rng, rows):
         pts = bridge(rng, rows, times, d1, d2)
-        w = _bridge_factor(enlarged, _frame(enlarged, pts), dts)
+        w = _bridge_factor(enlarged, [_frame(enlarged, pts)], dts)
         held = np.flatnonzero(w)
         w[held] *= modulus_ok(pts[held], times, alpha, n_dim) * p_cover
         return w

@@ -304,6 +304,61 @@ def test_wedge_bridge_factor_takes_one_opening_per_row():
     want = np.concatenate([wedge_bridge_factor(*row) for row in rows])
     assert got.tobytes() == want.tobytes()
     assert got.shape == (len(rows),) and np.all((0.0 < got) & (got < 1.0))
+    # a 0-d a that every row shares, against the same a broadcast
+    assert (wedge_bridge_factor(0.15, b, z, opening).tobytes()
+            == wedge_bridge_factor(np.full(b.shape, 0.15), b, z, opening).tobytes())
+
+
+@pytest.mark.parametrize("opening", [math.pi / 2, 3 * math.pi / 8, 3 * math.pi / 2])
+def test_wedge_bridge_factor_reads_a_shared_end_and_opening_unbroadcast(opening):
+    """A 0-d a, a 0-d opening, or both, and an a of one element, give the
+    bytes of the fully broadcast call, on the quadrant's product rows, on
+    convex rows that take the series and on reflex rows; the result has the
+    broadcast shape, flattened."""
+    a0 = 0.4 * opening
+    b = opening * np.array([[0.1, 0.5], [0.9, 0.3], [0.6, 0.02]])
+    z = np.array([[0.3, 2.0], [5.0, 0.8], [1.5, 9.0]])
+    full = np.full(b.shape, a0), np.full(b.shape, opening)
+    want = wedge_bridge_factor(full[0], b, z, full[1])
+    for a, op in ((a0, full[1]), (full[0], opening), (a0, opening), (np.array([a0]), opening)):
+        assert wedge_bridge_factor(a, b, z, op).tobytes() == want.tobytes()
+
+
+def test_wedge_series_takes_a_shared_opening():
+    """_wedge_series with a 0-d opening, where every live row shares nu_j,
+    returns the bytes of its np.full form, the sum and the rounding bound
+    both, and so does a 0-d a with it; at 3 pi/8 and at 3 pi/2."""
+    rng = np.random.default_rng(4)
+    for opening in (3 * math.pi / 8, 3 * math.pi / 2):
+        a, b = rng.uniform(0.05, 0.95, (2, 500)) * opening
+        z = rng.exponential(2.0, 500)
+        full = np.full(500, opening)
+        for a_in, a_full in ((a, a), (np.asarray(a[0]), np.full(500, a[0]))):
+            got = _wedge_series(a_in, b, z, np.asarray(opening))
+            want = _wedge_series(a_full, b, z, full)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+def test_wedge_bridge_factor_refuses_rows_outside_its_domain():
+    """An opening outside (0, 2 pi], a negative or NaN z, or a NaN angle is
+    refused before any series, naming the first such row: unchecked, the
+    series gives 0.0198 at opening 7, NaN at opening 0 and -0.0085 at
+    z = -1.  The checks read the inputs unbroadcast: a bad shared opening
+    names row 0 of the broadcast rows."""
+    ok = 0.5, 0.7, 1.0, math.pi / 3
+    for field, bad in ((3, 7.0), (3, 0.0), (3, -1.0), (3, math.nan), (2, -1.0),
+                       (2, math.nan), (0, math.nan), (1, math.nan)):
+        row = list(ok)
+        row[field] = bad
+        cols = [np.array([v, w]) for v, w in zip(ok, row)]
+        with pytest.raises(ValueError, match="row 1 .* outside the domain"):
+            wedge_bridge_factor(*cols)
+    assert wedge_bridge_factor(0.5, 0.7, 1.0, 2 * math.pi)[0] > 0.0
+    with pytest.raises(ValueError, match=r"row 0 \(a=0.5, b=0.1, z=1, opening=7\) .* domain"):
+        wedge_bridge_factor(0.5, np.array([0.1, 0.2]), 1.0, 7.0)
+    # b (2, 1) and z (2,) broadcast to 2 x 2 rows; z = -1 is first in row 1
+    with pytest.raises(ValueError, match=r"row 1 \(a=0.5, b=0.1, z=-1, opening=1\) .* domain"):
+        wedge_bridge_factor(0.5, np.array([[0.1], [0.2]]), np.array([1.0, -1.0]), 1.0)
 
 
 def test_wedge_bridge_factor_switches_or_refuses_where_the_series_cancels():
@@ -323,3 +378,7 @@ def test_wedge_bridge_factor_switches_or_refuses_where_the_series_cancels():
                             3 * math.pi / 8)
     with pytest.raises(ValueError, match="row 0 .* cancels"):
         wedge_bridge_factor(3 * math.pi / 4, math.pi, 200.0, 3 * math.pi / 2)
+    # a 0-d end that every row shares: the message names the row and its
+    # a, b, z and opening
+    with pytest.raises(ValueError, match=r"row 1 \(a=0.01, b=1.1581, z=500, opening=1.1781\) cancels"):
+        wedge_bridge_factor(0.01, [0.5, 3 * math.pi / 8 - 0.02], [1.0, 500.0], 3 * math.pi / 8)

@@ -179,6 +179,37 @@ def test_wedge_stay_estimators_read_no_grid(estimator):
         assert (coarse.mean, coarse.std_error) == (fine.mean, fine.std_error)
 
 
+def test_one_step_estimators_hand_the_kernel_their_fixed_ends_unbroadcast(monkeypatch):
+    """stay_prob_wedge and bridge_stay_prob hand integrals.wedge_bridge_factor
+    each fixed end 0-d, one point that every row shares, so the kernel takes
+    its sines once rather than once per row: the start as every call's a,
+    and the bridge's end as its second piece's b, each the end's polar angle
+    in the wedge's frame; the drawn points arrive one per row, and the
+    opening 0-d."""
+    calls = []
+    kernel = mc.wedge_bridge_factor
+
+    def spy(a, b, z, opening):
+        calls.append(tuple(np.asarray(v) for v in (a, b, z, opening)))
+        return kernel(a, b, z, opening)
+
+    monkeypatch.setattr(mc, "wedge_bridge_factor", spy)
+    wedge = Wedge2D(tip=np.array([0.2, -0.1]), axis_angle=0.4, half_angle=3 * math.pi / 8)
+    start, end = np.array([1.1, 0.3]), np.array([0.9, 0.5])
+    angle = [math.atan2(*(p - wedge.tip)[::-1]) - 0.4 + 3 * math.pi / 8 for p in (start, end)]
+    mc.stay_prob_wedge(wedge, start, 1.0, cfg(replicas=300))
+    assert len(calls) == 1
+    a, b, z, opening = calls.pop()
+    assert a.ndim == 0 and a == pytest.approx(angle[0], rel=1e-12)
+    assert b.ndim == z.ndim == 1 and b.size > 100 and opening.ndim == 0
+    mc.bridge_stay_prob(wedge, start, end, cfg(replicas=300))
+    assert len(calls) == 2
+    (a1, b1, _, op1), (a2, b2, _, op2) = calls
+    assert a1.ndim == b2.ndim == op1.ndim == op2.ndim == 0
+    assert (a1, b2) == pytest.approx(angle, rel=1e-12)
+    assert b1.ndim == a2.ndim == 1 and b1.tobytes() == a2.tobytes()
+
+
 def test_half_plane_estimates_invariant_under_rigid_motion():
     """Rotating and translating a half-plane, a quadrant or a reflex wedge,
     with the start and end moved by the same map, leaves both estimates as
